@@ -30,7 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from srsg.catalog import build_underlying, underlying_names
 from srsg.core import UGraph, all_positive, ugraph_from_edges
 from srsg.iso import canonical_form, decode_canonical
-from srsg.search import _iter_k_regular
+from srsg.search import _search_raw
 from srsg.sgio import emit_graph6, write_graph6_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -90,8 +90,10 @@ def cubic10_classes() -> list[UGraph]:
     hosts = [host({2, 3}), host({2, 4}), host({4, 5})]
     seen: dict[bytes, UGraph] = {}
     for h in hosts:
-        for picked in _iter_k_regular(h.nbr, n, 3):
-            g = ugraph_from_edges(n, picked)
+        # the hosts are not regular, so this calls the search's DFS core
+        # directly rather than enumerate_negative_subgraphs
+        for _, neg in _search_raw(h.nbr, n, 3):
+            g = UGraph(n, neg)
             key = canonical_form(all_positive(g))
             if key not in seen:
                 seen[key] = decode_canonical(key).underlying()

@@ -39,11 +39,9 @@ from .regularity import (
     neg_walk_parity_ok,
     quadratic_check,
     srg_relation_eq1,
-    underlying_feasible,
     verify_identity_eq2,
 )
 from .search import (
-    CatalogSearchReport,
     Hit,
     SearchConfig,
     SearchReport,

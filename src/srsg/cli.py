@@ -14,7 +14,7 @@ import sys
 
 from . import catalog as cat
 from .core import is_balanced, triangle_census
-from .errors import SignedGraphError
+from .errors import ParseError, SignedGraphError
 from .iso import are_isomorphic, canonical_form
 from .params import FeasibleSet, ParamQuery, feasible_param_sets
 from .regularity import SrsgParams, char_poly, classify
@@ -112,10 +112,29 @@ def _parse_param_tuple(text: str) -> SrsgParams:
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != 5:
         raise SignedGraphError(f"--params expects 'n,r,a,b,c', got {text!r}")
-    vals = [None if t in ("?", "None", "*") else int(t) for t in parts]
+    try:
+        vals = [None if t in ("?", "None", "*") else int(t) for t in parts]
+    except ValueError:
+        raise ParseError(f"--params entries must be integers or '?', got {text!r}") from None
     if vals[0] is None or vals[1] is None:
         raise SignedGraphError("--params requires concrete n and r")
     return SrsgParams(*vals)
+
+
+def _int_at_least(lo: int):
+    """argparse type for an integer option with a lower bound; anything else
+    is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _cmd_search(args) -> int:
@@ -231,8 +250,8 @@ def main(argv=None) -> int:
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--params", nargs="*", default=None, metavar="n,r,a,b,c")
     p.add_argument("--dedupe", choices=["iso", "iso-neg", "none"], default="iso")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("catalog", help="list or emit built-in catalog entries")
@@ -255,7 +274,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--fixtures", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(fn=_cmd_verify)
 
     args = ap.parse_args(argv)

@@ -1,7 +1,7 @@
 """Feasible parameter sets for net-regular strongly regular signed graphs.
 
 For degree r and net-degree rho, the net-regular identity (checked in
-doubled integer form, see regularity.eq3_holds) pins c*(n-r-1) in terms of
+doubled integer form, see regularity.eq3_doubled) pins c*(n-r-1) in terms of
 a and b.  The enumerator walks the integer box |a|,|b| <= r-1, |c| <= r,
 r+1 <= n <= n_max and keeps solutions.  Two kinds of row need care:
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyRange, VacuousQuery
-from .regularity import SrsgParams
+from .regularity import SrsgParams, eq3_doubled
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class FeasibleSet:
         if self.n is None:
             raise ValueError("n-free family row has no single parameter tuple")
         return SrsgParams(self.n, self.r, self.a, self.b, self.c)
-
-
-def _eq3_doubled(r: int, rho: int, a: int, b: int, c: int, n: int) -> bool:
-    return 2 * rho * rho + (b - a) * rho == (a + b) * r + 2 * c * (n - r - 1) + 2 * r
 
 
 def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
@@ -98,10 +94,10 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
     for a in a_range:
         for b in b_range:
             # n = r+1: the c term vanishes, c is vacuous (complete graph)
-            if n_ok(r + 1) and _eq3_doubled(r, rho, a, b, 0, r + 1):
+            if n_ok(r + 1) and eq3_doubled(r + 1, r, rho, a, b, 0):
                 rows.append(FeasibleSet(r + 1, r, a, b, None, complete=True))
             # c = 0: n drops out of the identity, so this is an n-free family
-            if _eq3_doubled(r, rho, a, b, 0, r + 2):
+            if eq3_doubled(r + 2, r, rho, a, b, 0):
                 members = [n for n in range(r + 2, n_max + 1) if n_ok(n)]
                 rows.append(FeasibleSet(None, r, a, b, 0))
                 rows.extend(FeasibleSet(n, r, a, b, 0) for n in members)
@@ -109,7 +105,7 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
                 if c == 0:
                     continue
                 for n in range(r + 2, n_max + 1):
-                    if n_ok(n) and _eq3_doubled(r, rho, a, b, c, n):
+                    if n_ok(n) and eq3_doubled(n, r, rho, a, b, c):
                         rows.append(FeasibleSet(n, r, a, b, c))
 
     big = n_max + 1

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SignedGraph, UGraph, square_entries
-from .errors import DegreeMismatch, SizeExceeded
+from .core import SignedGraph, square_entries
+from .errors import SizeExceeded
 
 
 @dataclass(frozen=True)
@@ -136,15 +136,19 @@ def verify_identity_eq2(g: SignedGraph, p: SrsgParams) -> bool:
     return True
 
 
-def eq3_holds(p: SrsgParams, rho: int) -> bool:
-    """Check the net-regular parameter identity, in doubled integer form.
+def eq3_doubled(n: int, r: int, rho: int, a: int, b: int, c: int) -> bool:
+    """The net-regular parameter identity, in doubled integer form:
+    2*rho^2 + (b-a)*rho == (a+b)*r + 2*c*(n-r-1) + 2*r."""
+    return 2 * rho * rho + (b - a) * rho == (a + b) * r + 2 * c * (n - r - 1) + 2 * r
 
-    2*rho^2 + (b-a)*rho == (a+b)*r + 2*c*(n-r-1) + 2*r.  None entries are
-    substituted by 0 (for c this only matters when n = r+1, where its
-    coefficient vanishes anyway).
+
+def eq3_holds(p: SrsgParams, rho: int) -> bool:
+    """Check the net-regular parameter identity (see eq3_doubled) for p.
+
+    None entries are substituted by 0 (for c this only matters when
+    n = r+1, where its coefficient vanishes anyway).
     """
-    a, b, c = _defined(p.a), _defined(p.b), _defined(p.c)
-    return 2 * rho * rho + (b - a) * rho == (a + b) * p.r + 2 * c * (p.n - p.r - 1) + 2 * p.r
+    return eq3_doubled(p.n, p.r, rho, _defined(p.a), _defined(p.b), _defined(p.c))
 
 
 def srg_relation_eq1(n: int, r: int, e: int, f: int) -> bool:
@@ -217,31 +221,3 @@ def char_poly(g: SignedGraph) -> list[int]:
         M = AM
     return coeffs
 
-
-def underlying_feasible(g: UGraph, p: SrsgParams) -> bool:
-    """Necessary common-neighbour filter for an unsigned host graph.
-
-    Edge signs are unknown before searching, so an adjacent pair with t
-    common neighbours passes when t is compatible with either the positive
-    class (t >= |a|, t = a mod 2) or the negative class (same for b); a
-    non-adjacent pair's count must be compatible with c.  None entries
-    impose no constraint.  This is a pruning filter only, never a final
-    verdict.
-    """
-    degs = g.degrees()
-    if min(degs) != p.r or max(degs) != p.r:
-        raise DegreeMismatch(f"host graph is not {p.r}-regular")
-
-    def fits(t: int, x: int | None) -> bool:
-        return x is None or (t >= abs(x) and (t - x) % 2 == 0)
-
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            t = (g.nbr[u] & g.nbr[v]).bit_count()
-            if (g.nbr[u] >> v) & 1:
-                if not (fits(t, p.a) or fits(t, p.b)):
-                    return False
-            else:
-                if not fits(t, p.c):
-                    return False
-    return True

@@ -14,7 +14,15 @@ class) and inconsistent subtrees are cut.  The degree-cap prune rejects
 blocks that overshoot k or leave a vertex unable to reach it.
 
 Reports are deterministic: fixed edge order, canonical representatives,
-sorted output, and identical results for any worker count.
+sorted output, and identical results for any worker count.  With jobs > 1
+the top blocks are split into task prefixes; each task searches the
+subtree below its prefix, and the tasks' leaves are concatenated in prefix
+order, which is the order of the single DFS.  A node budget bounds the
+whole search, not each task: every task runs under the full budget, and
+when the nodes of the split and of all tasks together exceed it, the
+report is that of the single DFS stopped at node budget + 1, exactly as at
+jobs = 1.  So a report is exhaustive exactly when the whole tree has at
+most node_budget nodes, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -80,16 +88,13 @@ class Hit:
 
 @dataclass
 class SearchReport:
-    rho: int
-    hits: list[Hit]
-    stats: SearchStats
-    exhaustive: bool
-    raw_count: int
-    note: str = ""
+    """The hits of a search over one host or a catalog of hosts.
 
+    per_graph holds one row per host, in input order: raw_hits, nodes,
+    leaves, exhaustive, and a note that says why a host needed no search
+    (empty otherwise).  Rows of a catalog search also carry the host's name.
+    """
 
-@dataclass
-class CatalogSearchReport:
     rho: int
     hits: list[Hit]
     stats: SearchStats
@@ -101,28 +106,30 @@ class _BudgetStop(Exception):
     pass
 
 
-def _search_raw(nbr, n, k, allowed, budget, prefix=(), stop_depth=None):
+def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), stop_depth=None):
     """Block DFS over signings whose negative subgraph is k-regular.
+
+    A generator: yields each leaf lazily, in DFS order, as (pos_rows,
+    neg_rows) mask tuples.  The host need not be regular.
 
     allowed: None (degree pruning only), the string "learn", or a triple of
     frozensets of admissible squared-matrix entries for (positive,
     negative, non-adjacent) pairs.
 
-    prefix: block choices replayed before the DFS starts (parallel tasks).
-    stop_depth: collect extendable prefixes at this block instead of
-    recursing past it.
+    counters: a list [nodes, leaves, pruned_degree, pruned_pair] the DFS
+    adds to.  With a budget the DFS stops when it reaches node budget + 1,
+    so it was cut short exactly when the nodes it counted exceed budget.
 
-    Returns (raw, prefixes, counters, exhaustive) where raw holds
-    (pos_rows, neg_rows) mask tuples and counters is
-    [nodes, leaves, pruned_degree, pruned_pair].
+    prefix: block choices replayed before the DFS starts (parallel tasks).
+    stop_depth: yield each extendable prefix (the block choices of blocks
+    below stop_depth) instead of recursing past it.
     """
+    if counters is None:
+        counters = [0, 0, 0, 0]
     posm = [0] * n
     negm = [0] * n
     negc = [0] * n
     avail = [[w for w in range(u + 1, n) if (nbr[u] >> w) & 1] for u in range(n)]
-    counters = [0, 0, 0, 0]
-    raw: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    prefixes: list[tuple] = []
     learn: list[int | None] = [None, None, None]
     learning = allowed == "learn"
     filtering = isinstance(allowed, tuple)
@@ -183,12 +190,12 @@ def _search_raw(nbr, n, k, allowed, budget, prefix=(), stop_depth=None):
                 posm[w] &= ~ub
 
     def rec(u):
-        if stop_depth is not None and u == stop_depth:
-            prefixes.append(tuple(chosen))
+        if u == stop_depth:
+            yield tuple(chosen)
             return
         if u == n:
             counters[_LEAVES] += 1
-            raw.append((tuple(posm), tuple(negm)))
+            yield tuple(posm), tuple(negm)
             return
         av = avail[u]
         need = k - negc[u]
@@ -215,32 +222,41 @@ def _search_raw(nbr, n, k, allowed, budget, prefix=(), stop_depth=None):
                 counters[_PPAIR] += 1
             if ok:
                 chosen.append(S)
-                rec(u + 1)
+                yield from rec(u + 1)
                 chosen.pop()
             for c in trail:
                 learn[c] = None
             undo_block(u, S)
 
     # replay a task prefix; its choices were generated by this same DFS, so
-    # they must pass their own checks again
+    # they must pass their own checks again (and relearn the entries)
     for u, S in enumerate(prefix):
         apply_block(u, S)
-        if learning or filtering:
-            assert pairs_ok(u, []), "task prefix failed replay"
+        if (learning or filtering) and not pairs_ok(u, []):
+            raise RuntimeError("task prefix failed replay")
         chosen.append(S)
 
-    exhaustive = True
     try:
-        rec(len(prefix))
+        yield from rec(len(prefix))
     except _BudgetStop:
-        exhaustive = False
-    return raw, prefixes, counters, exhaustive
+        pass
 
 
 def _task_worker(payload):
+    """Leaves and counters of the subtree below one task prefix."""
     nbr, n, k, allowed, budget, prefix = payload
-    raw, _, counters, exhaustive = _search_raw(nbr, n, k, allowed, budget, prefix)
-    return raw, counters, exhaustive
+    counters = [0, 0, 0, 0]
+    raw = list(_search_raw(nbr, n, k, allowed, budget, counters, prefix))
+    return raw, counters
+
+
+def _pool_map(fn, items, jobs):
+    """[fn(x) for x in items]: in this process at jobs <= 1, otherwise in a
+    pool of jobs worker processes.  Results keep the order of items."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=jobs) as ex:
+        return list(ex.map(fn, items))
 
 
 def enumerate_negative_subgraphs(g: UGraph, k: int):
@@ -252,43 +268,9 @@ def enumerate_negative_subgraphs(g: UGraph, k: int):
         raise DegreeMismatch("underlying graph is not regular")
     if not 0 <= k <= r:
         raise DegreeMismatch(f"k={k} out of range 0..{r}")
-    yield from _iter_k_regular(g.nbr, g.n, k)
-
-
-def _iter_k_regular(nbr, n, k):
-    """Generator core of the k-factor enumeration; host need not be regular."""
-    negc = [0] * n
-    avail = [[w for w in range(u + 1, n) if (nbr[u] >> w) & 1] for u in range(n)]
-    picked: list[tuple[int, int]] = []
-
-    def rec(u):
-        if u == n:
-            yield tuple(picked)
-            return
-        av = avail[u]
-        need = k - negc[u]
-        if need < 0 or need > len(av):
-            return
-        above = -1 << (u + 1)
-        for S in combinations(av, need):
-            ok = True
-            for w in S:
-                negc[w] += 1
-            for w in av:
-                cw = negc[w]
-                if cw > k or cw + (nbr[w] & above).bit_count() < k:
-                    ok = False
-                    break
-            if ok:
-                for w in S:
-                    picked.append((u, w))
-                yield from rec(u + 1)
-                for _ in S:
-                    picked.pop()
-            for w in S:
-                negc[w] -= 1
-
-    yield from rec(0)
+    n = g.n
+    for _, neg in _search_raw(g.nbr, n, k):
+        yield tuple((u, w) for u in range(n) for w in range(u + 1, n) if (neg[u] >> w) & 1)
 
 
 def _allowed_from_filter(compat: list[SrsgParams]):
@@ -299,21 +281,20 @@ def _allowed_from_filter(compat: list[SrsgParams]):
     )
 
 
-def _split_tasks(nbr, n, k, allowed, jobs):
+def _split_tasks(nbr, n, k, allowed, jobs, counters):
     """Deterministic top-of-tree task prefixes; aims for a few per worker.
 
-    Returns (prefixes, counters) where counters cover the prefix-tree nodes
-    (the part of the search the parent process explored itself).
+    Deepens the prefixes one block at a time until there are at least
+    4 * jobs of them, none are left, or the next block is the last one.
+    The nodes and prunes of the blocks above the prefixes (the part of the
+    search the parent process explores itself) are added to counters.
     """
-    depth = 1
-    prefixes: list[tuple] = []
-    counters = [0, 0, 0, 0]
-    while depth < n:
-        _, prefixes, counters, _ = _search_raw(nbr, n, k, allowed, None, (), stop_depth=depth)
+    prefixes: list[tuple] = [()]
+    for depth in range(1, n):
+        prefixes = [q for p in prefixes for q in _search_raw(nbr, n, k, allowed, None, counters, p, depth)]
         if len(prefixes) >= 4 * jobs or not prefixes:
             break
-        depth += 1
-    return prefixes, counters
+    return prefixes
 
 
 def _dedupe_hits(graphs: list[SignedGraph], mode: str) -> list[Hit]:
@@ -358,49 +339,44 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
 
     t0 = time.perf_counter()
     stats = SearchStats()
-    if (r - cfg.rho) % 2 != 0 or not 0 <= (r - cfg.rho) // 2 <= r:
+
+    def report(hits: list[Hit], exhaustive: bool, note: str = "") -> SearchReport:
         stats.wall_time = time.perf_counter() - t0
-        return SearchReport(cfg.rho, [], stats, True, 0, note="vacuous: no k-regular negative subgraph fits this net-degree")
+        row = {
+            "raw_hits": stats.raw_hits,
+            "nodes": stats.nodes,
+            "leaves": stats.leaves,
+            "exhaustive": exhaustive,
+            "note": note,
+        }
+        return SearchReport(cfg.rho, hits, stats, exhaustive, [row])
+
+    if (r - cfg.rho) % 2 != 0 or not 0 <= (r - cfg.rho) // 2 <= r:
+        return report([], True, "vacuous: no k-regular negative subgraph fits this net-degree")
     k = (r - cfg.rho) // 2
 
     filter_set = None
     if cfg.param_filter is not None:
         compat = [p for p in cfg.param_filter if p.n == g.n and p.r == r]
         if not compat:
-            stats.wall_time = time.perf_counter() - t0
-            return SearchReport(cfg.rho, [], stats, True, 0, note="filter excludes this order or degree")
+            return report([], True, "filter excludes this order or degree")
         filter_set = set(compat)
         allowed = _allowed_from_filter(compat) if cfg.pair_prune else None
     else:
         allowed = "learn" if cfg.pair_prune else None
 
-    n, nbr = g.n, g.nbr
-    exhaustive = True
-    raw: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if cfg.jobs <= 1:
-        raw, _, counters, exhaustive = _search_raw(nbr, n, k, allowed, cfg.node_budget)
-        stats.nodes, stats.leaves, stats.pruned_degree, stats.pruned_pair = counters
-    else:
-        prefixes, counters = _split_tasks(nbr, n, k, allowed, cfg.jobs)
-        if not prefixes:
-            # nothing survived the top blocks (or the tree is a single stalk);
-            # the sequential run is authoritative and cheap here
-            raw, _, counters, exhaustive = _search_raw(nbr, n, k, allowed, cfg.node_budget)
-            stats.nodes, stats.leaves, stats.pruned_degree, stats.pruned_pair = counters
-        else:
-            stats.nodes, stats.leaves, stats.pruned_degree, stats.pruned_pair = counters
-            per_budget = None
-            if cfg.node_budget is not None:
-                per_budget = max(1, cfg.node_budget // len(prefixes))
-            payloads = [(nbr, n, k, allowed, per_budget, p) for p in prefixes]
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-                for traw, tcounters, texh in ex.map(_task_worker, payloads):
-                    raw.extend(traw)
-                    stats.nodes += tcounters[_NODES]
-                    stats.leaves += tcounters[_LEAVES]
-                    stats.pruned_degree += tcounters[_PDEG]
-                    stats.pruned_pair += tcounters[_PPAIR]
-                    exhaustive = exhaustive and texh
+    n, nbr, budget = g.n, g.nbr, cfg.node_budget
+    counters = [0, 0, 0, 0]
+    prefixes = [()] if cfg.jobs <= 1 else _split_tasks(nbr, n, k, allowed, cfg.jobs, counters)
+    tasks = _pool_map(_task_worker, [(nbr, n, k, allowed, budget, p) for p in prefixes], cfg.jobs)
+    raw = [leaf for leaves, _ in tasks for leaf in leaves]
+    for _, tcounters in tasks:
+        counters = [a + b for a, b in zip(counters, tcounters)]
+    if budget is not None and counters[_NODES] > budget and prefixes != [()]:
+        # the split search overran the budget: report what the single DFS
+        # finds within it, as jobs=1 does
+        raw, counters = _task_worker((nbr, n, k, allowed, budget, ()))
+    stats.nodes, stats.leaves, stats.pruned_degree, stats.pruned_pair = counters
 
     # leaf verification: recompute parameters exactly and apply the filter,
     # whether or not pair pruning already enforced them
@@ -415,60 +391,36 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
         found.append(sg)
     stats.raw_hits = len(found)
 
-    hits = _dedupe_hits(found, cfg.dedupe)
-    stats.wall_time = time.perf_counter() - t0
-    return SearchReport(cfg.rho, hits, stats, exhaustive, len(found))
+    return report(_dedupe_hits(found, cfg.dedupe), budget is None or stats.nodes <= budget)
 
 
-def search_catalog(graphs: list[tuple[str, UGraph]], cfg: SearchConfig) -> CatalogSearchReport:
+def search_catalog(graphs: list[tuple[str, UGraph]], cfg: SearchConfig) -> SearchReport:
     """Search every (name, graph) entry and aggregate with global dedupe.
 
     When several graphs are given and jobs > 1, parallelism is spent across
     graphs (one worker each, deterministic merge); a single graph gets
-    branch-level parallelism instead.
+    branch-level parallelism instead.  stats.wall_time is the elapsed time
+    of the whole call.
     """
-    per_graph: list[dict] = []
-    stats = SearchStats()
-    all_found: list[SignedGraph] = []
-    exhaustive = True
-
+    t0 = time.perf_counter()
     across = cfg.jobs > 1 and len(graphs) >= 2
     inner_dedupe = "iso" if cfg.dedupe != "none" else "none"
     inner_cfg = replace(cfg, dedupe=inner_dedupe, jobs=1 if across else cfg.jobs)
+    reports = _pool_map(_host_worker, [(g, inner_cfg) for _, g in graphs], cfg.jobs if across else 1)
 
-    def run_one(item):
-        name, g = item
-        return name, search_srsg(g, inner_cfg)
-
-    if across:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-            results = list(ex.map(_catalog_worker, [(name, g, inner_cfg) for name, g in graphs]))
-    else:
-        results = [run_one(item) for item in graphs]
-
-    t_wall = 0.0
-    for name, rep in results:
+    stats = SearchStats()
+    per_graph: list[dict] = []
+    found: list[SignedGraph] = []
+    for (name, _), rep in zip(graphs, reports):
         stats.add(rep.stats)
-        t_wall = max(t_wall, rep.stats.wall_time)
-        exhaustive = exhaustive and rep.exhaustive
-        per_graph.append(
-            {
-                "name": name,
-                "raw_hits": rep.raw_count,
-                "nodes": rep.stats.nodes,
-                "leaves": rep.stats.leaves,
-                "exhaustive": rep.exhaustive,
-                "note": rep.note,
-            }
-        )
-        all_found.extend(h.graph for h in rep.hits)
+        per_graph.append({"name": name, **rep.per_graph[0]})
+        found.extend(h.graph for h in rep.hits)
 
-    hits = _dedupe_hits(all_found, cfg.dedupe)
-    stats.raw_hits = sum(pg["raw_hits"] for pg in per_graph)
-    stats.wall_time = t_wall
-    return CatalogSearchReport(cfg.rho, hits, stats, exhaustive, per_graph)
+    hits = _dedupe_hits(found, cfg.dedupe)
+    stats.wall_time = time.perf_counter() - t0
+    return SearchReport(cfg.rho, hits, stats, all(rep.exhaustive for rep in reports), per_graph)
 
 
-def _catalog_worker(payload):
-    name, g, cfg = payload
-    return name, search_srsg(g, cfg)
+def _host_worker(payload):
+    g, cfg = payload
+    return search_srsg(g, cfg)

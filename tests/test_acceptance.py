@@ -40,7 +40,7 @@ from srsg.regularity import (
     srg_relation_eq1,
     verify_identity_eq2,
 )
-from srsg.search import SearchConfig, search_srsg
+from srsg.search import SearchConfig, enumerate_negative_subgraphs, search_srsg
 from srsg.sgio import emit_graph6, emit_sg, parse_sg, read_graph6_file
 from srsg.verify import run_verification
 
@@ -264,8 +264,6 @@ def test_criterion_6_identity_suite():
 
 def _sample_regular_graphs(rng, count=50):
     """Connected regular graphs with at most 20 edges, assorted (n, r)."""
-    from srsg.search import _iter_k_regular
-
     shapes = [(5, 2), (6, 2), (6, 3), (7, 2), (7, 4), (8, 2), (8, 3), (8, 4),
               (9, 2), (10, 3), (10, 4), (9, 4)]
     out = []
@@ -275,7 +273,7 @@ def _sample_regular_graphs(rng, count=50):
             continue
         full = ugraph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         pool = []
-        for i, sub in enumerate(_iter_k_regular(full.nbr, n, r)):
+        for i, sub in enumerate(enumerate_negative_subgraphs(full, r)):
             pool.append(sub)
             if i > 400:
                 break

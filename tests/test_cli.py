@@ -5,7 +5,7 @@ import pytest
 
 from srsg.catalog import build
 from srsg.cli import main
-from srsg.sgio import emit_sg
+from srsg.sgio import emit_sg, read_graph6_file, write_graph6_file
 
 
 def run(capsys, argv):
@@ -102,6 +102,48 @@ def test_search_cli_malformed_graph6(tmp_path, capsys):
     assert rc == 1
     obj = json.loads(err.splitlines()[-1])["error"]
     assert obj["type"] == "TruncatedPayload" and "line 2" in obj["message"]
+
+
+def test_search_cli_malformed_params(capsys, fixtures_dir):
+    g8 = os.path.join(fixtures_dir, "targets", "g8.g6")
+    rc, _, err = run(capsys, ["search", "--underlying", g8, "--rho", "2", "--params", "8,6,x,1,2"])
+    assert rc == 1
+    obj = json.loads(err.splitlines()[-1])["error"]
+    assert obj["type"] == "ParseError" and "8,6,x,1,2" in obj["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--rho", "0", "--budget", "-1"],
+        ["search", "--rho", "0", "--jobs", "0"],
+        ["verify-classification", "--degree", "6", "--jobs", "0"],
+        ["verify-classification", "--degree", "6", "--jobs", "-2"],
+    ],
+)
+def test_cli_rejects_out_of_range_counts(capsys, fixtures_dir, argv):
+    if argv[0] == "search":
+        argv = argv + ["--underlying", os.path.join(fixtures_dir, "targets", "g8.g6")]
+    else:
+        argv = argv + ["--fixtures", fixtures_dir]
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert "expected an integer >=" in capsys.readouterr().err
+
+
+def test_search_cli_budget_same_output_any_jobs(tmp_path, capsys, fixtures_dir):
+    # order-10 host #5 has a 10,732-node tree at rho=0, within the budget
+    host = str(tmp_path / "host5.g6")
+    write_graph6_file(host, [read_graph6_file(os.path.join(fixtures_dir, "6reg_order10.g6"))[5]])
+    outs = []
+    for jobs in ("1", "2"):
+        rc, out, _ = run(capsys, ["search", "--underlying", host, "--rho", "0",
+                                  "--budget", "10737", "--jobs", jobs])
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["exhaustive"] is True
 
 
 def test_search_cli_deterministic_output(capsys, fixtures_dir):

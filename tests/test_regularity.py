@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 
 from conftest import signed_graphs
-from srsg.catalog import build, build_underlying
+from srsg.catalog import build
 from srsg.core import from_signed_edges, negation
-from srsg.errors import DegreeMismatch, SizeExceeded
+from srsg.errors import SizeExceeded
 from srsg.regularity import (
     SrsgClass,
     SrsgParams,
@@ -15,7 +15,6 @@ from srsg.regularity import (
     neg_walk_parity_ok,
     quadratic_check,
     srg_relation_eq1,
-    underlying_feasible,
     verify_identity_eq2,
 )
 
@@ -172,10 +171,3 @@ def test_quadratic_check_implies_char_poly_divides():
                     rem[i] = 0
                 assert rem[-1] == 0 and rem[-2] == 0
 
-
-def test_underlying_feasible():
-    assert underlying_feasible(build_underlying("GQ22"), SrsgParams(15, 6, 1, 1, -1))
-    assert underlying_feasible(build_underlying("K333"), SrsgParams(9, 6, -1, 3, -2))
-    assert not underlying_feasible(build_underlying("K66"), SrsgParams(12, 6, 1, 1, 1))
-    with pytest.raises(DegreeMismatch):
-        underlying_feasible(build_underlying("K66"), SrsgParams(12, 5, 1, 1, 1))

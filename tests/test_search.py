@@ -1,4 +1,5 @@
 import os
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from srsg.core import negation, sign_with, ugraph_from_edges
 from srsg.errors import DegreeMismatch, DisconnectedInput
 from srsg.iso import canonical_form
 from srsg.regularity import SrsgClass, SrsgParams, extract_params
+import srsg.search
 from srsg.search import (
     SearchConfig,
     enumerate_negative_subgraphs,
@@ -105,7 +107,7 @@ def test_search_dedupe_modes():
     none = search_srsg(g8, SearchConfig(rho=0, dedupe="none"))
     iso = search_srsg(g8, SearchConfig(rho=0, dedupe="iso"))
     isoneg = search_srsg(g8, SearchConfig(rho=0, dedupe="iso-neg"))
-    assert len(none.hits) == none.raw_count >= len(iso.hits) == 2
+    assert len(none.hits) == none.stats.raw_hits >= len(iso.hits) == 2
     assert len(isoneg.hits) == 1
     with pytest.raises(ValueError):
         search_srsg(g8, SearchConfig(rho=0, dedupe="bogus"))
@@ -113,7 +115,7 @@ def test_search_dedupe_modes():
 
 def test_search_k66_rho4():
     rep = search_srsg(build_underlying("K66"), SearchConfig(rho=4))
-    assert rep.raw_count == 720  # every matching signing works here
+    assert rep.stats.raw_hits == 720  # every matching signing works here
     assert len(rep.hits) == 1
     assert rep.hits[0].canonical == canonical_form(build("S1_12").graph)
 
@@ -124,12 +126,12 @@ def test_search_filter_restricts_hits():
     assert len(rep.hits) == 1
     assert rep.hits[0].params == SrsgParams(8, 6, 0, 0, -2)
     rep = search_srsg(g8, SearchConfig(rho=2, param_filter=(SrsgParams(9, 6, 0, 0, -2),)))
-    assert not rep.hits and "filter" in rep.note
+    assert not rep.hits and "filter" in rep.per_graph[0]["note"]
 
 
 def test_search_vacuous_parity():
     rep = search_srsg(build_underlying("G8"), SearchConfig(rho=1))
-    assert not rep.hits and rep.exhaustive and "vacuous" in rep.note
+    assert not rep.hits and rep.exhaustive and "vacuous" in rep.per_graph[0]["note"]
 
 
 def test_search_k0_reports_homogeneous_hit():
@@ -137,14 +139,14 @@ def test_search_k0_reports_homogeneous_hit():
     # strongly regular host is a hit, reported under the homogeneous class
     gq = build_underlying("GQ22")
     rep = search_srsg(gq, SearchConfig(rho=6))
-    assert rep.raw_count == 1
+    assert rep.stats.raw_hits == 1
     assert len(rep.hits) == 1
     h = rep.hits[0]
     assert h.cls is SrsgClass.HOMOGENEOUS
     assert h.params == SrsgParams(15, 6, 1, None, 3)
     # a non-strongly-regular host has no hit at all
     g9 = build_underlying("G9")
-    assert search_srsg(g9, SearchConfig(rho=6)).raw_count == 0
+    assert search_srsg(g9, SearchConfig(rho=6)).stats.raw_hits == 0
 
 
 def test_search_trivial_hosts_with_jobs():
@@ -152,12 +154,12 @@ def test_search_trivial_hosts_with_jobs():
     one = ugraph_from_edges(1, [])
     a = search_srsg(one, SearchConfig(rho=0))
     b = search_srsg(one, SearchConfig(rho=0, jobs=2))
-    assert a.raw_count == b.raw_count == 0  # edgeless graphs are never SRSGs
+    assert a.stats.raw_hits == b.stats.raw_hits == 0  # edgeless graphs are never SRSGs
     k2 = ugraph_from_edges(2, [(0, 1)])
     a = search_srsg(k2, SearchConfig(rho=-1))
     b = search_srsg(k2, SearchConfig(rho=-1, jobs=2))
-    assert a.raw_count == b.raw_count  # all-negative K2 is homogeneous complete
-    assert a.raw_count == 0
+    assert a.stats.raw_hits == b.stats.raw_hits  # all-negative K2 is homogeneous complete
+    assert a.stats.raw_hits == 0
 
 
 def test_search_errors():
@@ -177,13 +179,76 @@ def test_budget_flags_non_exhaustive():
     assert rep.stats.nodes >= 10
 
 
+def _order10():
+    return read_graph6_file(os.path.join(FIXTURES, "6reg_order10.g6"))
+
+
+def _outcome(rep):
+    """Everything a report says except its timings."""
+    s = rep.stats
+    counters = (s.nodes, s.leaves, s.raw_hits, s.pruned_degree, s.pruned_pair)
+    return [(h.canonical, h.graph.neg) for h in rep.hits], rep.exhaustive, counters, rep.per_graph
+
+
+@pytest.mark.parametrize(
+    "host, rho, budget, dedupe",
+    [
+        # order-10 host #5 has a 10,732-node tree at rho=0
+        (5, 0, 5000, "iso"),
+        (5, 0, 10731, "iso"),
+        (5, 0, 10732, "iso"),
+        (5, 0, 10737, "iso"),
+        # host #16 is T(5): the cut falls after 6 of its 12 leaves
+        (16, 2, 3000, "none"),
+    ],
+)
+def test_budget_report_independent_of_jobs(host, rho, budget, dedupe):
+    g = _order10()[host]
+    one = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe))
+    two = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe, jobs=2))
+    assert _outcome(two) == _outcome(one)
+    full = search_srsg(g, SearchConfig(rho=rho)).stats.nodes
+    assert one.exhaustive == (budget >= full)
+    assert one.stats.nodes == min(budget + 1, full)
+
+
+def test_counters_independent_of_jobs_order10():
+    for g in _order10():
+        one = search_srsg(g, SearchConfig(rho=0))
+        two = search_srsg(g, SearchConfig(rho=0, jobs=2))
+        assert _outcome(two) == _outcome(one)
+
+
+def test_catalog_wall_time_is_elapsed(monkeypatch):
+    # time every per-host search through the module-global name that
+    # search_catalog calls; the catalog's wall time covers all of them
+    inner = []
+    real = srsg.search.search_srsg
+
+    def timed(g, cfg):
+        t = time.perf_counter()
+        try:
+            return real(g, cfg)
+        finally:
+            inner.append(time.perf_counter() - t)
+
+    monkeypatch.setattr(srsg.search, "search_srsg", timed)
+    graphs = [(f"o9[{i}]", g) for i, g in enumerate(
+        read_graph6_file(os.path.join(FIXTURES, "6reg_order9.g6")))]
+    before = time.perf_counter()
+    rep = search_catalog(graphs, SearchConfig(rho=2))
+    elapsed = time.perf_counter() - before
+    assert len(inner) == len(graphs) == 4
+    assert sum(inner) <= rep.stats.wall_time <= elapsed
+
+
 def test_pair_prune_off_matches_default():
     g8 = build_underlying("G8")
     for rho in (0, 2):
         fast = search_srsg(g8, SearchConfig(rho=rho))
         slow = search_srsg(g8, SearchConfig(rho=rho, pair_prune=False))
         assert [h.canonical for h in fast.hits] == [h.canonical for h in slow.hits]
-        assert fast.raw_count == slow.raw_count
+        assert fast.stats.raw_hits == slow.stats.raw_hits
 
 
 def test_search_matches_brute_scan_on_g8():
@@ -205,7 +270,7 @@ def test_determinism_and_jobs():
     par = search_srsg(g8, SearchConfig(rho=2, jobs=2))
     assert [h.canonical for h in par.hits] == [h.canonical for h in a.hits]
     assert par.stats.leaves == a.stats.leaves
-    assert par.raw_count == a.raw_count
+    assert par.stats.raw_hits == a.stats.raw_hits
 
 
 def test_search_catalog_aggregates_and_jobs():
