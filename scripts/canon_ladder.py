@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Time canonical forms on a ladder of symmetric hosts.
+
+The ladder is K_{m,m} for m = 6..12 and the m x m rook graph for m = 4..7,
+all edges positive.  For each graph one JSON line is printed with n, the
+seconds `canonical_form` took, and the search nodes and leaves it visited.
+Nodes and leaves are counted from outside the package by wrapping
+`srsg.iso._refine` (one call per search node) and `srsg.iso._encode` (one
+call per leaf).  A graph that exceeds the per-graph limit is reported with
+"timeout": true and the counts reached so far.
+
+    python3 scripts/canon_ladder.py [--limit SECONDS]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import signal
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+import srsg.iso as iso
+from srsg.core import all_positive, ugraph_from_edges
+
+
+def kmm(m: int):
+    return ugraph_from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+
+
+def rook(m: int):
+    return ugraph_from_edges(
+        m * m,
+        [(u, v) for u in range(m * m) for v in range(u + 1, m * m)
+         if u // m == v // m or u % m == v % m],
+    )
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--limit", type=int, default=120, help="seconds allowed per graph")
+    args = ap.parse_args()
+
+    counts = {"nodes": 0, "leaves": 0}
+
+    def counted(fn, key):
+        def wrapper(*a):
+            counts[key] += 1
+            return fn(*a)
+        return wrapper
+
+    iso._refine = counted(iso._refine, "nodes")
+    iso._encode = counted(iso._encode, "leaves")
+    signal.signal(signal.SIGALRM, _alarm)
+
+    ladder = [(f"K{m},{m}", kmm(m)) for m in range(6, 13)]
+    ladder += [(f"rook{m}", rook(m)) for m in range(4, 8)]
+    for name, u in ladder:
+        g = all_positive(u)
+        counts["nodes"] = counts["leaves"] = 0
+        timed_out = False
+        t0 = time.perf_counter()
+        signal.alarm(args.limit)
+        try:
+            iso.canonical_form(g)
+        except _Timeout:
+            timed_out = True
+        finally:
+            signal.alarm(0)
+        row = {"graph": name, "n": g.n, "seconds": round(time.perf_counter() - t0, 3), **counts}
+        if timed_out:
+            row["timeout"] = True
+        print(json.dumps(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -257,7 +257,8 @@ def _gq22() -> UGraph:
             if not (set(p) & set(verts[j])):
                 edges.append((i, j))
     g = ugraph_from_edges(15, edges)
-    assert _validate_srg(g, 15, 6, 1, 3), "GQ(2,2) construction must be an SRG(15,6,1,3)"
+    if not _validate_srg(g, 15, 6, 1, 3):
+        raise ConstructionInvalid("GQ(2,2) construction must be an SRG(15,6,1,3)")
     return g
 
 
@@ -267,7 +268,8 @@ def _paley13() -> UGraph:
         13,
         [(u, v) for u in range(13) for v in range(u + 1, 13) if (v - u) % 13 in qr],
     )
-    assert _validate_srg(g, 13, 6, 2, 3), "Paley(13) construction must be an SRG(13,6,2,3)"
+    if not _validate_srg(g, 13, 6, 2, 3):
+        raise ConstructionInvalid("Paley(13) construction must be an SRG(13,6,2,3)")
     return g
 
 

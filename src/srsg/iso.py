@@ -7,9 +7,18 @@ iff they are isomorphic (sign-preservingly), and the byte strings are
 totally ordered.
 
 The canonical order is found by backtracking over individualizations with
-equitable refinement on (positive, negative) neighbour counts; discovered
-automorphisms prune sibling branches whose subtrees are images of explored
-ones.  Minimality is over all fully explored branches.
+equitable refinement on (positive, negative) neighbour counts.  Two leaves
+with the same encoding give an automorphism; every distinct one is kept,
+with no cap.  Each search node keeps one union-find over the vertices and
+folds in the automorphisms found since its previous sibling that fix its
+prefix pointwise; a sibling joined to an explored one is skipped.
+
+The result is exact however many automorphisms are found.  A skipped
+subtree is the image, under an automorphism fixing the prefix, of an
+explored earlier sibling's subtree, so the first leaf of minimum encoding
+in depth-first order always has its preimage earlier in that order and is
+never skipped.  The search returns that leaf, so the encoding and the order
+do not depend on how much was pruned.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from .errors import SizeExceeded
 from .regularity import extract_params
 
 AUT_COUNT_MAX_N = 16
-_MAX_GENS = 128
 
 
 def _bits(x: int):
@@ -135,14 +143,41 @@ def decode_canonical(enc: bytes) -> SignedGraph:
     return SignedGraph(n, tuple(pos), tuple(neg))
 
 
+def _witness(order_a: list[int], order_b: list[int]) -> list[int]:
+    """The map sending order_a[i] to order_b[i] for every position i."""
+    w = [0] * len(order_a)
+    for x, y in zip(order_a, order_b):
+        w[x] = y
+    return w
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent: list[int], p) -> None:
+    """Merge the union-find classes of x and p[x] for every vertex x."""
+    for x, y in enumerate(p):
+        rx, ry = _find(parent, x), _find(parent, y)
+        if rx != ry:
+            parent[rx] = ry
+
+
 def _canonical_search(g: SignedGraph, marks: tuple[int, ...] = ()):
-    """Return (canonical encoding, order achieving it); order[i] is the vertex at position i."""
+    """Return (canonical encoding, order achieving it, automorphisms found).
+
+    order[i] is the vertex at position i.  Each automorphism is a tuple p
+    mapping vertex x to p[x]; all of them fix `marks` pointwise.
+    """
     n = g.n
     pos, neg = g.pos, g.neg
     best_enc: bytes | None = None
     best_order: list[int] | None = None
     gens: list[tuple[int, ...]] = []
-    identity = tuple(range(n))
+    seen = {tuple(range(n))}
 
     def rec(cells, prefix):
         nonlocal best_enc, best_order
@@ -158,36 +193,27 @@ def _canonical_search(g: SignedGraph, marks: tuple[int, ...] = ()):
                 best_enc = enc
                 best_order = order
             elif enc == best_enc:
-                phi = [0] * n
-                for i in range(n):
-                    phi[best_order[i]] = order[i]
-                tphi = tuple(phi)
-                if tphi != identity and tphi not in gens and len(gens) < _MAX_GENS:
+                tphi = tuple(_witness(best_order, order))
+                if tphi not in seen:
+                    seen.add(tphi)
                     gens.append(tphi)
             return
         cell = cells[target]
         explored: list[int] = []
+        # orbits of the automorphisms found so far that fix the prefix,
+        # folded in as they are found
+        parent = list(range(n))
+        folded = 0
         for v in cell:
             if explored:
-                # skip v when a found automorphism fixing the prefix maps an
-                # explored sibling onto it; that subtree is an image of an
-                # explored one
-                parent = list(range(n))
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                for p in gens:
+                # skip v when such an automorphism maps an explored sibling
+                # onto it; that subtree is an image of an explored one
+                for p in gens[folded:]:
                     if all(p[x] == x for x in prefix):
-                        for x in range(n):
-                            rx, ry = find(x), find(p[x])
-                            if rx != ry:
-                                parent[rx] = ry
-                rv = find(v)
-                if any(find(u) == rv for u in explored):
+                        _join(parent, p)
+                folded = len(gens)
+                rv = _find(parent, v)
+                if any(_find(parent, u) == rv for u in explored):
                     continue
             explored.append(v)
             child = (
@@ -199,7 +225,7 @@ def _canonical_search(g: SignedGraph, marks: tuple[int, ...] = ()):
 
     rec(_refine(pos, neg, _initial_cells(g, marks)), ())
     assert best_enc is not None and best_order is not None
-    return best_enc, best_order
+    return best_enc, best_order, gens
 
 
 def canonical_form(g: SignedGraph) -> bytes:
@@ -209,7 +235,8 @@ def canonical_form(g: SignedGraph) -> bytes:
 
 def canonical_labeling(g: SignedGraph) -> tuple[bytes, list[int]]:
     """Canonical form plus an order achieving it (order[i] = vertex at position i)."""
-    return _canonical_search(g)
+    enc, order, _ = _canonical_search(g)
+    return enc, order
 
 
 def canonical_representative(g: SignedGraph) -> SignedGraph:
@@ -229,16 +256,15 @@ def are_isomorphic(g: SignedGraph, h: SignedGraph):
         return (False, None)
     if extract_params(g) != extract_params(h):
         return (False, None)
-    enc_g, order_g = _canonical_search(g)
-    enc_h, order_h = _canonical_search(h)
+    enc_g, order_g, _ = _canonical_search(g)
+    enc_h, order_h, _ = _canonical_search(h)
     if enc_g != enc_h:
         return (False, None)
-    w = [0] * g.n
-    for i in range(g.n):
-        w[order_g[i]] = order_h[i]
+    w = _witness(order_g, order_h)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            assert g.sign(u, v) == h.sign(w[u], w[v]), "witness failed verification"
+            if g.sign(u, v) != h.sign(w[u], w[v]):
+                raise RuntimeError("isomorphism witness failed verification")
     return (True, w)
 
 
@@ -246,9 +272,17 @@ def automorphism_count(g: UGraph) -> int:
     """Order of the automorphism group of an unsigned graph, n <= 16.
 
     Computed along the stabilizer chain of the base (0, 1, ..., n-1): the
-    orbit of v under the pointwise stabilizer of 0..v-1 is read off by
-    comparing canonical forms of vertex-marked copies, and the group order
-    is the product of the orbit sizes.
+    group order is the product over v of the size of the orbit of v under
+    the pointwise stabilizer G of marks = (0, ..., v-1).  The orbit lies in
+    the refined cell of v.  A union-find over the vertices joins the images
+    under automorphisms known to lie in G: the automorphisms found by the
+    marked canonical searches of this level (each fixes marks and its own
+    marked vertex) and, for each w whose marked form equals v's, the witness
+    mapping v's marked canonical order onto w's, which sends v to w.  A
+    candidate w gets a marked search of its own only while its class is not
+    yet known to be inside or outside v's orbit.  Every join comes from an
+    automorphism in G and every "outside" from unequal canonical forms, so
+    the count is exact however few automorphisms the searches return.
     """
     if g.n > AUT_COUNT_MAX_N:
         raise SizeExceeded(f"automorphism_count limited to n <= {AUT_COUNT_MAX_N}")
@@ -258,14 +292,24 @@ def automorphism_count(g: UGraph) -> int:
     for v in range(g.n):
         cells = _refine(sg.pos, sg.neg, _initial_cells(sg, marks))
         cell_of_v = next(c for c in cells if v in c)
-        candidates = [w for w in cell_of_v if w != v]
-        if candidates:
-            ref = _canonical_search(sg, marks + (v,))[0]
-            orbit = 1 + sum(
-                1 for w in candidates if _canonical_search(sg, marks + (w,))[0] == ref
-            )
-        else:
-            orbit = 1
-        total *= orbit
+        if len(cell_of_v) > 1:
+            parent = list(range(g.n))
+            ref, ref_order, gens = _canonical_search(sg, marks + (v,))
+            for p in gens:
+                _join(parent, p)
+            outside: list[int] = []
+            for w in cell_of_v:
+                rw = _find(parent, w)
+                if rw == _find(parent, v) or any(_find(parent, x) == rw for x in outside):
+                    continue
+                enc, order, gens = _canonical_search(sg, marks + (w,))
+                for p in gens:
+                    _join(parent, p)
+                if enc == ref:
+                    _join(parent, _witness(ref_order, order))
+                else:
+                    outside.append(w)
+            rv = _find(parent, v)
+            total *= sum(1 for w in cell_of_v if _find(parent, w) == rv)
         marks = marks + (v,)
     return total

@@ -2,8 +2,10 @@
 
 For degree r and net-degree rho, the net-regular identity (checked in
 doubled integer form, see regularity.eq3_doubled) pins c*(n-r-1) in terms of
-a and b.  The enumerator walks the integer box |a|,|b| <= r-1, |c| <= r,
-r+1 <= n <= n_max and keeps solutions.  Two kinds of row need care:
+a and b.  The enumerator walks |a|,|b| <= r-1 and r+1 <= n <= n_max, solves
+the identity for c, and keeps the integer solutions with |c| <= r, so the
+rows are those of a scan of the whole (a, b, c, n) box.  Two kinds of row
+need care:
 
 * complete candidates: at n = r+1 the c class is empty, so c is emitted as
   None and the row flagged complete;
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyRange, VacuousQuery
-from .regularity import SrsgParams, eq3_doubled
+from .regularity import SrsgParams
 
 
 @dataclass(frozen=True)
@@ -93,20 +95,23 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
     rows: list[FeasibleSet] = []
     for a in a_range:
         for b in b_range:
-            # n = r+1: the c term vanishes, c is vacuous (complete graph)
-            if n_ok(r + 1) and eq3_doubled(r + 1, r, rho, a, b, 0):
-                rows.append(FeasibleSet(r + 1, r, a, b, None, complete=True))
-            # c = 0: n drops out of the identity, so this is an n-free family
-            if eq3_doubled(r + 2, r, rho, a, b, 0):
+            # eq3_doubled with c moved to one side: 2c(n-r-1) == twice
+            twice = 2 * rho * rho + (b - a) * rho - (a + b) * r - 2 * r
+            if twice == 0:
+                # n = r+1: the c term vanishes, c is vacuous (complete graph)
+                if n_ok(r + 1):
+                    rows.append(FeasibleSet(r + 1, r, a, b, None, complete=True))
+                # c = 0: n drops out of the identity, so this is an n-free family
                 members = [n for n in range(r + 2, n_max + 1) if n_ok(n)]
                 rows.append(FeasibleSet(None, r, a, b, 0))
                 rows.extend(FeasibleSet(n, r, a, b, 0) for n in members)
-            for c in range(-r, r + 1):
-                if c == 0:
-                    continue
-                for n in range(r + 2, n_max + 1):
-                    if n_ok(n) and eq3_doubled(n, r, rho, a, b, c):
-                        rows.append(FeasibleSet(n, r, a, b, c))
+                continue
+            if twice % 2:
+                continue
+            for n in range(r + 2, n_max + 1):
+                c, rest = divmod(twice // 2, n - r - 1)
+                if not rest and abs(c) <= r and n_ok(n):
+                    rows.append(FeasibleSet(n, r, a, b, c))
 
     big = n_max + 1
 

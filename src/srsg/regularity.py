@@ -213,7 +213,8 @@ def char_poly(g: SignedGraph) -> list[int]:
             for i in range(n)
         ]
         tr = sum(AM[i][i] for i in range(n))
-        assert tr % k == 0, "Faddeev-LeVerrier division must be exact on integer input"
+        if tr % k:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact on integer input")
         ck = -tr // k
         coeffs.append(ck)
         for i in range(n):

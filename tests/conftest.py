@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import strategies as st
 
-from srsg.core import SignedGraph, from_signed_edges
+from srsg.core import SignedGraph, from_signed_edges, ugraph_from_edges
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -65,3 +65,17 @@ def brute_extract(g: SignedGraph):
         return None
     pick = lambda k: next(iter(vals[k])) if vals[k] else None
     return (n, degs[0], pick("a"), pick("b"), pick("c"))
+
+
+def kmm(m):
+    """Complete bipartite graph K_{m,m}: sides 0..m-1 and m..2m-1."""
+    return ugraph_from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+
+
+def rook(m):
+    """m x m rook graph: vertex i*m + j, adjacent when sharing a row or a column."""
+    return ugraph_from_edges(
+        m * m,
+        [(u, v) for u in range(m * m) for v in range(u + 1, m * m)
+         if u // m == v // m or u % m == v % m],
+    )

@@ -1,14 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import signed_graphs
-from srsg.catalog import build, build_underlying
-from srsg.core import from_signed_edges, negation, ugraph_from_edges
+from conftest import kmm, rook, signed_graphs
+from srsg.catalog import build, build_underlying, list_names
+from srsg.core import all_positive, from_signed_edges, negation, ugraph_from_edges
 from srsg.errors import SizeExceeded
 from srsg.iso import (
+    _canonical_search,
     are_isomorphic,
     automorphism_count,
     canonical_form,
@@ -128,7 +133,148 @@ def test_automorphism_count_matches_brute_force_small():
         assert automorphism_count(u) == brute_automorphism_count(u)
 
 
+def cycles(*lengths):
+    """Disjoint union of cycles: regular and triangle-free, so refinement
+    alone leaves cycles of different lengths in one cell."""
+    edges, base = [], 0
+    for k in lengths:
+        edges += [(base + i, base + (i + 1) % k) for i in range(k)]
+        base += k
+    return ugraph_from_edges(base, edges)
+
+
+def cube(d):
+    n = 1 << d
+    return ugraph_from_edges(n, [(u, u ^ (1 << i)) for u in range(n) for i in range(d) if u < u ^ (1 << i)])
+
+
+def petersen():
+    return ugraph_from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+
+
+SYMMETRIC_SMALL = [
+    *(("K%d,%d" % (m, m), kmm(m)) for m in range(1, 5)),
+    *(("C%d" % n, cycles(n)) for n in range(3, 9)),
+    ("Q3", cube(3)),
+    ("2K3", ugraph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+    ("K3,3-PM", ugraph_from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3) if i != j])),
+]
+
+
+@pytest.mark.parametrize("name,u", SYMMETRIC_SMALL, ids=[n for n, _ in SYMMETRIC_SMALL])
+def test_automorphism_count_symmetric_brute_force(name, u):
+    assert automorphism_count(u) == brute_automorphism_count(u)
+
+
+FORMULA_CASES = [
+    *(("K%d,%d" % (m, m), kmm(m), 2 * factorial(m) ** 2) for m in range(1, 9)),
+    ("rook3", rook(3), 2 * factorial(3) ** 2),
+    ("rook4", rook(4), 2 * factorial(4) ** 2),
+    ("Q4", cube(4), 384),
+    ("C16", cycles(16), 32),
+    ("Petersen", petersen(), 120),
+    ("C4+C5", cycles(4, 5), 8 * 10),
+    ("C4+C8", cycles(4, 8), 8 * 16),
+    ("C4+C4+C6", cycles(4, 4, 6), 2 * 8 * 8 * 12),
+    ("C5+C10", cycles(5, 10), 10 * 20),
+]
+
+
+@pytest.mark.parametrize("name,u,order", FORMULA_CASES, ids=[c[0] for c in FORMULA_CASES])
+def test_automorphism_count_closed_formulas(name, u, order):
+    assert automorphism_count(u) == order
+
+
+def test_automorphism_count_matches_vf2():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(7)
+    cases = [petersen(), cycles(10), cube(3), kmm(3), rook(3), cycles(4, 5), cycles(4, 6),
+             ugraph_from_edges(10, [(i, (i + d) % 10) for i in range(10) for d in (1, 4)])]
+    for _ in range(8):
+        n = rng.randint(7, 10)
+        cases.append(ugraph_from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]))
+    for u in cases:
+        G = nx.Graph()
+        G.add_nodes_from(range(u.n))
+        G.add_edges_from((a, b) for a in range(u.n) for b in range(a + 1, u.n) if u.adjacent(a, b))
+        assert automorphism_count(u) == sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
+
+
+def test_search_generators_are_marked_automorphisms():
+    rng = random.Random(3)
+    graphs = [build(name).graph for name in list_names()]
+    graphs += [all_positive(kmm(4)), all_positive(rook(3)), all_positive(cube(3))]
+    graphs.append(from_signed_edges(8, [(i, 4 + j, 1 if i != j else -1) for i in range(4) for j in range(4)]))
+    found = 0
+    for g in graphs:
+        for marks in ((), (0,), (0, 1), tuple(rng.sample(range(g.n), 2))):
+            _, _, gens = _canonical_search(g, marks)
+            found += len(gens)
+            for p in gens:
+                assert sorted(p) == list(range(g.n))
+                assert all(p[x] == x for x in marks)
+                assert all(g.sign(p[u], p[v]) == s for u, v, s in g.edges())
+    assert found > 0
+
+
 def test_automorphism_count_size_cap():
     big = ugraph_from_edges(17, [(u, u + 1) for u in range(16)])
     with pytest.raises(SizeExceeded):
         automorphism_count(big)
+
+
+_OPTIMISED_CHECKS = """
+import sys
+import srsg.catalog as catalog
+import srsg.iso as iso
+from srsg.core import from_signed_edges
+from srsg.errors import ConstructionInvalid
+
+if __debug__:
+    sys.exit("not running under -O")
+g = catalog.build("S_9").graph
+h = from_signed_edges(g.n, [((u + 1) % g.n, (v + 1) % g.n, s) for u, v, s in g.edges()])
+real = iso._canonical_search
+calls = []
+
+
+def wrong_second_order(x, marks=()):
+    enc, order, gens = real(x, marks)
+    calls.append(x)
+    if len(calls) == 2:
+        order = order[1:] + order[:1]
+    return enc, order, gens
+
+
+iso._canonical_search = wrong_second_order
+try:
+    iso.are_isomorphic(g, h)
+    print("witness accepted")
+except RuntimeError:
+    print("witness rejected")
+catalog._validate_srg = lambda *args: False
+try:
+    catalog.build_underlying("GQ22")
+    print("construction accepted")
+except ConstructionInvalid:
+    print("construction rejected")
+"""
+
+
+def test_checks_survive_python_O():
+    # a wrong canonical order for the second graph must fail the witness
+    # check, and a failed SRG self-check must raise, with asserts stripped
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMISED_CHECKS],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split("\n")
+    assert out[:2] == ["witness rejected", "construction rejected"]

@@ -126,3 +126,42 @@ def test_family_row_has_no_params_tuple():
     with pytest.raises(ValueError):
         fam.params()
     assert FeasibleSet(12, 6, 0, 0, 2).params() == SrsgParams(12, 6, 0, 0, 2)
+
+
+def brute_rows(r, rho, n_max=None, n_min=None, fix_b=None, even_n=False, div_n=None,
+               a_min=None, a_max=None):
+    """Every row of a query, by scanning the whole (a, b, c, n) box."""
+    n_max = 2 * r + 5 if n_max is None else n_max
+    n_min = r + 1 if n_min is None else max(n_min, r + 1)
+
+    def n_ok(n):
+        return (n_min <= n <= n_max and not (even_n and n % 2)
+                and not (div_n is not None and n % div_n))
+
+    box = range(-(r - 1), r)
+    a_vals = [a for a in box if (a_min is None or a >= a_min) and (a_max is None or a <= a_max)]
+    b_vals = [b for b in box if fix_b is None or b == fix_b]
+    rows = []
+    for a in a_vals:
+        for b in b_vals:
+            if n_ok(r + 1) and eq3_holds(SrsgParams(r + 1, r, a, b, None), rho):
+                rows.append((r + 1, r, a, b, None, True))
+            if all(eq3_holds(SrsgParams(n, r, a, b, 0), rho) for n in (r + 2, 3 * r + 7)):
+                rows.append((None, r, a, b, 0, False))
+            for n in range(r + 2, n_max + 1):
+                for c in range(-r, r + 1):
+                    if n_ok(n) and eq3_holds(SrsgParams(n, r, a, b, c), rho):
+                        rows.append((n, r, a, b, c, False))
+    return sorted(rows, key=lambda t: (n_max + 1 if t[0] is None else t[0], t[2], t[3],
+                                       -(r + 1) if t[4] is None else t[4]))
+
+
+@pytest.mark.parametrize("r,rho", [(3, 1), (4, 0), (5, -1), (5, 3), (6, 2), (7, 1), (7, -5)])
+@pytest.mark.parametrize("opts", [
+    {}, {"even_n": True}, {"div_n": 3}, {"fix_b": 1}, {"fix_b": 9}, {"a_min": -1, "a_max": 2},
+    {"n_min": 10}, {"n_max": 11}, {"n_min": 9, "n_max": 30, "div_n": 2},
+])
+def test_rows_match_full_box_scan(r, rho, opts):
+    rows = feasible_param_sets(ParamQuery(r=r, rho=rho, **opts))
+    got = [(q.n, q.r, q.a, q.b, q.c, q.complete) for q in rows]
+    assert got == brute_rows(r, rho, **opts)
