@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--n-min", dest="n_min", type=int, default=None)
     p.add_argument("--even-n", dest="even_n", action="store_true")
-    p.add_argument("--div-n", dest="div_n", type=int, default=None)
+    p.add_argument("--div-n", dest="div_n", type=_int_at_least(1), default=None)
     p.add_argument("--a-min", dest="a_min", type=int, default=None)
     p.add_argument("--a-max", dest="a_max", type=int, default=None)
     p.set_defaults(fn=_cmd_params)

@@ -75,6 +75,8 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
     n_min = max(n_min, r + 1)
     if n_max < n_min:
         raise EmptyRange(f"empty vertex-count range {n_min}..{n_max}")
+    if q.div_n is not None and q.div_n < 1:
+        raise EmptyRange(f"vertex counts divisible by {q.div_n}: the divisor must be at least 1")
 
     a_lo = q.a_min if q.a_min is not None else -(r - 1)
     a_hi = q.a_max if q.a_max is not None else r - 1

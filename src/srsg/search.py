@@ -13,6 +13,12 @@ filter (or against values learned from the first completed pair of each
 class) and inconsistent subtrees are cut.  The degree-cap prune rejects
 blocks that overshoot k or leave a vertex unable to reach it.
 
+The DFS keeps the negative rows only.  An edge of a decided block that is
+not negative is positive, so a complete vertex's positive row is its host
+row minus its negative row, and the entry of a completed pair t < u is
+|C| - 2 * popcount((neg[t] ^ neg[u]) & C) over its common neighbours C:
+a term sigma(tw)sigma(uw) is -1 exactly when one of tw, uw is negative.
+
 Reports are deterministic: fixed edge order, canonical representatives,
 sorted output, and identical results for any worker count.  With jobs > 1
 the top blocks are split into task prefixes; each task searches the
@@ -123,34 +129,43 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
     prefix: block choices replayed before the DFS starts (parallel tasks).
     stop_depth: yield each extendable prefix (the block choices of blocks
     below stop_depth) instead of recursing past it.
+
+    The state is the negative rows alone.  A block choice S for vertex u
+    sets bit u in negm[w] and bumps negc[w] for w in S only, sets the mask
+    of S in negm[u], and is undone by XOR of the same bits.  Every other
+    edge of the block is positive, which needs no record: the positive row
+    of a complete vertex i is nbr[i] & ~negm[i].  The squared-matrix entry
+    of a completed pair t < u follows from the negative rows too: (A^2)[t][u]
+    sums sigma(tw)sigma(uw) over the common neighbours w in
+    C = nbr[t] & nbr[u], and a product is -1 exactly when one of tw, uw is
+    negative, so the entry is |C| - 2 * popcount((negm[t] ^ negm[u]) & C).
     """
     if counters is None:
         counters = [0, 0, 0, 0]
-    posm = [0] * n
     negm = [0] * n
     negc = [0] * n
+    bit = [1 << w for w in range(n)]
     avail = [[w for w in range(u + 1, n) if (nbr[u] >> w) & 1] for u in range(n)]
+    # floors[u]: (w, the least negative degree w may have once block u is
+    # decided), k minus the edges at w that later blocks still decide
+    floors = [[(w, k - (nbr[w] >> (u + 1)).bit_count()) for w in avail[u]] for u in range(n)]
+    # pairs[u]: for each t < u, (t, common neighbours, their number, the
+    # entry class when tu is not negative: 0 adjacent, 2 non-adjacent)
+    pairs = [
+        [(t, nbr[t] & nbr[u], (nbr[t] & nbr[u]).bit_count(), 0 if (nbr[u] >> t) & 1 else 2) for t in range(u)]
+        for u in range(n)
+    ]
     learn: list[int | None] = [None, None, None]
     learning = allowed == "learn"
     filtering = isinstance(allowed, tuple)
     chosen: list[tuple[int, ...]] = []
 
     def pairs_ok(u, trail):
-        pu, nu = posm[u], negm[u]
-        for t in range(u):
-            pt, nt = posm[t], negm[t]
-            e = (
-                (pt & pu).bit_count()
-                + (nt & nu).bit_count()
-                - (pt & nu).bit_count()
-                - (nt & pu).bit_count()
-            )
-            if (nt >> u) & 1:
+        nu = negm[u]
+        for t, common, lam, c in pairs[u]:
+            e = lam - 2 * ((negm[t] ^ nu) & common).bit_count()
+            if (nu >> t) & 1:
                 c = 1
-            elif (pt >> u) & 1:
-                c = 0
-            else:
-                c = 2
             if filtering:
                 if e not in allowed[c]:
                     return False
@@ -164,30 +179,15 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
         return True
 
     def apply_block(u, S):
+        """Record block choice S at u and return the mask of S."""
         ub = 1 << u
-        for w in avail[u]:
-            wb = 1 << w
-            if w in S:
-                negm[u] |= wb
-                negm[w] |= ub
-                negc[w] += 1
-                negc[u] += 1
-            else:
-                posm[u] |= wb
-                posm[w] |= ub
-
-    def undo_block(u, S):
-        ub = 1 << u
-        for w in avail[u]:
-            wb = 1 << w
-            if w in S:
-                negm[u] &= ~wb
-                negm[w] &= ~ub
-                negc[w] -= 1
-                negc[u] -= 1
-            else:
-                posm[u] &= ~wb
-                posm[w] &= ~ub
+        sm = 0
+        for w in S:
+            sm |= bit[w]
+            negm[w] |= ub
+            negc[w] += 1
+        negm[u] |= sm
+        return sm
 
     def rec(u):
         if u == stop_depth:
@@ -195,23 +195,23 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
             return
         if u == n:
             counters[_LEAVES] += 1
-            yield tuple(posm), tuple(negm)
+            yield tuple(nbr[i] & ~negm[i] for i in range(n)), tuple(negm)
             return
         av = avail[u]
         need = k - negc[u]
         if need < 0 or need > len(av):
             counters[_PDEG] += 1
             return
-        above = -1 << (u + 1)
+        floor_u = floors[u]
+        ub = 1 << u
         for S in combinations(av, need):
             counters[_NODES] += 1
             if budget is not None and counters[_NODES] > budget:
                 raise _BudgetStop
-            apply_block(u, S)
+            sm = apply_block(u, S)
             ok = True
-            for w in av:
-                cw = negc[w]
-                if cw > k or cw + (nbr[w] & above).bit_count() < k:
+            for w, floor in floor_u:
+                if not floor <= negc[w] <= k:
                     ok = False
                     break
             trail: list[int] = []
@@ -226,7 +226,10 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
                 chosen.pop()
             for c in trail:
                 learn[c] = None
-            undo_block(u, S)
+            for w in S:
+                negm[w] ^= ub
+                negc[w] -= 1
+            negm[u] ^= sm
 
     # replay a task prefix; its choices were generated by this same DFS, so
     # they must pass their own checks again (and relearn the entries)

@@ -79,3 +79,18 @@ def rook(m):
         [(u, v) for u in range(m * m) for v in range(u + 1, m * m)
          if u // m == v // m or u % m == v % m],
     )
+
+
+def cube(d):
+    """d-dimensional hypercube Q_d: vertices 0..2^d-1, adjacent when one bit apart."""
+    n = 1 << d
+    return ugraph_from_edges(n, [(u, u ^ (1 << i)) for u in range(n) for i in range(d) if u < u ^ (1 << i)])
+
+
+def petersen():
+    """Petersen graph: outer 5-cycle 0..4, spokes i-(i+5), inner pentagram on 5..9."""
+    return ugraph_from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )

@@ -119,12 +119,14 @@ def test_search_cli_malformed_params(capsys, fixtures_dir):
         ["search", "--rho", "0", "--jobs", "0"],
         ["verify-classification", "--degree", "6", "--jobs", "0"],
         ["verify-classification", "--degree", "6", "--jobs", "-2"],
+        ["params", "--r", "6", "--rho", "2", "--div-n", "0"],
+        ["params", "--r", "6", "--rho", "2", "--div-n", "-3"],
     ],
 )
 def test_cli_rejects_out_of_range_counts(capsys, fixtures_dir, argv):
     if argv[0] == "search":
         argv = argv + ["--underlying", os.path.join(fixtures_dir, "targets", "g8.g6")]
-    else:
+    elif argv[0] == "verify-classification":
         argv = argv + ["--fixtures", fixtures_dir]
     with pytest.raises(SystemExit) as ei:
         main(argv)

@@ -1,0 +1,323 @@
+"""Pinned DFS trees: counters, leaves and task prefixes of `_search_raw`.
+
+The signing DFS must keep its tree when its inner loop changes: the same
+nodes, prunes and leaves in the same order, and the same task prefixes for
+the parallel split.  For every host, net-degree and pruning mode one digest
+is pinned: sha256 of the repr of three (counters, items) pairs, namely the
+full search, the search under a node budget of 1,000 and the stop_depth=3
+prefix list.  To regenerate the table from a trusted checkout, run
+`pin_digests()` with that checkout's `src` on the path.
+"""
+
+import hashlib
+import os
+
+from conftest import FIXTURES, kmm
+from srsg.search import _search_raw
+from srsg.sgio import read_graph6_file
+
+TARGETS = (
+    "g8", "g9", "gq22", "k333", "k66", "paley13", "s16u", "s1_15u", "s2_12u", "s3_12u",
+)
+FIXTURE_FILES = ("6reg_order8.g6", "6reg_order9.g6", "6reg_order10.g6")
+
+# admissible entries for (positive, negative, non-adjacent) pairs; admits
+# S3_8, S_15 and S_16 among the catalog signings
+FILTER = (frozenset({0, 1, 2}), frozenset({0, 1, 2}), frozenset({-2, -1}))
+BUDGET = 1000
+STOP_DEPTH = 3
+
+
+def pin_hosts():
+    """(label, underlying graph, rhos) for every pinned host, in a fixed order."""
+    for fname in FIXTURE_FILES:
+        for i, u in enumerate(read_graph6_file(os.path.join(FIXTURES, fname))):
+            yield f"{fname}#{i}", u, (0, 2, 4)
+    for name in TARGETS:
+        (u,) = read_graph6_file(os.path.join(FIXTURES, "targets", name + ".g6"))
+        yield name, u, (0, 2, 4)
+    yield "K8,8", kmm(8), (4,)
+
+
+def pin_cases():
+    """(label, nbr, n, k, allowed): "learn" and FILTER everywhere, and
+    degree pruning alone (allowed=None) on hosts with at most 9 vertices."""
+    for name, u, rhos in pin_hosts():
+        r = u.degree(0)
+        modes = [("learn", "learn"), ("filter", FILTER)]
+        if u.n <= 9:
+            modes.append(("none", None))
+        for rho in rhos:
+            for mode, allowed in modes:
+                yield f"{name}/rho{rho}/{mode}", u.nbr, u.n, (r - rho) // 2, allowed
+
+
+def _run(nbr, n, k, allowed, budget=None, stop_depth=None):
+    counters = [0, 0, 0, 0]
+    items = list(_search_raw(nbr, n, k, allowed, budget, counters, (), stop_depth))
+    return counters, items
+
+
+def pin_digests():
+    out = {}
+    for label, nbr, n, k, allowed in pin_cases():
+        runs = [
+            _run(nbr, n, k, allowed),
+            _run(nbr, n, k, allowed, budget=BUDGET),
+            _run(nbr, n, k, allowed, stop_depth=STOP_DEPTH),
+        ]
+        out[label] = hashlib.sha256(repr(runs).encode()).hexdigest()
+    return out
+
+
+PINS = {
+    "6reg_order8.g6#0/rho0/learn": "b2d4df98f686c177797ee6059a85e955c8fdf0affd7175baccdaf391002b2cf2",
+    "6reg_order8.g6#0/rho0/filter": "2485bbe7ab2af4a7ffd2b1e2f2e7eb8ba7e26737a2ace6769c457c9fb61c657c",
+    "6reg_order8.g6#0/rho0/none": "07fed66a329e050ef4ba2ca43e660e2f1e051ac643b72b26822c149ce0a3e2f8",
+    "6reg_order8.g6#0/rho2/learn": "bff9739be467f1219f72abf53bb9d8485f2c59f47d4b5a877203944e3beb61cc",
+    "6reg_order8.g6#0/rho2/filter": "7135c718addfb5856e13bfe921ad025ce164bad82fc1d543018f769f8e2e7c55",
+    "6reg_order8.g6#0/rho2/none": "29dd0deb7c7c31ecf7e3fd6781ac3e436caae51835f2ef2d94f20e0e2701f5dd",
+    "6reg_order8.g6#0/rho4/learn": "c3a20011321a49ce3dde4efe80f1a659dc52922a36cc5cc2d8e745966fbf44c3",
+    "6reg_order8.g6#0/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order8.g6#0/rho4/none": "3a7e13af499e92d61ff8dd028528b947628b7f90850f936609672b193d10205a",
+    "6reg_order9.g6#0/rho0/learn": "8ce11fa81c68f5f65aa8fc384da27e9b595a671190aa96c8eebf1f8d05deae66",
+    "6reg_order9.g6#0/rho0/filter": "3f70aa30f39f65c8a8db8b6fb3501aa48dda4b5e0be5828ab10308da3da04335",
+    "6reg_order9.g6#0/rho0/none": "d751fbf3ef45b74af20b7b4061866d4a46d054b94f965a6542b91dfa696fdcac",
+    "6reg_order9.g6#0/rho2/learn": "be705ff74d021d8b3c43e40deca6f4e712eb4021e2a3a558e02a412744411402",
+    "6reg_order9.g6#0/rho2/filter": "b2d966cf058b39f056591cbef68206bef6ee42c83556ae2745ceed09a40655b0",
+    "6reg_order9.g6#0/rho2/none": "4ae991aedb6b1c1adddb67f09abb8e593bf4a1980e072056eb7a877ad6ef86e1",
+    "6reg_order9.g6#0/rho4/learn": "dbe4624c6b333b849edcbfd0e209da2d191293c9fc3ffed7e2deebb0dc2177a5",
+    "6reg_order9.g6#0/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order9.g6#0/rho4/none": "56bb06ff692e08cc55d4780ea77243d3f4af7d415bef0f6bc8945237ac615bed",
+    "6reg_order9.g6#1/rho0/learn": "7c8f10fee3b6323ffe06b41e08023e3fd58e9b0f01a96dd5dcbdd9f872e3ebd3",
+    "6reg_order9.g6#1/rho0/filter": "916fd0686718b3330accc9664de4c15dd8cb463fb374b21da0cf2e4ee7680a2c",
+    "6reg_order9.g6#1/rho0/none": "20d9148a360502b6a3a14948c78285e13e10317b3fc3d903e8d656cfe399af98",
+    "6reg_order9.g6#1/rho2/learn": "39b310e38adb004f633e0ee0224c4b0a43d2ccad1fc67384abc1e87bc27bca7e",
+    "6reg_order9.g6#1/rho2/filter": "b2d966cf058b39f056591cbef68206bef6ee42c83556ae2745ceed09a40655b0",
+    "6reg_order9.g6#1/rho2/none": "dcc0cd608f72528378289c7fd174512af87680f53517dc33026e774b3fd20f04",
+    "6reg_order9.g6#1/rho4/learn": "cb3e7c7caed701e04720790a6990ab63311e2afb8faf5d756456b7d48c5ce5ca",
+    "6reg_order9.g6#1/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order9.g6#1/rho4/none": "bcece28effb253d311c9524d365f9a044fb19d4483f3a46c199addd48e95d2f3",
+    "6reg_order9.g6#2/rho0/learn": "8b7c4fe0d8a096bfda7d2978239391cb51e894a1154dc486d1b136e2c4687ea3",
+    "6reg_order9.g6#2/rho0/filter": "1a466dfa8220222f3bef84a93c5899c65837ceac019bdb3dbd0ba2840ff7d1d5",
+    "6reg_order9.g6#2/rho0/none": "bc2dcd4ea1c7cbf945fc9e62a38cd53669eb2894693dc88e5b53fe03107e8620",
+    "6reg_order9.g6#2/rho2/learn": "507f5a9c859d78887263f8a7e1e62188c1708fb5de14ffba7e8bff15ee5d1c4c",
+    "6reg_order9.g6#2/rho2/filter": "50908c7cf25ba8c5ebc0e083658704a0ff7ddcda9663bb7d5f5783f21933f747",
+    "6reg_order9.g6#2/rho2/none": "c49ff09ddcb945768603b5754b572bf893104d7833acc5f6a36ef4f533115a69",
+    "6reg_order9.g6#2/rho4/learn": "5df1def05196f05ee33d8c5c7cdd4c1b2e8e4a235b1f01429b1436d3e1f0b6cf",
+    "6reg_order9.g6#2/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "6reg_order9.g6#2/rho4/none": "d4eb5c119f5e79a0307ca293165501eebc58f635dbca875d6667b47581cec9be",
+    "6reg_order9.g6#3/rho0/learn": "ff6b7644404a62841749727d70c7894e7089158e47499137a83bf5a206bbc545",
+    "6reg_order9.g6#3/rho0/filter": "3a750903c2e498917d15143445e3d7984b196f2009e5638f99d4d49bf53fb72f",
+    "6reg_order9.g6#3/rho0/none": "3ce0c683a9ea165aa8e4581f8f9ee0444b48723c21d391f497e8d966560e6fcc",
+    "6reg_order9.g6#3/rho2/learn": "cb0d675e0052ef4f34cb0deba881ef3c0b73529944d26bd2f4452225a9a3b397",
+    "6reg_order9.g6#3/rho2/filter": "d5b7aed097e13a692ff5a60468e0ec310a8a890796674bb42e36990decb86c19",
+    "6reg_order9.g6#3/rho2/none": "f8ebccdd7bdee72a15cc6a04b0502f70bb976197051f6f7ed014c666875bd644",
+    "6reg_order9.g6#3/rho4/learn": "a48364b032565569a2efb6524560b983724ed9b5ae6be80a4f6163d0f9c09924",
+    "6reg_order9.g6#3/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "6reg_order9.g6#3/rho4/none": "ddbaa5117a80c76e8a36b920f7a1d4f70b59cf1cb13d18d3055d3f999a91b67a",
+    "6reg_order10.g6#0/rho0/learn": "9f002c1eabcfcff782ed11761eaa4f6bf41b7951538389cc56137e0e3772a8c9",
+    "6reg_order10.g6#0/rho0/filter": "c78357d1f02b500444c2d81fe7e7bee0ffb5c498f4a0dac2fecdb52294184f91",
+    "6reg_order10.g6#0/rho2/learn": "54eebfd5fede01d6e575809ad1bb490753c07220640c19bbf0c95d5c0c59ff72",
+    "6reg_order10.g6#0/rho2/filter": "4c7947f14e140cbca9286b774c2758a070be8f1811eae530c876398e5449087b",
+    "6reg_order10.g6#0/rho4/learn": "d0c0172d757b98f314c470bc43802d08de72fdf4d8e286860e2bd76c6a9d15c1",
+    "6reg_order10.g6#0/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#1/rho0/learn": "9f002c1eabcfcff782ed11761eaa4f6bf41b7951538389cc56137e0e3772a8c9",
+    "6reg_order10.g6#1/rho0/filter": "c78357d1f02b500444c2d81fe7e7bee0ffb5c498f4a0dac2fecdb52294184f91",
+    "6reg_order10.g6#1/rho2/learn": "54eebfd5fede01d6e575809ad1bb490753c07220640c19bbf0c95d5c0c59ff72",
+    "6reg_order10.g6#1/rho2/filter": "4c7947f14e140cbca9286b774c2758a070be8f1811eae530c876398e5449087b",
+    "6reg_order10.g6#1/rho4/learn": "5e8dd54ad12d5fc5f1a4a0ebe6e839c2e708564a4bff5ac8ff70a667a6825927",
+    "6reg_order10.g6#1/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#2/rho0/learn": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
+    "6reg_order10.g6#2/rho0/filter": "093afb3e6d0ce23e1360b634d09b4904047917d07bb698d9075713ef430b1314",
+    "6reg_order10.g6#2/rho2/learn": "ee29f2c744480dfd9a2a60e9a2b171e93c383577c61019d832af70ed1d832b93",
+    "6reg_order10.g6#2/rho2/filter": "0cf1e1d805643ec475717db9a13e8cbb43fa32873427a2585fef213dd639d1c0",
+    "6reg_order10.g6#2/rho4/learn": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
+    "6reg_order10.g6#2/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#3/rho0/learn": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
+    "6reg_order10.g6#3/rho0/filter": "093afb3e6d0ce23e1360b634d09b4904047917d07bb698d9075713ef430b1314",
+    "6reg_order10.g6#3/rho2/learn": "ee29f2c744480dfd9a2a60e9a2b171e93c383577c61019d832af70ed1d832b93",
+    "6reg_order10.g6#3/rho2/filter": "0cf1e1d805643ec475717db9a13e8cbb43fa32873427a2585fef213dd639d1c0",
+    "6reg_order10.g6#3/rho4/learn": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
+    "6reg_order10.g6#3/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#4/rho0/learn": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
+    "6reg_order10.g6#4/rho0/filter": "4340bec92241ed5b2ffcc4558462c957e69ef244fa221e18d00dd7c47f657d7c",
+    "6reg_order10.g6#4/rho2/learn": "d5bfe6313ff3d62f7614991cb05404e69f1085562d7ea65936fb9d160c6dbdf6",
+    "6reg_order10.g6#4/rho2/filter": "dc21522f4843bccba97c3310a860a27d13cb800ee75c459c80fd7b6dadc5b779",
+    "6reg_order10.g6#4/rho4/learn": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
+    "6reg_order10.g6#4/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#5/rho0/learn": "10e8a65b084032778f345f23647bca007e590df7c987d818e0d18e715dcb35b2",
+    "6reg_order10.g6#5/rho0/filter": "a22021c11c33459b390d4c7f0247c6c424bf805cf16a79509336974843960101",
+    "6reg_order10.g6#5/rho2/learn": "43742ab23fa22438076e01a53424078ac2cb9423a295f851de22f4ec5125e789",
+    "6reg_order10.g6#5/rho2/filter": "664ce4af8c0bb4fc7bd61638c1ff9a6e6a8fd23a344ef09eafe37e55318e7c43",
+    "6reg_order10.g6#5/rho4/learn": "e57132d9f27d04d9aa789336934de98242d68e06d1385e1ede7002fc3282a19d",
+    "6reg_order10.g6#5/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "6reg_order10.g6#6/rho0/learn": "71763ca0f690c6ae5ecae107882748af1d2ca29099c1d2e3fd2439cf4df073fe",
+    "6reg_order10.g6#6/rho0/filter": "3e7bda3df7193e395ac51679345f2e5c06f88894ca8260617926a6e75132d417",
+    "6reg_order10.g6#6/rho2/learn": "ffddb64fe69f96eba2dde92830769003b81927e66e918871938060a963c37e26",
+    "6reg_order10.g6#6/rho2/filter": "90a21ceccff88fc9ca5fdaa6afce3b81eb31c3f9152b05ca8a5cb4777c64c597",
+    "6reg_order10.g6#6/rho4/learn": "1361737b8a67e51954150695f351761e037bb9a3182d9cc11680baa214c3f366",
+    "6reg_order10.g6#6/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "6reg_order10.g6#7/rho0/learn": "71763ca0f690c6ae5ecae107882748af1d2ca29099c1d2e3fd2439cf4df073fe",
+    "6reg_order10.g6#7/rho0/filter": "3e7bda3df7193e395ac51679345f2e5c06f88894ca8260617926a6e75132d417",
+    "6reg_order10.g6#7/rho2/learn": "ffddb64fe69f96eba2dde92830769003b81927e66e918871938060a963c37e26",
+    "6reg_order10.g6#7/rho2/filter": "90a21ceccff88fc9ca5fdaa6afce3b81eb31c3f9152b05ca8a5cb4777c64c597",
+    "6reg_order10.g6#7/rho4/learn": "1361737b8a67e51954150695f351761e037bb9a3182d9cc11680baa214c3f366",
+    "6reg_order10.g6#7/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "6reg_order10.g6#8/rho0/learn": "9af5ccd4a5449d4863f4e0b3f3e1f3598b041aa6089eeefaca14579f3296795c",
+    "6reg_order10.g6#8/rho0/filter": "16c92a8b37bf79bf87f20431732709ccdabb2e411edc83a89b22e560b0f6ff83",
+    "6reg_order10.g6#8/rho2/learn": "2e31aba23355d2bf96a66968de48e0ab6b37e2036454ae727c8f7002b474fcd4",
+    "6reg_order10.g6#8/rho2/filter": "35daebf5e5d71321996378e497b2334cfdae890bc8e742abc7e4694e9f688c31",
+    "6reg_order10.g6#8/rho4/learn": "bbe8e253e07d9a0c595e2217a522f1efd469b80eed209c5fc99db1790b0d0557",
+    "6reg_order10.g6#8/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "6reg_order10.g6#9/rho0/learn": "23d81bff578de95b580b283e81753b6032e58039db1af4720cf79ef9565483b6",
+    "6reg_order10.g6#9/rho0/filter": "1e99c0e959168b13f337c5ed243b8af3d3d89e6a7891c7bdaca645d84c1cde61",
+    "6reg_order10.g6#9/rho2/learn": "73d24a839105fcbde0575a4469bd0286456a43018c499402de4f6020163beb23",
+    "6reg_order10.g6#9/rho2/filter": "126cb0d9ecefc00aa609a43c9ba979dff0080dda4d89ac937eb96eee264a4d22",
+    "6reg_order10.g6#9/rho4/learn": "53253802ffce2eaf247dd388be8497440026e66b9733aff3e32a60964da289de",
+    "6reg_order10.g6#9/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
+    "6reg_order10.g6#10/rho0/learn": "23d81bff578de95b580b283e81753b6032e58039db1af4720cf79ef9565483b6",
+    "6reg_order10.g6#10/rho0/filter": "1e99c0e959168b13f337c5ed243b8af3d3d89e6a7891c7bdaca645d84c1cde61",
+    "6reg_order10.g6#10/rho2/learn": "73d24a839105fcbde0575a4469bd0286456a43018c499402de4f6020163beb23",
+    "6reg_order10.g6#10/rho2/filter": "126cb0d9ecefc00aa609a43c9ba979dff0080dda4d89ac937eb96eee264a4d22",
+    "6reg_order10.g6#10/rho4/learn": "53253802ffce2eaf247dd388be8497440026e66b9733aff3e32a60964da289de",
+    "6reg_order10.g6#10/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
+    "6reg_order10.g6#11/rho0/learn": "47611a505c20e76611876e43cdda178c062fa8d51a3f40737330cea52b331f47",
+    "6reg_order10.g6#11/rho0/filter": "1d15b46e786ab7ea8a703a3d8d12339382eb9290de793e83ae5178fec0f343e2",
+    "6reg_order10.g6#11/rho2/learn": "78b644c7146971e648cea5a13923a99deb8c0ff52f873aeb57d849818a099eb7",
+    "6reg_order10.g6#11/rho2/filter": "5fe8ff5c42861b6981e8b3b8ea6889861201af82ae3acb10548957eddc0b687b",
+    "6reg_order10.g6#11/rho4/learn": "3b593c98b99c7b1a5192a54a7508cead25ef64814e00d60598792cb67cbbd704",
+    "6reg_order10.g6#11/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
+    "6reg_order10.g6#12/rho0/learn": "c10a92925db451d6f18603408ec3b8e61ffb078fd6071bca33e8d797226c04d3",
+    "6reg_order10.g6#12/rho0/filter": "4556557cadda258480a91de0266c7758d94bb4571d4786be5bb4c19aaf236a17",
+    "6reg_order10.g6#12/rho2/learn": "aef0d1ba3f71f651faf072e788dcb665cf7247c5eee23cf48c571089caaed289",
+    "6reg_order10.g6#12/rho2/filter": "6ed107320b0492dbdb000c135a48e81a3b9c559892058c38e680cec0f193f9d3",
+    "6reg_order10.g6#12/rho4/learn": "cad0649c6ae6a87d53514262ab2e76bca0b289429345517d4de81a8738af9911",
+    "6reg_order10.g6#12/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
+    "6reg_order10.g6#13/rho0/learn": "c10a92925db451d6f18603408ec3b8e61ffb078fd6071bca33e8d797226c04d3",
+    "6reg_order10.g6#13/rho0/filter": "4556557cadda258480a91de0266c7758d94bb4571d4786be5bb4c19aaf236a17",
+    "6reg_order10.g6#13/rho2/learn": "aef0d1ba3f71f651faf072e788dcb665cf7247c5eee23cf48c571089caaed289",
+    "6reg_order10.g6#13/rho2/filter": "6ed107320b0492dbdb000c135a48e81a3b9c559892058c38e680cec0f193f9d3",
+    "6reg_order10.g6#13/rho4/learn": "cad0649c6ae6a87d53514262ab2e76bca0b289429345517d4de81a8738af9911",
+    "6reg_order10.g6#13/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
+    "6reg_order10.g6#14/rho0/learn": "c10a92925db451d6f18603408ec3b8e61ffb078fd6071bca33e8d797226c04d3",
+    "6reg_order10.g6#14/rho0/filter": "4556557cadda258480a91de0266c7758d94bb4571d4786be5bb4c19aaf236a17",
+    "6reg_order10.g6#14/rho2/learn": "aef0d1ba3f71f651faf072e788dcb665cf7247c5eee23cf48c571089caaed289",
+    "6reg_order10.g6#14/rho2/filter": "6ed107320b0492dbdb000c135a48e81a3b9c559892058c38e680cec0f193f9d3",
+    "6reg_order10.g6#14/rho4/learn": "cad0649c6ae6a87d53514262ab2e76bca0b289429345517d4de81a8738af9911",
+    "6reg_order10.g6#14/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
+    "6reg_order10.g6#15/rho0/learn": "5cb63b479126652cc0ee49b2bffb7772dc5cb9d6486b9e9aba7bc3dfa51004f9",
+    "6reg_order10.g6#15/rho0/filter": "19b779582988a848476a6481e2d06c8cf2269c0ff70db46ae79ee0f2aab4a0d6",
+    "6reg_order10.g6#15/rho2/learn": "cb45580334e4dc6f1b0ffe5c846b9638afcc4cad7c9c5aa4d71c6dc6f7a4699f",
+    "6reg_order10.g6#15/rho2/filter": "eaee9b8ffadb7749a1c8ce58c4cafde36a42f374d9acd61f1f75dbf2aa7899de",
+    "6reg_order10.g6#15/rho4/learn": "61a4a7c91326ca502e9bdab0b4f7c02c5673f613172a8c471c5747b0f1592bb2",
+    "6reg_order10.g6#15/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
+    "6reg_order10.g6#16/rho0/learn": "2caa21283c9a2a9179b37492d8e0343243e298b393dac5da093b6779deb774ff",
+    "6reg_order10.g6#16/rho0/filter": "5c144bcd6b4bfb7be1f211016e081bbed36e9140a82c0fd0fcec02116d168bdd",
+    "6reg_order10.g6#16/rho2/learn": "1ee209e715726286191dd3b7c6058993c6463680e50bc835f4ec2b5e860afb13",
+    "6reg_order10.g6#16/rho2/filter": "8c3ca85f206006bb5dc71c4b658456b641f2b2e755de069c05fad959b49bb197",
+    "6reg_order10.g6#16/rho4/learn": "81a2dd5b6b9cd15ccfc9216cc88899d1e0e3529ebb2c9d761d42306d2431ff70",
+    "6reg_order10.g6#16/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
+    "6reg_order10.g6#17/rho0/learn": "23d81bff578de95b580b283e81753b6032e58039db1af4720cf79ef9565483b6",
+    "6reg_order10.g6#17/rho0/filter": "14f71fddc61999ddd0c0f55dde6d3336eba9a3936e9e53c502dbdd8f6ce7afbd",
+    "6reg_order10.g6#17/rho2/learn": "73d24a839105fcbde0575a4469bd0286456a43018c499402de4f6020163beb23",
+    "6reg_order10.g6#17/rho2/filter": "b0c45a058857ef5088730020b63fcfa36a3376d375b62b703398f4d91cb921b2",
+    "6reg_order10.g6#17/rho4/learn": "a6942346234e5dad0fab52feed3a424a216c365344c974e8a917c71509b3e2ac",
+    "6reg_order10.g6#17/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "6reg_order10.g6#18/rho0/learn": "3052c76da4d63ff08a0416daf7b6ee935736ff82042704ef6e74f84d09d6387d",
+    "6reg_order10.g6#18/rho0/filter": "543d487808d0d5a81cb6d90ddcf6688554046ff18927504c97e33c768fd0fd15",
+    "6reg_order10.g6#18/rho2/learn": "179d13558ef4c040b85363e62d87fea9dc6943f96e4734c7c4fbf6c3d1a440f9",
+    "6reg_order10.g6#18/rho2/filter": "15396d0aa9cc025d039477415020a59955c43bb0ef437db89ba47a13fe8d78d5",
+    "6reg_order10.g6#18/rho4/learn": "408ba42a3b5f79c40894d9d507a597877da6c9b387dcae160435284873203351",
+    "6reg_order10.g6#18/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#19/rho0/learn": "3052c76da4d63ff08a0416daf7b6ee935736ff82042704ef6e74f84d09d6387d",
+    "6reg_order10.g6#19/rho0/filter": "543d487808d0d5a81cb6d90ddcf6688554046ff18927504c97e33c768fd0fd15",
+    "6reg_order10.g6#19/rho2/learn": "179d13558ef4c040b85363e62d87fea9dc6943f96e4734c7c4fbf6c3d1a440f9",
+    "6reg_order10.g6#19/rho2/filter": "d1ddde817fad3f4f779c28f8d01430dafec976b97dae0099217b7c0df571f379",
+    "6reg_order10.g6#19/rho4/learn": "408ba42a3b5f79c40894d9d507a597877da6c9b387dcae160435284873203351",
+    "6reg_order10.g6#19/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#20/rho0/learn": "e80d9ad6d6c0c57a2ea6570750c67b8412f5df655445aa942c0c29e4c7d21c3a",
+    "6reg_order10.g6#20/rho0/filter": "fbe3a0f988eb108048103e162bae76f87f6d8b51cb58b79ea7e6d34750883f64",
+    "6reg_order10.g6#20/rho2/learn": "0173c4b40920753cafd2d78df946bc01c230d7529836bdfbdeafc22b208670bf",
+    "6reg_order10.g6#20/rho2/filter": "5d5bca0ffac7925f8a07c63044f86adcb58b80df974f9be76136345dff6fc975",
+    "6reg_order10.g6#20/rho4/learn": "31a6ddb0e38b0f31e00022dd238dd10beaf5a92152e202bf227dab932f19406b",
+    "6reg_order10.g6#20/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "g8/rho0/learn": "8aba302db48ce4060c29b4feb578b7f0238396060f27fd6d06c2a56ce7a52ebf",
+    "g8/rho0/filter": "263d9df5e2f869098bc20c5694a7e38e66715e163aafda08c9b4ee28e82ef844",
+    "g8/rho0/none": "caf0c2f46129de003a625b101cca0b2058b2dae6761f7b8890f521cb1a331d87",
+    "g8/rho2/learn": "4267593758f00e4a579fc84b3de4f8bb42e4ecdfec36e7596402d2c7262102d8",
+    "g8/rho2/filter": "e795cfe715cc56679781650117fe3076bb4d113d55132be544651ef8e9efabb2",
+    "g8/rho2/none": "64df487ed7162de65d794c7c608510822f3387a1895ea04ee9633f95e8532dce",
+    "g8/rho4/learn": "79cdde8d8876cf1e485ec7f89749c5c8cd676d9563d763b076b9b70dfc5de612",
+    "g8/rho4/filter": "c41623cf3dfef2ef4f751ca1c44dff31556df44dbfa3519a9fc72440ff0ec2dd",
+    "g8/rho4/none": "5159f7a9e16f8880ef6ca184083c3d467c415951c71681feeeb04a1d6ff7f26e",
+    "g9/rho0/learn": "69d1b5ca28a844e05ac28917ae3be64baf339b17ffb7f53c61bd9e0d82dee919",
+    "g9/rho0/filter": "9ed2b1f63e89aa825041f07bda097c65998cc6226566447fdc73e7371ff41793",
+    "g9/rho0/none": "b6742a04b41aba7c3c4332e61f38f356720e76b512a0c40f36db4723b6e1d10c",
+    "g9/rho2/learn": "6369b6fa409f9d88dafb388be39f8652b03ee634085c526b1b97f186b52448c0",
+    "g9/rho2/filter": "fc1faa536aabaea7d807c376e397bbd67d6283ef5a87e6262648b38cf84cb442",
+    "g9/rho2/none": "6a8adcee3c792c71b1c61e171efe5fa9a0dfe068896561a78f83f87a953f63ef",
+    "g9/rho4/learn": "3c4038837d805e4bbac13b7e7fdff3af4bd862796c51419e534494c5de676a56",
+    "g9/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "g9/rho4/none": "2b1b9deb660820d7c94a36c0529bbf8e29c1162c87090c0b5896296e4b382884",
+    "gq22/rho0/learn": "4e848f8b92645808d9ff17c42ad723849c6ad65250e1b2e3f81145373e8a128a",
+    "gq22/rho0/filter": "520f79f0ba7718dc46208244330626b0134aded893eb67f0e9f3c27324729b1d",
+    "gq22/rho2/learn": "104af373ac7417e1f7e3024bdb15ac3fe52b6ea17219723bc089785f8f88bd42",
+    "gq22/rho2/filter": "188652bd748fee299174f1b7bab548620c80f34b0db1b89fbe167d8595418589",
+    "gq22/rho4/learn": "7e6e4f5c187701f4918712a86bd4f0457aa635b91734aeda72fcbd5c2d736f29",
+    "gq22/rho4/filter": "8129c0412d536c2f3bcf2cb30b15202d7dd367ac29d48ba4814074effa3283d2",
+    "k333/rho0/learn": "8ce11fa81c68f5f65aa8fc384da27e9b595a671190aa96c8eebf1f8d05deae66",
+    "k333/rho0/filter": "3f70aa30f39f65c8a8db8b6fb3501aa48dda4b5e0be5828ab10308da3da04335",
+    "k333/rho0/none": "d751fbf3ef45b74af20b7b4061866d4a46d054b94f965a6542b91dfa696fdcac",
+    "k333/rho2/learn": "be705ff74d021d8b3c43e40deca6f4e712eb4021e2a3a558e02a412744411402",
+    "k333/rho2/filter": "b2d966cf058b39f056591cbef68206bef6ee42c83556ae2745ceed09a40655b0",
+    "k333/rho2/none": "4ae991aedb6b1c1adddb67f09abb8e593bf4a1980e072056eb7a877ad6ef86e1",
+    "k333/rho4/learn": "dbe4624c6b333b849edcbfd0e209da2d191293c9fc3ffed7e2deebb0dc2177a5",
+    "k333/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "k333/rho4/none": "56bb06ff692e08cc55d4780ea77243d3f4af7d415bef0f6bc8945237ac615bed",
+    "k66/rho0/learn": "6bc61b2325b6020bfc78c738d0933218f80ea57d7756b2e89e6fcaf3d94874ed",
+    "k66/rho0/filter": "967a8872591a1e4778671b7e4240a30d0af6699d3b29b51a253adb85e5ed1d23",
+    "k66/rho2/learn": "dda26687ceea4ef251e6360bc8b0e3ae1b13d688b20b99bc7dfddaeac9795d76",
+    "k66/rho2/filter": "c9aee5c7379706dcdef5825ed2c229863ae1b996754328307125fa1bf0d5963e",
+    "k66/rho4/learn": "19e3e5a56564596a569ed928b044583867b00d23987eba969cf9404fb43a43d8",
+    "k66/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "paley13/rho0/learn": "955c9a844c15bb7d85c3586efa488905bbc0d6a4cf53276525a0b2deb34998f8",
+    "paley13/rho0/filter": "03a521486e91e1be2da4392587942cd6b600e666a970b5f669504319b8c6497d",
+    "paley13/rho2/learn": "51582475aaee4498b056012366d9822458017e03389f3c79e90c4f68f7a692bc",
+    "paley13/rho2/filter": "559771d907550041a4aeb6c4b72db1e469359544cfa78bfb1e5a327141c5f014",
+    "paley13/rho4/learn": "17592b0d66429ff7ce3ff8de344588ed72366ac2922776403fa0552f2686aa56",
+    "paley13/rho4/filter": "98786b0809d04a7326a5402e7c7c614928eddc1cc1d4f1fe7386e9c1aacd3f6a",
+    "s16u/rho0/learn": "4d00ef5e9460268bfab9ec67283ffdbaa0659c578139eb1b11e70da09a3472e2",
+    "s16u/rho0/filter": "a424a1634f2f766d5fa0820e44d2bafdc5c7eee183dd8af56c90d68241b1aa90",
+    "s16u/rho2/learn": "a12465f9466ad0614dceff06aa1a952d914c18ce67df1967d0d76e4f08e6c45d",
+    "s16u/rho2/filter": "7ca3d653922ed4efa5c250f818aa95d68735ed0e149af41b474689648651fdc0",
+    "s16u/rho4/learn": "4c030571a227c47b5fba2fa4679df67f6dba5b312f19ec1c2fff1b81f4683b0a",
+    "s16u/rho4/filter": "aacbe61d8b8e2247b6c382112653e762981445361719984f5b21f95003ed4b88",
+    "s1_15u/rho0/learn": "c5e8ce2ecab09345dd890b948b3e852ec1e10b104a0b73243a97ee3bcbc699ea",
+    "s1_15u/rho0/filter": "88c890199dd9efec0c155bc61825574b9420fd0ca482e7c76e31b4a016380c18",
+    "s1_15u/rho2/learn": "9ece68c4e666e275a3ab12e5b7a37c97f71c8899e328c9d0693126dd19805ba8",
+    "s1_15u/rho2/filter": "3dd87c4a6515844db6e845affaa22728aede94591e39f92a0d65ccff61289ca9",
+    "s1_15u/rho4/learn": "cdcc7c40122402e405020c868e37f69218a11d80c82ec85db0cd840a82b1deba",
+    "s1_15u/rho4/filter": "fcbf0a254c20eacfda3ab87f5e2348aef2343a535f27f08a6237b06bdcd90b4d",
+    "s2_12u/rho0/learn": "fb820adbeacb3e006591fcbc6cb63e66a4c54c66a32e75631c0735fc86786523",
+    "s2_12u/rho0/filter": "69535fc43793c693084a404125f58d943889905bc70bd8d756a1203f096a6e74",
+    "s2_12u/rho2/learn": "903f6cf0b40493011fbead78ff5d111045c522fc723f4fab26d0fdfac37f3be2",
+    "s2_12u/rho2/filter": "b7fef845339af0d42f0c4f182d8603baca0c7f7b9985c453b49427992abf9941",
+    "s2_12u/rho4/learn": "76529c6a9dfa6e29f4b5b89151dd1fbc22e2af6b3c62c779096396d847697efd",
+    "s2_12u/rho4/filter": "566d08d6957f3c988dccc2620696311a43d37b3c520d14beb744ce97c1f64429",
+    "s3_12u/rho0/learn": "4690d4607567951a3f5886669fb288a2d77718576eed603ebb63bf058c861446",
+    "s3_12u/rho0/filter": "ae2f523a00242d2f78db93f34d9e1e0f15bc38555c7a4f6add5a88b9f12dc1fc",
+    "s3_12u/rho2/learn": "2c2d72778a4ebd5a2013b1af9693a660852ba59c9f39ee9a4608cffc51b7c0f9",
+    "s3_12u/rho2/filter": "6cb2e361754835dcfd2403597f25967fec61b516a81f76a94b76c1365270604e",
+    "s3_12u/rho4/learn": "6547a18589ac7a7154ac118ceb6e0924a802f180da2dcf43a5ccad0a4abb1704",
+    "s3_12u/rho4/filter": "8d2ec8e3ba1c161658b5b42f729e96ca0f9f4077296fa9586b78bac49e3d0978",
+    "K8,8/rho4/learn": "b4171954bf1b94dce9da130ae5aebb7ceb8a8992f5512cae266dc5a6b8d82efa",
+    "K8,8/rho4/filter": "ea0bb174a764c5997097bc51723075559a1a644a7e5c31861ddf8b2665f44b40",
+}
+
+
+def test_dfs_trees_match_pins():
+    got = pin_digests()
+    assert list(got) == list(PINS)
+    changed = [label for label in PINS if got[label] != PINS[label]]
+    assert not changed, f"DFS tree drifted for {changed}"

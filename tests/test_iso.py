@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
-from conftest import kmm, rook, signed_graphs
+from conftest import cube, kmm, petersen, rook, signed_graphs
 from srsg.catalog import build, build_underlying, list_names
 from srsg.core import all_positive, from_signed_edges, negation, ugraph_from_edges
 from srsg.errors import SizeExceeded
@@ -141,19 +141,6 @@ def cycles(*lengths):
         edges += [(base + i, base + (i + 1) % k) for i in range(k)]
         base += k
     return ugraph_from_edges(base, edges)
-
-
-def cube(d):
-    n = 1 << d
-    return ugraph_from_edges(n, [(u, u ^ (1 << i)) for u in range(n) for i in range(d) if u < u ^ (1 << i)])
-
-
-def petersen():
-    return ugraph_from_edges(
-        10,
-        [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-    )
 
 
 SYMMETRIC_SMALL = [

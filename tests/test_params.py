@@ -119,6 +119,9 @@ def test_vacuous_and_empty_queries():
         feasible_param_sets(ParamQuery(r=6, rho=-8))  # k > r
     with pytest.raises(EmptyRange):
         feasible_param_sets(ParamQuery(r=6, rho=2, n_max=5))
+    for div_n in (0, -3):
+        with pytest.raises(EmptyRange):
+            feasible_param_sets(ParamQuery(r=6, rho=2, div_n=div_n))
 
 
 def test_family_row_has_no_params_tuple():

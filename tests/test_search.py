@@ -5,12 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURES, brute_square
+from conftest import FIXTURES, brute_extract, brute_square, cube, kmm, petersen
 from srsg.catalog import build, build_underlying
 from srsg.core import negation, sign_with, ugraph_from_edges
 from srsg.errors import DegreeMismatch, DisconnectedInput
 from srsg.iso import canonical_form
-from srsg.regularity import SrsgClass, SrsgParams, extract_params
+from srsg.regularity import SrsgClass, SrsgParams
 import srsg.search
 from srsg.search import (
     SearchConfig,
@@ -61,7 +61,10 @@ def test_kfactor_requires_regular_host():
 
 
 def brute_scan(g, rho):
-    """Independent oracle: scan negative edge subsets of the feasible size."""
+    """Independent oracle: scan negative edge subsets of the feasible size.
+
+    Parameters come from `conftest.brute_extract`, so the oracle shares no
+    code with the search, its pruning or its leaf verification."""
     edges = g.edges()
     m = len(edges)
     r = g.degree(0)
@@ -85,7 +88,7 @@ def brute_scan(g, rho):
         if not ok or any(d != k for d in deg):
             continue
         sg = sign_with(g, [edges[e] for e in sub])
-        if extract_params(sg) is not None:
+        if brute_extract(sg) is not None:
             hits.append(sg)
     return hits
 
@@ -259,6 +262,44 @@ def test_search_matches_brute_scan_on_g8():
         assert sorted((h.graph.pos, h.graph.neg) for h in rep.hits) == sorted(
             (g.pos, g.neg) for g in oracle
         )
+
+
+def circulant(n, jumps):
+    return ugraph_from_edges(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
+
+
+# hosts with at most 16 edges, so the subset scan stays cheap
+SMALL_HOSTS = {
+    "K4,4": kmm(4),
+    "C8^2": circulant(8, (1, 2)),
+    "octahedron": circulant(6, (1, 2)),
+    "Q3": cube(3),
+    "K6": complete_ugraph(6),
+    "Petersen": petersen(),
+    "K3,3": kmm(3),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_HOSTS)
+def test_search_matches_brute_scan_small_hosts(name):
+    """Every admissible rho, without dedupe, with the pair prune on and off,
+    and with a parameter filter that admits one parameter set of the oracle's
+    hits (or one no signing has, where the oracle finds none)."""
+    g = SMALL_HOSTS[name]
+    r = g.degree(0)
+    for rho in range(-r, r + 1, 2):
+        oracle = sorted(brute_scan(g, rho), key=lambda sg: (sg.pos, sg.neg))
+        rows = lambda sgs: [(sg.pos, sg.neg) for sg in sgs]
+        picked = brute_extract(oracle[0]) if oracle else (g.n, r, 0, 0, 0)
+        filt = (SrsgParams(*picked),)
+        filtered = [sg for sg in oracle if brute_extract(sg) == picked]
+        for pair_prune in (True, False):
+            plain = search_srsg(g, SearchConfig(rho=rho, dedupe="none", pair_prune=pair_prune))
+            assert plain.exhaustive
+            assert sorted(rows(h.graph for h in plain.hits)) == rows(oracle), (rho, pair_prune)
+            cfg = SearchConfig(rho=rho, dedupe="none", pair_prune=pair_prune, param_filter=filt)
+            rep = search_srsg(g, cfg)
+            assert sorted(rows(h.graph for h in rep.hits)) == rows(filtered), (rho, pair_prune)
 
 
 def test_determinism_and_jobs():
