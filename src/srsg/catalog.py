@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import SignedGraph, UGraph, from_signed_edges, ugraph_from_edges
+from .core import SignedGraph, UGraph, all_positive, from_signed_edges, ugraph_from_edges
 from .errors import ConstructionInvalid, UnknownName
 from .iso import canonical_form
 from .regularity import SrsgParams, extract_params
@@ -274,14 +274,8 @@ def _paley13() -> UGraph:
 
 
 def _validate_srg(g: UGraph, n: int, r: int, e: int, f: int) -> bool:
-    if g.n != n or g.degrees() != [r] * n:
-        return False
-    for u in range(n):
-        for v in range(u + 1, n):
-            t = (g.nbr[u] & g.nbr[v]).bit_count()
-            if t != (e if g.adjacent(u, v) else f):
-                return False
-    return True
+    """g is an srg(n, r, e, f): its all-positive signing has parameters (n, r, e, -, f)."""
+    return extract_params(all_positive(g)) == SrsgParams(n, r, e, None, f)
 
 
 _UNDERLYING = {

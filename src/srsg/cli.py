@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 from . import catalog as cat
 from .core import is_balanced, triangle_census
@@ -18,27 +19,17 @@ from .errors import ParseError, SignedGraphError
 from .iso import are_isomorphic, canonical_form
 from .params import FeasibleSet, ParamQuery, feasible_param_sets
 from .regularity import SrsgParams, char_poly, classify
-from .search import Hit, SearchConfig, search_catalog
+from .search import DEDUPE_MODES, Hit, SearchConfig, search_catalog
 from .sgio import emit_sg, export_dot, parse_sg_file, read_graph6_file
 from .verify import run_verification
 
 
 def _params_json(p: SrsgParams | None):
-    if p is None:
-        return None
-    return {"n": p.n, "r": p.r, "a": p.a, "b": p.b, "c": p.c}
+    return None if p is None else asdict(p)
 
 
 def _row_json(row: FeasibleSet):
-    return {
-        "n": row.n,
-        "n_free": row.n_free,
-        "complete": row.complete,
-        "r": row.r,
-        "a": row.a,
-        "b": row.b,
-        "c": row.c,
-    }
+    return {**asdict(row), "n_free": row.n_free}
 
 
 def _hit_json(h: Hit):
@@ -52,13 +43,8 @@ def _hit_json(h: Hit):
 
 
 def _stats_json(stats):
-    return {
-        "nodes": stats.nodes,
-        "leaves": stats.leaves,
-        "raw_hits": stats.raw_hits,
-        "pruned_degree": stats.pruned_degree,
-        "pruned_pair": stats.pruned_pair,
-    }
+    # the counters only: wall_time would make stdout non-deterministic
+    return {k: v for k, v in asdict(stats).items() if k != "wall_time"}
 
 
 def _emit(obj) -> None:
@@ -92,18 +78,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    q = ParamQuery(
-        r=args.r,
-        rho=args.rho,
-        n_max=args.n_max,
-        n_min=args.n_min,
-        fix_b=args.fix_b,
-        even_n=args.even_n,
-        div_n=args.div_n,
-        a_min=args.a_min,
-        a_max=args.a_max,
-    )
-    rows = feasible_param_sets(q)
+    # the params options are named after the ParamQuery fields
+    rows = feasible_param_sets(ParamQuery(**{f.name: getattr(args, f.name) for f in fields(ParamQuery)}))
     _emit([_row_json(r) for r in rows])
     return 0
 
@@ -212,12 +188,13 @@ def _cmd_verify(args) -> int:
     if args.degree != 6:
         raise SignedGraphError("only --degree 6 is supported; the built-in catalog covers degree 6")
     result = run_verification(args.fixtures, jobs=args.jobs)
+    status = lambda ok: "PASS" if ok else "FAIL"
     for key, t in result["theorems"].items():
-        status = "PASS" if t["pass"] else "FAIL"
-        print(
-            f"{key}: {status} ({t['found_total']} classes, expected {t['expected_total']})",
-            file=sys.stderr,
-        )
+        print(f"{key}: {status(t['pass'])} ({t['found_total']} classes, expected {t['expected_total']})",
+              file=sys.stderr)
+        for c in t["checks"]:
+            print(f"  {c['search']}: {status(c['pass'])} (expected {c['expected']}, found {c['found']})",
+                  file=sys.stderr)
     _emit(result)
     return 0 if result["pass"] else 1
 
@@ -249,7 +226,7 @@ def main(argv=None) -> int:
     p.add_argument("--underlying", nargs="+", required=True, metavar="FILE.g6")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--params", nargs="*", default=None, metavar="n,r,a,b,c")
-    p.add_argument("--dedupe", choices=["iso", "iso-neg", "none"], default="iso")
+    p.add_argument("--dedupe", choices=DEDUPE_MODES, default="iso")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.set_defaults(fn=_cmd_search)

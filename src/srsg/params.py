@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyRange, VacuousQuery
-from .regularity import SrsgParams
+from .regularity import SrsgParams, negative_degree
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
     concrete row satisfies regularity.eq3_holds exactly.
     """
     r, rho = q.r, q.rho
-    if (r - rho) % 2 != 0 or not 0 <= (r - rho) // 2 <= r:
+    if negative_degree(r, rho) is None:
         raise VacuousQuery(
             f"no signing has degree {r} and net-degree {rho}: "
             f"the negative subgraph would need degree {(r - rho) / 2}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SignedGraph, square_entries
+from .core import SignedGraph, square_entries, two_walk_counts
 from .errors import SizeExceeded
 
 
@@ -67,12 +67,8 @@ def extract_params(g: SignedGraph) -> SrsgParams | None:
     for u in range(n):
         pu, qu = g.pos[u], g.neg[u]
         for v in range(u + 1, n):
-            entry = (
-                (pu & g.pos[v]).bit_count()
-                + (qu & g.neg[v]).bit_count()
-                - (pu & g.neg[v]).bit_count()
-                - (qu & g.pos[v]).bit_count()
-            )
+            p, q = two_walk_counts(g, u, v)
+            entry = p - q
             if (pu >> v) & 1:
                 if seen_a and entry != a:
                     return None
@@ -89,29 +85,47 @@ def extract_params(g: SignedGraph) -> SrsgParams | None:
 
 
 def classify(g: SignedGraph) -> tuple[SrsgClass, SrsgParams | None]:
-    """Classify g as NOT_SRSG, HOMOGENEOUS, or one of C1..C5 (with params).
-
-    a = b = 0 counts as a = -b, so such graphs land in C1/C2.
-    """
+    """Classify g as NOT_SRSG, HOMOGENEOUS, or one of C1..C5 (with params)."""
     p = extract_params(g)
+    return (class_of(p), p)
+
+
+def class_of(p: SrsgParams | None) -> SrsgClass:
+    """The class that the parameters p (None: not strongly regular) decide.
+
+    a = b = 0 counts as a = -b, so such graphs land in C1/C2.  The class is
+    the same for a graph and its negation, whose parameters swap a and b.
+    """
     if p is None:
-        return (SrsgClass.NOT_SRSG, None)
+        return SrsgClass.NOT_SRSG
     if p.a is None or p.b is None:
-        return (SrsgClass.HOMOGENEOUS, p)
+        return SrsgClass.HOMOGENEOUS
     complete = p.c is None
     if p.a == -p.b:
         if complete or p.c != 0:
-            return (SrsgClass.C1, p)
-        return (SrsgClass.C2, p)
+            return SrsgClass.C1
+        return SrsgClass.C2
     if complete or 2 * p.c == p.a + p.b:
-        return (SrsgClass.C3, p)
+        return SrsgClass.C3
     if p.c == 0:
-        return (SrsgClass.C4, p)
-    return (SrsgClass.C5, p)
+        return SrsgClass.C4
+    return SrsgClass.C5
+
+
+def negative_degree(r: int, rho: int) -> int | None:
+    """The degree k = (r - rho)/2 of the negative subgraph of a net-degree-rho
+    signing of an r-regular graph, or None when no k in 0..r gives rho."""
+    k, odd = divmod(r - rho, 2)
+    return k if not odd and 0 <= k <= r else None
 
 
 def _defined(x: int | None) -> int:
     return 0 if x is None else x
+
+
+def _sign_matrix(g: SignedGraph) -> list[list[int]]:
+    """The sign matrix A, entry by entry from SignedGraph.sign."""
+    return [[g.sign(i, j) for j in range(g.n)] for i in range(g.n)]
 
 
 def verify_identity_eq2(g: SignedGraph, p: SrsgParams) -> bool:
@@ -125,9 +139,10 @@ def verify_identity_eq2(g: SignedGraph, p: SrsgParams) -> bool:
     n = g.n
     a, b, c, r = _defined(p.a), _defined(p.b), _defined(p.c), p.r
     sq = square_entries(g)
+    A = _sign_matrix(g)
     for i in range(n):
         for j in range(n):
-            s = 1 if (g.pos[i] >> j) & 1 else (-1 if (g.neg[i] >> j) & 1 else 0)
+            s = A[i][j]
             ag = 1 if s != 0 else 0
             lhs = 2 * sq[i][j] + (b - a) * s
             rhs = (a + b - 2 * c) * ag + 2 * c + (2 * (r - c) if i == j else 0)
@@ -166,8 +181,7 @@ def neg_walk_parity_ok(g: SignedGraph) -> tuple[bool, list[tuple[int, int]]]:
     violations = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            q = (g.pos[u] & g.neg[v]).bit_count() + (g.neg[u] & g.pos[v]).bit_count()
-            if q % 2:
+            if two_walk_counts(g, u, v)[1] % 2:
                 violations.append((u, v))
     return (not violations, violations)
 
@@ -179,10 +193,10 @@ def quadratic_check(g: SignedGraph, s: int, p: int) -> bool:
     """
     n = g.n
     sq = square_entries(g)
+    A = _sign_matrix(g)
     for i in range(n):
         for j in range(n):
-            sij = 1 if (g.pos[i] >> j) & 1 else (-1 if (g.neg[i] >> j) & 1 else 0)
-            if sq[i][j] + s * sij + (p if i == j else 0) != 0:
+            if sq[i][j] + s * A[i][j] + (p if i == j else 0) != 0:
                 return False
     return True
 
@@ -201,10 +215,7 @@ def char_poly(g: SignedGraph) -> list[int]:
     n = g.n
     if n > CHAR_POLY_MAX_N:
         raise SizeExceeded(f"char_poly limited to n <= {CHAR_POLY_MAX_N}, got {n}")
-    A = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            A[i][j] = 1 if (g.pos[i] >> j) & 1 else (-1 if (g.neg[i] >> j) & 1 else 0)
+    A = _sign_matrix(g)
     coeffs = [1]
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):

@@ -41,7 +41,13 @@ from itertools import combinations
 from .core import SignedGraph, UGraph, negation
 from .errors import DegreeMismatch, DisconnectedInput
 from .iso import canonical_form, decode_canonical
-from .regularity import SrsgClass, SrsgParams, classify, extract_params
+from .params import negation_dual
+from .regularity import SrsgClass, SrsgParams, class_of, extract_params, negative_degree
+
+# not called here, but perfbench's traced runs wrap it among this module's names
+from .regularity import classify  # noqa: F401
+
+DEDUPE_MODES = ("iso", "iso-neg", "none")
 
 _NODES, _LEAVES, _PDEG, _PPAIR = range(4)
 
@@ -82,6 +88,10 @@ class SearchConfig:
     node_budget: int | None = None
     pair_prune: bool = True
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.dedupe not in DEDUPE_MODES:
+            raise ValueError(f"unknown dedupe mode {self.dedupe!r}")
 
 
 @dataclass(frozen=True)
@@ -265,11 +275,10 @@ def _pool_map(fn, items, jobs):
 def enumerate_negative_subgraphs(g: UGraph, k: int):
     """Yield the k-regular spanning subgraphs of g, each once, as sorted
     (u, v) edge tuples, in the fixed lexicographic search order."""
-    degs = g.degrees()
-    r = degs[0]
-    if min(degs) != max(degs):
+    if not g.is_regular():
         raise DegreeMismatch("underlying graph is not regular")
-    if not 0 <= k <= r:
+    r = g.degree(0)
+    if negative_degree(r, r - 2 * k) is None:  # k is the negative degree at net degree r - 2k
         raise DegreeMismatch(f"k={k} out of range 0..{r}")
     n = g.n
     for _, neg in _search_raw(g.nbr, n, k):
@@ -300,27 +309,35 @@ def _split_tasks(nbr, n, k, allowed, jobs, counters):
     return prefixes
 
 
-def _dedupe_hits(graphs: list[SignedGraph], mode: str) -> list[Hit]:
-    hits: list[Hit] = []
-    if mode == "none":
-        for g in graphs:
-            p = extract_params(g)
-            cls, _ = classify(g)
-            hits.append(Hit(g, p, cls, canonical_form(g)))
-        hits.sort(key=lambda h: (h.canonical, h.graph.pos, h.graph.neg))
-        return hits
-    seen: dict[bytes, None] = {}
-    for g in graphs:
-        key = canonical_form(g)
-        if mode == "iso-neg":
-            key = min(key, canonical_form(negation(g)))
-        if key not in seen:
-            seen[key] = None
-    for key in sorted(seen):
-        rep = decode_canonical(key)
-        cls, p = classify(rep)
-        hits.append(Hit(rep, p, cls, key))
-    return hits
+def _report_order(hits: list[Hit], mode: str) -> list[Hit]:
+    """Hits sorted for a report; under the iso modes, one per canonical form.
+    A host's iso hits are decoded canonical forms, so the hits of one class
+    from several hosts are equal and a catalog merges them by that field."""
+    if mode != "none":
+        hits = list({h.canonical: h for h in hits}.values())
+    return sorted(hits, key=lambda h: (h.canonical, h.graph.pos, h.graph.neg))
+
+
+def _dedupe_hits(hits: list[Hit], cfg: SearchConfig) -> list[Hit]:
+    """One host's report hits from its verified leaves.  Under the iso modes
+    a class is shown by its decoded canonical form, with the parameters and
+    class of its leaves (both isomorphism invariants)."""
+    if cfg.dedupe != "none":
+        classes = {h.canonical: h for h in hits}
+        if cfg.dedupe == "iso-neg":
+            classes = {h.canonical: h for h in (_fold_negation(h, cfg.rho) for h in classes.values())}
+        hits = [replace(h, graph=decode_canonical(key)) for key, h in classes.items()]
+    return _report_order(hits, cfg.dedupe)
+
+
+def _fold_negation(h: Hit, rho: int) -> Hit:
+    """h, or the hit of its negation (same class) if that has the smaller form."""
+    g = negation(h.graph)
+    key = canonical_form(g)
+    if key < h.canonical:
+        params, _ = negation_dual(h.params, rho)
+        return Hit(g, params, h.cls, key)
+    return h
 
 
 def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
@@ -331,14 +348,11 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
     parity mismatch is answered with an empty exhaustive report: no signing
     exists, which is a result rather than an error.
     """
-    degs = g.degrees()
-    r = degs[0]
-    if min(degs) != max(degs):
+    if not g.is_regular():
         raise DegreeMismatch("underlying graph is not regular")
+    r = g.degree(0)
     if cfg.require_connected and not g.is_connected():
         raise DisconnectedInput("underlying graph is not connected")
-    if cfg.dedupe not in ("none", "iso", "iso-neg"):
-        raise ValueError(f"unknown dedupe mode {cfg.dedupe!r}")
 
     t0 = time.perf_counter()
     stats = SearchStats()
@@ -354,9 +368,9 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
         }
         return SearchReport(cfg.rho, hits, stats, exhaustive, [row])
 
-    if (r - cfg.rho) % 2 != 0 or not 0 <= (r - cfg.rho) // 2 <= r:
+    k = negative_degree(r, cfg.rho)
+    if k is None:
         return report([], True, "vacuous: no k-regular negative subgraph fits this net-degree")
-    k = (r - cfg.rho) // 2
 
     filter_set = None
     if cfg.param_filter is not None:
@@ -383,22 +397,20 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
 
     # leaf verification: recompute parameters exactly and apply the filter,
     # whether or not pair pruning already enforced them
-    found: list[SignedGraph] = []
+    found: list[Hit] = []
     for pm, nm in raw:
         sg = SignedGraph(n, pm, nm)
         p = extract_params(sg)
-        if p is None:
+        if p is None or (filter_set is not None and p not in filter_set):
             continue
-        if filter_set is not None and p not in filter_set:
-            continue
-        found.append(sg)
+        found.append(Hit(sg, p, class_of(p), canonical_form(sg)))
     stats.raw_hits = len(found)
 
-    return report(_dedupe_hits(found, cfg.dedupe), budget is None or stats.nodes <= budget)
+    return report(_dedupe_hits(found, cfg), budget is None or stats.nodes <= budget)
 
 
 def search_catalog(graphs: list[tuple[str, UGraph]], cfg: SearchConfig) -> SearchReport:
-    """Search every (name, graph) entry and aggregate with global dedupe.
+    """Search every (name, graph) entry and merge the per-host hits.
 
     When several graphs are given and jobs > 1, parallelism is spent across
     graphs (one worker each, deterministic merge); a single graph gets
@@ -407,21 +419,20 @@ def search_catalog(graphs: list[tuple[str, UGraph]], cfg: SearchConfig) -> Searc
     """
     t0 = time.perf_counter()
     across = cfg.jobs > 1 and len(graphs) >= 2
-    inner_dedupe = "iso" if cfg.dedupe != "none" else "none"
-    inner_cfg = replace(cfg, dedupe=inner_dedupe, jobs=1 if across else cfg.jobs)
+    inner_cfg = replace(cfg, jobs=1) if across else cfg
     reports = _pool_map(_host_worker, [(g, inner_cfg) for _, g in graphs], cfg.jobs if across else 1)
 
     stats = SearchStats()
     per_graph: list[dict] = []
-    found: list[SignedGraph] = []
+    hits: list[Hit] = []
     for (name, _), rep in zip(graphs, reports):
         stats.add(rep.stats)
         per_graph.append({"name": name, **rep.per_graph[0]})
-        found.extend(h.graph for h in rep.hits)
+        hits.extend(rep.hits)
 
-    hits = _dedupe_hits(found, cfg.dedupe)
     stats.wall_time = time.perf_counter() - t0
-    return SearchReport(cfg.rho, hits, stats, all(rep.exhaustive for rep in reports), per_graph)
+    exhaustive = all(rep.exhaustive for rep in reports)
+    return SearchReport(cfg.rho, _report_order(hits, cfg.dedupe), stats, exhaustive, per_graph)
 
 
 def _host_worker(payload):

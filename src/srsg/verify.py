@@ -18,9 +18,12 @@ net-degrees 4, 2 and 0) in two places:
   abstract does not say.
 * net-degree 0 has three classes here, not four: the row/column
   transposition of the 4x4 grid maps S_16 onto its negation sign for sign,
-  so the grid carries one class.  The slice does not search the order-13,
-  order-25 or other order-16 hosts, so it neither confirms nor rules out a
-  fourth class elsewhere.
+  so the grid carries one class.  No odd order can hold a fourth class: at
+  net-degree 0 the negative subgraph is 3-regular, so n is even, and no
+  order-13 or order-25 host carries a net-degree-0 signing.  The slice
+  sweeps every host only up to order 10, and at order 16 searches only the
+  4x4 grid, so it neither confirms nor rules out a fourth class on another
+  host of even order 12 or more.
 
 The witnesses for both sit in tests/test_verify.py and share no search or
 canonical-form code with this package.
@@ -29,6 +32,7 @@ canonical-form code with this package.
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 
 from . import catalog as cat
 from .core import negation
@@ -129,8 +133,7 @@ def run_verification(fixtures_dir: str, jobs: int = 1) -> dict:
             for h in rep.hits:
                 found_classes[h.canonical.hex()] = {
                     "label": _label(h, labels),
-                    "params": {"n": h.params.n, "r": h.params.r, "a": h.params.a,
-                               "b": h.params.b, "c": h.params.c},
+                    "params": asdict(h.params),
                     "class": h.cls.value,
                 }
         total_found = len(found_classes)

@@ -213,3 +213,8 @@ def test_verify_classification_cli(capsys, fixtures_dir):
     assert '"pass": true' in out
     assert rep["summary"] == {"rho4": 3, "rho2": 7, "rho0": 3}
     assert "rho4: PASS" in err and "rho2: PASS" in err and "rho0: PASS" in err
+    # one line per check under its net-degree line
+    lines = err.splitlines()
+    assert lines.index("  order10: PASS (expected ['T5_C2'], found ['T5_C2'])") > lines.index(
+        "rho2: PASS (7 classes, expected 7)")
+    assert len(lines) == 3 + sum(len(t["checks"]) for t in rep["theorems"].values())

@@ -116,6 +116,62 @@ def test_search_dedupe_modes():
         search_srsg(g8, SearchConfig(rho=0, dedupe="bogus"))
 
 
+def test_dedupe_mode_validated_by_config():
+    # a mistyped mode is refused when the config is built, so every entry
+    # point refuses it, even over no hosts; search_catalog used to run any
+    # mode other than "none" as "iso"
+    g8 = build_underlying("G8")
+    with pytest.raises(ValueError):
+        search_srsg(g8, SearchConfig(rho=0, dedupe="iso_neg"))
+    with pytest.raises(ValueError):
+        search_catalog([("G8", g8)], SearchConfig(rho=0, dedupe="iso_neg"))
+    with pytest.raises(ValueError):
+        search_catalog([], SearchConfig(rho=0, dedupe="iso_neg"))
+    cfg = SearchConfig(rho=0, dedupe="iso-neg")
+    assert len(search_catalog([("G8", g8), ("G8 again", g8)], cfg).hits) == 1
+
+
+@pytest.mark.parametrize("mode", ["none", "iso", "iso-neg"])
+def test_leaf_to_hit_call_counts(monkeypatch, mode):
+    """Each verified leaf is canonicalised once and its parameters extracted
+    once; iso decodes each host's class once and iso-neg adds one negation
+    form per host class; the catalog merge adds no call.  Counted at the
+    module globals that search.py calls."""
+    calls = Counter()
+    host_classes = []
+
+    def counted(name):
+        real = getattr(srsg.search, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            out = real(*args)
+            if name == "search_srsg":
+                host_classes.append(len(out.hits))
+            return out
+
+        monkeypatch.setattr(srsg.search, name, wrapper)
+
+    for name in ("search_srsg", "canonical_form", "decode_canonical", "extract_params", "classify"):
+        counted(name)
+    graphs = [(f"o{n}[{i}]", g) for n in (9, 10) for i, g in enumerate(
+        read_graph6_file(os.path.join(FIXTURES, f"6reg_order{n}.g6")))]
+    rep = search_catalog(graphs, SearchConfig(rho=2, dedupe=mode))
+    assert calls["search_srsg"] == len(graphs) == 25
+    assert rep.stats.leaves == rep.stats.raw_hits == 49
+    assert calls["extract_params"] == rep.stats.leaves
+    assert calls["classify"] == 0
+    if mode == "none":
+        assert len(rep.hits) == 49
+        assert calls["canonical_form"] == rep.stats.raw_hits
+        assert calls["decode_canonical"] == 0
+    else:
+        assert len(rep.hits) == sum(host_classes) == 3
+        negation_forms = sum(host_classes) if mode == "iso-neg" else 0
+        assert calls["canonical_form"] == rep.stats.raw_hits + negation_forms
+        assert calls["decode_canonical"] == sum(host_classes)
+
+
 def test_search_k66_rho4():
     rep = search_srsg(build_underlying("K66"), SearchConfig(rho=4))
     assert rep.stats.raw_hits == 720  # every matching signing works here
@@ -336,7 +392,7 @@ def test_dedupe_soundness_pairwise():
 
 
 def test_hits_satisfy_all_invariants():
-    from srsg.regularity import eq3_holds, neg_walk_parity_ok, verify_identity_eq2
+    from srsg.regularity import classify, eq3_holds, neg_walk_parity_ok, verify_identity_eq2
 
     rep = search_srsg(build_underlying("G8"), SearchConfig(rho=2))
     for h in rep.hits:
@@ -345,6 +401,14 @@ def test_hits_satisfy_all_invariants():
         assert eq3_holds(h.params, 2)
         if h.cls in (SrsgClass.C1, SrsgClass.C4, SrsgClass.C5) and not h.graph.is_complete():
             assert neg_walk_parity_ok(h.graph)[0]
+    # iso-neg shows both G8 classes by their negations, at net-degree -2,
+    # with the parameters and class of the graph shown
+    rep = search_srsg(build_underlying("G8"), SearchConfig(rho=2, dedupe="iso-neg"))
+    assert len(rep.hits) == 2
+    for h in rep.hits:
+        assert h.graph.net_degrees() == [-2] * 8
+        assert classify(h.graph) == (h.cls, h.params)
+        assert eq3_holds(h.params, -2)
 
 
 def test_order10_c2_example_regression():
