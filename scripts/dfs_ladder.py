@@ -26,6 +26,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from canon_ladder import kmm
+from srsg.regularity import negative_degree
 from srsg.search import _search_raw
 from srsg.sgio import read_graph6_file
 
@@ -51,7 +52,7 @@ def main() -> int:
             counters = [0, 0, 0, 0]
             t0 = time.perf_counter()
             for u in hosts[name]:
-                k = (u.degree(0) - rho) // 2
+                k = negative_degree(u.degree(0), rho)
                 for _leaf in _search_raw(u.nbr, u.n, k, "learn", None, counters):
                     pass
             times.append(time.perf_counter() - t0)

@@ -21,6 +21,38 @@ def _check_vertex(v: int, n: int) -> None:
         raise VertexOutOfRange(f"vertex {v!r} not in range 0..{n - 1}")
 
 
+def _bits(x: int):
+    """The set bits of x, lowest first."""
+    while x:
+        b = x & -x
+        yield b.bit_length() - 1
+        x ^= b
+
+
+def _check_size(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise SizeExceeded(f"n={n} outside supported range 1..{MAX_VERTICES}")
+
+
+def _check_rows(n: int, rows: tuple[int, ...]) -> None:
+    """n rows of a symmetric, loop-free adjacency on vertices 0..n-1."""
+    _check_size(n)
+    if len(rows) != n:
+        raise ValueError("adjacency row count does not match n")
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise VertexOutOfRange(f"row {v} references vertices >= {n}")
+        if (row >> v) & 1:
+            raise SelfLoop(f"vertex {v} adjacent to itself")
+        while row:
+            low = row & -row
+            w = low.bit_length() - 1
+            if not (rows[w] >> v) & 1:
+                raise ValueError(f"asymmetric adjacency at pair ({min(v, w)}, {max(v, w)})")
+            row ^= low
+
+
 @dataclass(frozen=True)
 class UGraph:
     """Unsigned simple graph on vertices 0..n-1; adjacency as bitmask rows."""
@@ -29,20 +61,7 @@ class UGraph:
     nbr: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise SizeExceeded(f"n={self.n} outside supported range 1..{MAX_VERTICES}")
-        if len(self.nbr) != self.n:
-            raise ValueError("adjacency row count does not match n")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.nbr):
-            if row & ~full:
-                raise VertexOutOfRange(f"row {v} references vertices >= {self.n}")
-            if (row >> v) & 1:
-                raise SelfLoop(f"vertex {v} adjacent to itself")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if ((self.nbr[u] >> v) & 1) != ((self.nbr[v] >> u) & 1):
-                    raise ValueError(f"asymmetric adjacency at pair ({u}, {v})")
+        _check_rows(self.n, self.nbr)
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self.nbr[u] >> v) & 1)
@@ -107,20 +126,7 @@ def components(nbr: tuple[int, ...] | list[int], n: int) -> list[list[int]]:
 
 def ugraph_from_edges(n: int, edges) -> UGraph:
     """Build an UGraph from an iterable of (u, v) pairs."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise SizeExceeded(f"n={n} outside supported range 1..{MAX_VERTICES}")
-    rows = [0] * n
-    for e in edges:
-        u, v = e
-        _check_vertex(u, n)
-        _check_vertex(v, n)
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        if (rows[u] >> v) & 1:
-            raise DuplicateEdge(f"duplicate edge ({u}, {v})")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return UGraph(n, tuple(rows))
+    return UGraph(n, from_signed_edges(n, ((u, v, 1) for u, v in edges)).pos)
 
 
 @dataclass(frozen=True)
@@ -132,24 +138,12 @@ class SignedGraph:
     neg: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise SizeExceeded(f"n={self.n} outside supported range 1..{MAX_VERTICES}")
-        if len(self.pos) != self.n or len(self.neg) != self.n:
-            raise ValueError("adjacency row count does not match n")
-        full = (1 << self.n) - 1
+        # each sign's rows form a simple graph; a pair may carry one sign only
+        _check_rows(self.n, self.pos)
+        _check_rows(self.n, self.neg)
         for v in range(self.n):
-            if (self.pos[v] | self.neg[v]) & ~full:
-                raise VertexOutOfRange(f"row {v} references vertices >= {self.n}")
-            if ((self.pos[v] | self.neg[v]) >> v) & 1:
-                raise SelfLoop(f"vertex {v} adjacent to itself")
             if self.pos[v] & self.neg[v]:
                 raise DuplicateEdge(f"vertex {v} has a neighbour with both signs")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if ((self.pos[u] >> v) & 1) != ((self.pos[v] >> u) & 1) or (
-                    (self.neg[u] >> v) & 1
-                ) != ((self.neg[v] >> u) & 1):
-                    raise ValueError(f"asymmetric adjacency at pair ({u}, {v})")
 
     # -- local quantities ---------------------------------------------------
 
@@ -223,8 +217,7 @@ def from_signed_edges(n: int, edges) -> SignedGraph:
     Rejects self-loops, out-of-range vertices and duplicate pairs in either
     orientation, naming the offending datum.
     """
-    if not 1 <= n <= MAX_VERTICES:
-        raise SizeExceeded(f"n={n} outside supported range 1..{MAX_VERTICES}")
+    _check_size(n)
     pos = [0] * n
     neg = [0] * n
     for e in edges:
@@ -367,22 +360,24 @@ class TriangleCensus:
         return self.counts[1] + self.counts[3]
 
 
+def _triangle_profiles(g: SignedGraph) -> list[list[int]]:
+    """Per vertex, its triangles counted by how many of their three edges
+    are negative (0..3).  Each triangle u < v < w is visited once."""
+    adj = [p | q for p, q in zip(g.pos, g.neg)]
+    neg = g.neg
+    prof = [[0, 0, 0, 0] for _ in range(g.n)]
+    for u, row in enumerate(adj):
+        for v in _bits(row >> (u + 1) << (u + 1)):
+            uv_neg = (neg[u] >> v) & 1
+            for w in _bits(row & adj[v] >> (v + 1) << (v + 1)):
+                k = uv_neg + ((neg[u] >> w) & 1) + ((neg[v] >> w) & 1)
+                prof[u][k] += 1
+                prof[v][k] += 1
+                prof[w][k] += 1
+    return prof
+
+
 def triangle_census(g: SignedGraph) -> TriangleCensus:
     """Count triangles by how many of their three edges are negative."""
-    n = g.n
-    counts = [0, 0, 0, 0]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not ((g.pos[u] | g.neg[u]) >> v) & 1:
-                continue
-            uv_neg = (g.neg[u] >> v) & 1
-            common = (g.pos[u] | g.neg[u]) & (g.pos[v] | g.neg[v])
-            w = v + 1
-            rest = common >> w
-            while rest:
-                if rest & 1:
-                    k = uv_neg + ((g.neg[u] >> w) & 1) + ((g.neg[v] >> w) & 1)
-                    counts[k] += 1
-                rest >>= 1
-                w += 1
-    return TriangleCensus(tuple(counts))
+    # every triangle is in the profiles of its three vertices
+    return TriangleCensus(tuple(sum(col) // 3 for col in zip(*_triangle_profiles(g))))

@@ -23,35 +23,17 @@ do not depend on how much was pruned.
 
 from __future__ import annotations
 
-from .core import SignedGraph, UGraph, all_positive
+from .core import SignedGraph, UGraph, _triangle_profiles, all_positive
 from .errors import SizeExceeded
 from .regularity import extract_params
 
 AUT_COUNT_MAX_N = 16
 
 
-def _bits(x: int):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
 def _vertex_invariants(g: SignedGraph) -> list[tuple]:
     """Per-vertex refinement seed: (d+, d-, triangle profile by sign)."""
-    inv = []
-    for v in range(g.n):
-        tri = [0, 0, 0, 0]
-        nb = list(_bits(g.pos[v] | g.neg[v]))
-        for i, u in enumerate(nb):
-            u_neg = (g.neg[v] >> u) & 1
-            for w in nb[i + 1 :]:
-                if not (((g.pos[u] | g.neg[u]) >> w) & 1):
-                    continue
-                k = u_neg + ((g.neg[v] >> w) & 1) + ((g.neg[u] >> w) & 1)
-                tri[k] += 1
-        inv.append((g.pos[v].bit_count(), g.neg[v].bit_count(), tuple(tri)))
-    return inv
+    tri = _triangle_profiles(g)
+    return [(g.pos[v].bit_count(), g.neg[v].bit_count(), tuple(tri[v])) for v in range(g.n)]
 
 
 def fingerprint(g: SignedGraph) -> tuple:

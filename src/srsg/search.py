@@ -41,7 +41,6 @@ from itertools import combinations
 from .core import SignedGraph, UGraph, negation
 from .errors import DegreeMismatch, DisconnectedInput
 from .iso import canonical_form, decode_canonical
-from .params import negation_dual
 from .regularity import SrsgClass, SrsgParams, class_of, extract_params, negative_degree
 
 # not called here, but perfbench's traced runs wrap it among this module's names
@@ -73,20 +72,21 @@ class SearchStats:
 class SearchConfig:
     """Search targets and policies.
 
+    param_filter: the parameter sets a hit may have (None: any).
     dedupe: "none" keeps every signing found, "iso" one per isomorphism
-    class, "iso-neg" additionally folds a graph and its negation together.
-    pair_prune=False disables the completed-pair entry check and leaves
-    only degree-cap pruning (used by the equivalence oracle in tests).
+    class, "iso-neg" also drops a class whose negation is a class the same
+    host has, with the smaller canonical form.  Every hit is a signing found
+    at net degree rho; negation flips it to -rho, so iso-neg differs from
+    iso only at rho = 0.
     node_budget caps search-tree nodes; on overrun the report is flagged
     non-exhaustive instead of raising.
+    jobs: worker processes.
     """
 
     rho: int
     param_filter: tuple[SrsgParams, ...] | None = None
     dedupe: str = "iso"  # "none" | "iso" | "iso-neg"
-    require_connected: bool = True
     node_budget: int | None = None
-    pair_prune: bool = True
     jobs: int = 1
 
     def __post_init__(self):
@@ -321,37 +321,33 @@ def _report_order(hits: list[Hit], mode: str) -> list[Hit]:
 def _dedupe_hits(hits: list[Hit], cfg: SearchConfig) -> list[Hit]:
     """One host's report hits from its verified leaves.  Under the iso modes
     a class is shown by its decoded canonical form, with the parameters and
-    class of its leaves (both isomorphism invariants)."""
+    class of its leaves (both isomorphism invariants).
+
+    iso-neg drops a class when its negation has the smaller canonical form
+    and is itself a class of this host.  A signing and its negation share
+    their host, so this fold over one host is complete; the class kept is
+    one the search found, at net degree rho."""
     if cfg.dedupe != "none":
         classes = {h.canonical: h for h in hits}
         if cfg.dedupe == "iso-neg":
-            classes = {h.canonical: h for h in (_fold_negation(h, cfg.rho) for h in classes.values())}
+            negs = {key: canonical_form(negation(h.graph)) for key, h in classes.items()}
+            classes = {key: h for key, h in classes.items() if not (negs[key] < key and negs[key] in classes)}
         hits = [replace(h, graph=decode_canonical(key)) for key, h in classes.items()]
     return _report_order(hits, cfg.dedupe)
-
-
-def _fold_negation(h: Hit, rho: int) -> Hit:
-    """h, or the hit of its negation (same class) if that has the smaller form."""
-    g = negation(h.graph)
-    key = canonical_form(g)
-    if key < h.canonical:
-        params, _ = negation_dual(h.params, rho)
-        return Hit(g, params, h.cls, key)
-    return h
 
 
 def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
     """Enumerate all net-degree-rho strongly regular signings of g.
 
-    The underlying graph must be regular (DegreeMismatch otherwise) and,
-    unless cfg.require_connected is off, connected.  A degree/net-degree
+    The underlying graph must be regular (DegreeMismatch otherwise) and
+    connected (DisconnectedInput otherwise).  A degree/net-degree
     parity mismatch is answered with an empty exhaustive report: no signing
     exists, which is a result rather than an error.
     """
     if not g.is_regular():
         raise DegreeMismatch("underlying graph is not regular")
     r = g.degree(0)
-    if cfg.require_connected and not g.is_connected():
+    if not g.is_connected():
         raise DisconnectedInput("underlying graph is not connected")
 
     t0 = time.perf_counter()
@@ -373,14 +369,13 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
         return report([], True, "vacuous: no k-regular negative subgraph fits this net-degree")
 
     filter_set = None
+    allowed = "learn"
     if cfg.param_filter is not None:
         compat = [p for p in cfg.param_filter if p.n == g.n and p.r == r]
         if not compat:
             return report([], True, "filter excludes this order or degree")
         filter_set = set(compat)
-        allowed = _allowed_from_filter(compat) if cfg.pair_prune else None
-    else:
-        allowed = "learn" if cfg.pair_prune else None
+        allowed = _allowed_from_filter(compat)
 
     n, nbr, budget = g.n, g.nbr, cfg.node_budget
     counters = [0, 0, 0, 0]

@@ -89,15 +89,26 @@ def emit_graph6(g: UGraph) -> str:
     return "".join(chars)
 
 
+def _ascii_lines(path: str):
+    """Yield (line number, line) over a text file read with universal
+    newlines.  A byte outside ASCII is a BadCharacter naming the file and
+    its line; surrogateescape decoding keeps the byte to name it."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                raise BadCharacter(f"byte 0x{byte:02x} is not ASCII", lineno, path)
+            yield lineno, line
+
+
 def read_graph6_file(path: str) -> list[UGraph]:
     """Read a graph6 file, one graph per line; blank and '#' lines skipped."""
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            graphs.append(parse_graph6(s, lineno, path))
+    for lineno, line in _ascii_lines(path):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        graphs.append(parse_graph6(s, lineno, path))
     return graphs
 
 
@@ -167,8 +178,7 @@ def parse_sg(text: str, filename: str | None = None) -> SignedGraph:
 
 
 def parse_sg_file(path: str) -> SignedGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_sg(fh.read(), path)
+    return parse_sg("".join(line for _, line in _ascii_lines(path)), path)
 
 
 def emit_sg(g: SignedGraph) -> str:

@@ -291,7 +291,7 @@ def test_criterion_7_oracle_equivalence():
         r = g.degree(0)
         k = rng.randrange(1, r)
         rho = r - 2 * k
-        rep = search_srsg(g, SearchConfig(rho=rho, dedupe="none", require_connected=False))
+        rep = search_srsg(g, SearchConfig(rho=rho, dedupe="none"))
         got = sorted((h.graph.pos, h.graph.neg) for h in rep.hits)
 
         # brute scan over the net-degree-feasible layer of the 2^m signings

@@ -102,6 +102,24 @@ def test_search_cli_malformed_graph6(tmp_path, capsys):
     assert rc == 1
     obj = json.loads(err.splitlines()[-1])["error"]
     assert obj["type"] == "TruncatedPayload" and "line 2" in obj["message"]
+    # a byte outside ASCII is a typed parse error naming the file and line
+    bad.write_bytes(b"C~\n\xffC~\n")
+    rc, _, err = run(capsys, ["search", "--underlying", str(bad), "--rho", "0"])
+    assert rc == 1 and "Traceback" not in err
+    obj = json.loads(err.splitlines()[-1])["error"]
+    assert obj["type"] == "BadCharacter"
+    assert str(bad) in obj["message"] and "line 2" in obj["message"] and "0xff" in obj["message"]
+
+
+def test_check_cli_non_ascii_sg(tmp_path, capsys):
+    bad = tmp_path / "bad.sg"
+    bad.write_bytes(b"sg 2 1\n0 1 + # \xff\n")
+    for cmd in ("check", "spectrum"):
+        rc, _, err = run(capsys, [cmd, str(bad)])
+        assert rc == 1 and "Traceback" not in err
+        obj = json.loads(err.splitlines()[-1])["error"]
+        assert obj["type"] == "BadCharacter"
+        assert str(bad) in obj["message"] and "line 2" in obj["message"]
 
 
 def test_search_cli_malformed_params(capsys, fixtures_dir):
@@ -146,6 +164,31 @@ def test_search_cli_budget_same_output_any_jobs(tmp_path, capsys, fixtures_dir):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["exhaustive"] is True
+
+
+@pytest.mark.parametrize("host", ["targets/g8.g6", "6reg_order9.g6"])
+@pytest.mark.parametrize("rho", ["0", "2", "4"])
+def test_search_cli_hits_have_reported_net_degree(capsys, fixtures_dir, host, rho):
+    """Every hit's edges give the net degree the report names, in every
+    dedupe mode; away from rho = 0 no class meets its negation, so iso-neg
+    shows the iso hits."""
+    path = os.path.join(fixtures_dir, host)
+    reports = {}
+    for mode in ("none", "iso", "iso-neg"):
+        rc, out, _ = run(capsys, ["search", "--underlying", path, "--rho", rho, "--dedupe", mode])
+        assert rc == 0
+        rep = reports[mode] = json.loads(out)
+        assert rep["rho"] == int(rho)
+        for h in rep["hits"]:
+            net = [0] * h["n"]
+            for u, v, s in h["edges"]:
+                net[u] += s
+                net[v] += s
+            assert net == [rep["rho"]] * h["n"], (mode, h["canonical_form"])
+    if rho != "0":
+        assert reports["iso-neg"]["hits"] == reports["iso"]["hits"]
+    if rho == "2":
+        assert reports["iso"]["hits"]  # both hosts have rho=2 classes
 
 
 def test_search_cli_deterministic_output(capsys, fixtures_dir):

@@ -4,6 +4,7 @@ from hypothesis import given
 from conftest import brute_square, signed_graphs
 from srsg.core import (
     SignedGraph,
+    UGraph,
     from_signed_edges,
     is_balanced,
     negation,
@@ -44,6 +45,43 @@ def test_self_loop_and_range_rejected():
         from_signed_edges(3, [(0, 3, 1)])
     with pytest.raises(VertexOutOfRange):
         net_degree(from_signed_edges(2, [(0, 1, 1)]), 5)
+
+
+def test_direct_construction_checks_rows():
+    # path 0-1-2 as bitmask rows, then one fault at a time
+    assert UGraph(3, (0b010, 0b101, 0b010)).edges() == [(0, 1), (1, 2)]
+    with pytest.raises(ValueError, match="row count"):
+        UGraph(3, (0b010, 0b101))
+    with pytest.raises(VertexOutOfRange):
+        UGraph(3, (0b1010, 0b101, 0b010))  # bit 3 on 3 vertices
+    with pytest.raises(SelfLoop):
+        UGraph(3, (0b011, 0b101, 0b010))
+    with pytest.raises(ValueError, match=r"asymmetric adjacency at pair \(0, 2\)"):
+        UGraph(3, (0b110, 0b101, 0b010))  # 0 sees 2, 2 does not see 0
+    with pytest.raises(ValueError, match=r"asymmetric adjacency at pair \(0, 2\)"):
+        UGraph(3, (0b010, 0b101, 0b011))  # 2 sees 0, 0 does not see 2
+    with pytest.raises(SizeExceeded):
+        UGraph(0, ())
+
+
+def test_direct_signed_construction_checks_rows():
+    # 0-1 positive, 1-2 negative
+    g = SignedGraph(3, (0b010, 0b001, 0b000), (0b000, 0b100, 0b010))
+    assert g.edges() == [(0, 1, 1), (1, 2, -1)]
+    with pytest.raises(ValueError, match="row count"):
+        SignedGraph(3, (0b010, 0b001, 0b000), (0b000, 0b100))
+    with pytest.raises(VertexOutOfRange):
+        SignedGraph(3, (0b010, 0b001, 0b000), (0b1000, 0b100, 0b010))
+    with pytest.raises(SelfLoop):
+        SignedGraph(3, (0b010, 0b001, 0b000), (0b000, 0b110, 0b010))
+    with pytest.raises(ValueError, match="asymmetric"):
+        SignedGraph(3, (0b110, 0b001, 0b000), (0b000, 0b100, 0b010))
+    # a pair carrying both signs
+    with pytest.raises(DuplicateEdge):
+        SignedGraph(2, (0b10, 0b01), (0b10, 0b01))
+    # a pair positive from 0 and negative from 1
+    with pytest.raises(ValueError, match=r"asymmetric adjacency at pair \(0, 1\)"):
+        SignedGraph(2, (0b10, 0b00), (0b00, 0b01))
 
 
 def test_size_envelope():
@@ -122,6 +160,18 @@ def test_triangle_census_k3_cases():
     assert triangle_census(k3).counts == (1, 0, 0, 0)
     m3 = from_signed_edges(3, [(0, 1, -1), (0, 2, -1), (1, 2, -1)])
     assert triangle_census(m3).counts == (0, 0, 0, 1)
+
+
+@given(signed_graphs())
+def test_triangle_census_matches_brute_triples(g):
+    counts = [0, 0, 0, 0]
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            for w in range(v + 1, g.n):
+                signs = (g.sign(u, v), g.sign(u, w), g.sign(v, w))
+                if 0 not in signs:
+                    counts[signs.count(-1)] += 1
+    assert triangle_census(g).counts == tuple(counts)
 
 
 @given(signed_graphs())

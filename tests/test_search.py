@@ -228,8 +228,6 @@ def test_search_errors():
     two_k3 = ugraph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(DisconnectedInput):
         search_srsg(two_k3, SearchConfig(rho=0))
-    rep = search_srsg(two_k3, SearchConfig(rho=0, require_connected=False))
-    assert rep.exhaustive
 
 
 def test_budget_flags_non_exhaustive():
@@ -302,12 +300,15 @@ def test_catalog_wall_time_is_elapsed(monkeypatch):
 
 
 def test_pair_prune_off_matches_default():
+    """The degree-only DFS (no pair prune), each leaf checked by the
+    brute-force parameter oracle, keeps exactly the pruned search's hits."""
     g8 = build_underlying("G8")
     for rho in (0, 2):
-        fast = search_srsg(g8, SearchConfig(rho=rho))
-        slow = search_srsg(g8, SearchConfig(rho=rho, pair_prune=False))
-        assert [h.canonical for h in fast.hits] == [h.canonical for h in slow.hits]
-        assert fast.stats.raw_hits == slow.stats.raw_hits
+        fast = search_srsg(g8, SearchConfig(rho=rho, dedupe="none"))
+        leaves = (sign_with(g8, sub) for sub in enumerate_negative_subgraphs(g8, (6 - rho) // 2))
+        slow = [sg for sg in leaves if brute_extract(sg) is not None]
+        assert sorted((h.graph.pos, h.graph.neg) for h in fast.hits) == sorted((sg.pos, sg.neg) for sg in slow)
+        assert fast.stats.raw_hits == len(slow)
 
 
 def test_search_matches_brute_scan_on_g8():
@@ -338,8 +339,8 @@ SMALL_HOSTS = {
 
 @pytest.mark.parametrize("name", SMALL_HOSTS)
 def test_search_matches_brute_scan_small_hosts(name):
-    """Every admissible rho, without dedupe, with the pair prune on and off,
-    and with a parameter filter that admits one parameter set of the oracle's
+    """Every admissible rho, without dedupe, with no parameter filter and
+    with a parameter filter that admits one parameter set of the oracle's
     hits (or one no signing has, where the oracle finds none)."""
     g = SMALL_HOSTS[name]
     r = g.degree(0)
@@ -349,13 +350,11 @@ def test_search_matches_brute_scan_small_hosts(name):
         picked = brute_extract(oracle[0]) if oracle else (g.n, r, 0, 0, 0)
         filt = (SrsgParams(*picked),)
         filtered = [sg for sg in oracle if brute_extract(sg) == picked]
-        for pair_prune in (True, False):
-            plain = search_srsg(g, SearchConfig(rho=rho, dedupe="none", pair_prune=pair_prune))
-            assert plain.exhaustive
-            assert sorted(rows(h.graph for h in plain.hits)) == rows(oracle), (rho, pair_prune)
-            cfg = SearchConfig(rho=rho, dedupe="none", pair_prune=pair_prune, param_filter=filt)
-            rep = search_srsg(g, cfg)
-            assert sorted(rows(h.graph for h in rep.hits)) == rows(filtered), (rho, pair_prune)
+        plain = search_srsg(g, SearchConfig(rho=rho, dedupe="none"))
+        assert plain.exhaustive
+        assert sorted(rows(h.graph for h in plain.hits)) == rows(oracle), rho
+        rep = search_srsg(g, SearchConfig(rho=rho, dedupe="none", param_filter=filt))
+        assert sorted(rows(h.graph for h in rep.hits)) == rows(filtered), rho
 
 
 def test_determinism_and_jobs():
@@ -401,14 +400,15 @@ def test_hits_satisfy_all_invariants():
         assert eq3_holds(h.params, 2)
         if h.cls in (SrsgClass.C1, SrsgClass.C4, SrsgClass.C5) and not h.graph.is_complete():
             assert neg_walk_parity_ok(h.graph)[0]
-    # iso-neg shows both G8 classes by their negations, at net-degree -2,
-    # with the parameters and class of the graph shown
+    # iso-neg folds only classes the search found: negation flips the net
+    # degree to -2, so at rho=2 nothing folds and the iso hits are shown
+    iso = rep
     rep = search_srsg(build_underlying("G8"), SearchConfig(rho=2, dedupe="iso-neg"))
-    assert len(rep.hits) == 2
+    assert rep.hits == iso.hits and len(rep.hits) == 2
     for h in rep.hits:
-        assert h.graph.net_degrees() == [-2] * 8
+        assert h.graph.net_degrees() == [2] * 8
         assert classify(h.graph) == (h.cls, h.params)
-        assert eq3_holds(h.params, -2)
+        assert eq3_holds(h.params, 2)
 
 
 def test_order10_c2_example_regression():
