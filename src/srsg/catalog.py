@@ -4,16 +4,16 @@ run on.
 
 Entries are built lazily, cached, and self-validate on construction:
 extracted parameters and the constant net-degree must match the pinned
-expectations, and search-derived entries must reproduce their pinned
-canonical form.  A failed self-check is a ConstructionInvalid bug, never
-user error.
+expectations, and a search-derived entry, decoded from its pinned
+canonical form, must have that form as its own.  A failed self-check is a
+ConstructionInvalid bug, never user error.
 
 Provenance: "prose" entries are explicit constructions (complete bipartite
 or multipartite graphs with a distinguished negative system, unions of
 positive cliques glued by negative cliques or matchings, and one explicit
 12-vertex adjacency); "search" entries (S1_9, S_15) exist only as figures
-elsewhere, so they are pinned as the canonical representative of the unique
-signing class found by the exhaustive search on their stated underlying
+elsewhere, so each is stored only as the canonical form of the unique
+signing class found by the exhaustive search on its stated underlying
 graph, and a test re-derives them.
 """
 
@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .core import SignedGraph, UGraph, all_positive, from_signed_edges, ugraph_from_edges
 from .errors import ConstructionInvalid, UnknownName
-from .iso import canonical_form
+from .iso import canonical_form, decode_canonical
 from .regularity import SrsgParams, extract_params
 
 
@@ -103,33 +103,14 @@ def _s_9() -> SignedGraph:
     return _signed(9, pos, neg)
 
 
-# search-derived entries, pinned as the canonical representative of the
-# unique class found on their stated underlying graph
-_S1_9_NEG = [(0, 3), (0, 4), (1, 2), (1, 5), (2, 6), (3, 7), (4, 8), (5, 8), (6, 7)]
-_S1_9_POS = [(0, 5), (0, 6), (0, 7), (0, 8), (1, 4), (1, 6), (1, 7), (1, 8),
-             (2, 3), (2, 5), (2, 7), (2, 8), (3, 4), (3, 6), (3, 8), (4, 5),
-             (4, 7), (5, 6)]
+# search-derived entries: the canonical form of the unique class found on
+# their stated underlying graph, built by decoding it
 _S1_9_CANONICAL = "09000001010202020201000201020202020002010202020002010202000201020001010000"
-
-_S_15_NEG = [(0, 9), (0, 10), (1, 6), (1, 13), (2, 5), (2, 14), (3, 7), (3, 12),
-             (4, 8), (4, 11), (5, 14), (6, 13), (7, 12), (8, 11), (9, 10)]
-_S_15_POS = [(0, 11), (0, 12), (0, 13), (0, 14), (1, 7), (1, 8), (1, 10), (1, 14),
-             (2, 6), (2, 7), (2, 9), (2, 11), (3, 5), (3, 8), (3, 9), (3, 13),
-             (4, 5), (4, 6), (4, 10), (4, 12), (5, 10), (5, 13), (6, 9), (6, 12),
-             (7, 10), (7, 11), (8, 9), (8, 14), (11, 13), (12, 14)]
 _S_15_CANONICAL = (
     "0f000000000000000001010202020200000000010202000200000102000001020200020002"
     "0000010002000102020000010200020200010002010200000000000002000002010000020000"
     "02010000000202010000020001000002010000000000000000000200000200"
 )
-
-
-def _s1_9() -> SignedGraph:
-    return _signed(9, _S1_9_POS, _S1_9_NEG)
-
-
-def _s_15() -> SignedGraph:
-    return _signed(15, _S_15_POS, _S_15_NEG)
 
 
 def _s1_15() -> SignedGraph:
@@ -170,15 +151,16 @@ def _s_16() -> SignedGraph:
 
 
 _ENTRIES: dict[str, tuple] = {
-    # name: (builder, (n, r, a, b, c), rho, provenance, pinned canonical hex)
+    # name: (builder, (n, r, a, b, c), rho, provenance, pinned canonical hex);
+    # a search entry has no builder and is decoded from its pin
     "S1_12": (_s1_12, (12, 6, 0, 0, 2), 4, "prose", None),
     "S2_12": (_s2_12, (12, 6, 4, 0, -2), 4, "prose", None),
     "S3_12": (_s3_12, (12, 6, 2, 0, 0), 4, "prose", None),
     "S2_8": (_s2_8, (8, 6, -4, 4, 6), 2, "prose", None),
     "S3_8": (_s3_8, (8, 6, 0, 0, -2), 2, "prose", None),
     "S_9": (_s_9, (9, 6, -1, 3, -2), 2, "prose", None),
-    "S1_9": (_s1_9, (9, 6, -1, 0, 1), 2, "search", _S1_9_CANONICAL),
-    "S_15": (_s_15, (15, 6, 1, 1, -1), 2, "search", _S_15_CANONICAL),
+    "S1_9": (None, (9, 6, -1, 0, 1), 2, "search", _S1_9_CANONICAL),
+    "S_15": (None, (15, 6, 1, 1, -1), 2, "search", _S_15_CANONICAL),
     "S1_15": (_s1_15, (15, 6, 3, 1, -2), 2, "prose", None),
     "S4_8": (_s4_8, (8, 6, 4, -4, -6), 0, "prose", None),
     "S_16": (_s_16, (16, 6, 2, 2, -2), 0, "prose", None),
@@ -199,7 +181,7 @@ def build(name: str) -> CatalogEntry:
     if name not in _ENTRIES:
         raise UnknownName(f"no catalog entry named {name!r}; see list_names()")
     builder, tup, rho, provenance, pinned = _ENTRIES[name]
-    graph = builder()
+    graph = builder() if builder is not None else decode_canonical(bytes.fromhex(pinned))
     expected = SrsgParams(*tup)
     got = extract_params(graph)
     if got != expected:
@@ -208,7 +190,7 @@ def build(name: str) -> CatalogEntry:
     if nets != {rho}:
         raise ConstructionInvalid(f"{name}: net-degrees {sorted(nets)} not constant {rho}")
     if pinned is not None and canonical_form(graph).hex() != pinned:
-        raise ConstructionInvalid(f"{name}: canonical form drifted from its pinned constant")
+        raise ConstructionInvalid(f"{name}: pinned form is not a fixed point of canonical_form")
     entry = CatalogEntry(name, graph, expected, rho, provenance)
     _cache[name] = entry
     return entry

@@ -47,18 +47,23 @@ class EmptyRange(SignedGraphError):
     pass
 
 
+def location(line: int | None, filename: str | None) -> str:
+    # the "<file>:line <k>: " prefix of a text-format fault, parts known
+    where = ""
+    if filename is not None:
+        where += f"{filename}:"
+    if line is not None:
+        where += f"line {line}: "
+    return where
+
+
 class ParseError(SignedGraphError):
     """Text-format error; carries the 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None, filename: str | None = None):
         self.line = line
         self.filename = filename
-        where = ""
-        if filename is not None:
-            where += f"{filename}:"
-        if line is not None:
-            where += f"line {line}: "
-        super().__init__(where + message)
+        super().__init__(location(line, filename) + message)
 
 
 class MalformedHeader(ParseError):

@@ -7,18 +7,31 @@ iff they are isomorphic (sign-preservingly), and the byte strings are
 totally ordered.
 
 The canonical order is found by backtracking over individualizations with
-equitable refinement on (positive, negative) neighbour counts.  Two leaves
-with the same encoding give an automorphism; every distinct one is kept,
-with no cap.  Each search node keeps one union-find over the vertices and
-folds in the automorphisms found since its previous sibling that fix its
-prefix pointwise; a sibling joined to an explored one is skipped.
+equitable refinement on (positive, negative) neighbour counts.  A leaf with
+the first or the best leaf's encoding gives an automorphism; every distinct
+one is kept, with no cap.  Each search node keeps one union-find over the
+vertices and folds in the automorphisms found since its previous sibling
+that fix its prefix pointwise; a sibling joined to an explored one is skipped.
 
-The result is exact however many automorphisms are found.  A skipped
-subtree is the image, under an automorphism fixing the prefix, of an
+The canonical result is exact however many automorphisms are found.  A
+skipped subtree is the image, under an automorphism fixing the prefix, of an
 explored earlier sibling's subtree, so the first leaf of minimum encoding
 in depth-first order always has its preimage earlier in that order and is
 never skipped.  The search returns that leaf, so the encoding and the order
 do not depend on how much was pruned.
+
+The group order is the product of the orbit sizes along the first path,
+the nodes entered before any leaf (McKay 1981, "Practical graph
+isomorphism"; McKay & Piperno 2014).  `_refine` is invariant, so an
+automorphism fixing a node's prefix pointwise keeps its cells; the path
+ends in a discrete partition, so its vertices form a base, and
+orbit-stabilizer gives the product.  At each node on it, the orbit of the
+first child v is the union-find class of v once the loop ends.  Every join
+is an automorphism fixing the prefix.  Conversely, w in the orbit has an
+image of the first leaf in its subtree, and pruning skips only images of
+explored subtrees, so either the search reaches a leaf under w with the
+first leaf's encoding, whose witness maps v to w, or w is skipped as
+joined to an explored sibling.
 """
 
 from __future__ import annotations
@@ -79,18 +92,12 @@ def _refine(pos, neg, cells):
     return cells
 
 
-def _initial_cells(g: SignedGraph, marks: tuple[int, ...]) -> list[list[int]]:
+def _initial_cells(g: SignedGraph) -> list[list[int]]:
     inv = _vertex_invariants(g)
-    cells: list[list[int]] = [[v] for v in marks]
-    marked = set(marks)
     grouped: dict[tuple, list[int]] = {}
     for v in range(g.n):
-        if v in marked:
-            continue
         grouped.setdefault(inv[v], []).append(v)
-    for key in sorted(grouped):
-        cells.append(grouped[key])
-    return cells
+    return [grouped[key] for key in sorted(grouped)]
 
 
 def _encode(g: SignedGraph, order: list[int]) -> bytes:
@@ -148,21 +155,25 @@ def _join(parent: list[int], p) -> None:
             parent[rx] = ry
 
 
-def _canonical_search(g: SignedGraph, marks: tuple[int, ...] = ()):
-    """Return (canonical encoding, order achieving it, automorphisms found).
+def _canonical_search(g: SignedGraph):
+    """Return (canonical encoding, order achieving it, automorphisms found,
+    order of the sign-preserving automorphism group).
 
     order[i] is the vertex at position i.  Each automorphism is a tuple p
-    mapping vertex x to p[x]; all of them fix `marks` pointwise.
+    mapping vertex x to p[x].
     """
     n = g.n
     pos, neg = g.pos, g.neg
     best_enc: bytes | None = None
     best_order: list[int] | None = None
+    first_enc: bytes | None = None
+    first_order: list[int] | None = None
+    group_order = 1
     gens: list[tuple[int, ...]] = []
     seen = {tuple(range(n))}
 
     def rec(cells, prefix):
-        nonlocal best_enc, best_order
+        nonlocal best_enc, best_order, first_enc, first_order, group_order
         target = -1
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
@@ -171,32 +182,39 @@ def _canonical_search(g: SignedGraph, marks: tuple[int, ...] = ()):
         if target < 0:
             order = [c[0] for c in cells]
             enc = _encode(g, order)
+            if first_enc is None:
+                first_enc, first_order = enc, order
             if best_enc is None or enc < best_enc:
-                best_enc = enc
-                best_order = order
-            elif enc == best_enc:
-                tphi = tuple(_witness(best_order, order))
-                if tphi not in seen:
-                    seen.add(tphi)
-                    gens.append(tphi)
+                best_enc, best_order = enc, order
+            for ref_enc, ref in ((first_enc, first_order), (best_enc, best_order)):
+                if enc == ref_enc and ref is not order:
+                    tphi = tuple(_witness(ref, order))
+                    if tphi not in seen:
+                        seen.add(tphi)
+                        gens.append(tphi)
             return
+        on_first_path = first_enc is None
         cell = cells[target]
         explored: list[int] = []
         # orbits of the automorphisms found so far that fix the prefix,
         # folded in as they are found
         parent = list(range(n))
         folded = 0
+
+        def fold() -> None:
+            nonlocal folded
+            for p in gens[folded:]:
+                if all(p[x] == x for x in prefix):
+                    _join(parent, p)
+            folded = len(gens)
+
         for v in cell:
-            if explored:
-                # skip v when such an automorphism maps an explored sibling
-                # onto it; that subtree is an image of an explored one
-                for p in gens[folded:]:
-                    if all(p[x] == x for x in prefix):
-                        _join(parent, p)
-                folded = len(gens)
-                rv = _find(parent, v)
-                if any(_find(parent, u) == rv for u in explored):
-                    continue
+            # skip v when such an automorphism maps an explored sibling onto
+            # it; that subtree is an image of an explored one
+            fold()
+            rv = _find(parent, v)
+            if any(_find(parent, u) == rv for u in explored):
+                continue
             explored.append(v)
             child = (
                 cells[:target]
@@ -204,10 +222,15 @@ def _canonical_search(g: SignedGraph, marks: tuple[int, ...] = ()):
                 + cells[target + 1 :]
             )
             rec(_refine(pos, neg, child), prefix + (v,))
+        if on_first_path:
+            # the class of the first child is its orbit (module docstring)
+            fold()
+            rv = _find(parent, cell[0])
+            group_order *= sum(1 for w in cell if _find(parent, w) == rv)
 
-    rec(_refine(pos, neg, _initial_cells(g, marks)), ())
+    rec(_refine(pos, neg, _initial_cells(g)), ())
     assert best_enc is not None and best_order is not None
-    return best_enc, best_order, gens
+    return best_enc, best_order, gens, group_order
 
 
 def canonical_form(g: SignedGraph) -> bytes:
@@ -217,7 +240,7 @@ def canonical_form(g: SignedGraph) -> bytes:
 
 def canonical_labeling(g: SignedGraph) -> tuple[bytes, list[int]]:
     """Canonical form plus an order achieving it (order[i] = vertex at position i)."""
-    enc, order, _ = _canonical_search(g)
+    enc, order, _, _ = _canonical_search(g)
     return enc, order
 
 
@@ -238,8 +261,8 @@ def are_isomorphic(g: SignedGraph, h: SignedGraph):
         return (False, None)
     if extract_params(g) != extract_params(h):
         return (False, None)
-    enc_g, order_g, _ = _canonical_search(g)
-    enc_h, order_h, _ = _canonical_search(h)
+    enc_g, order_g, _, _ = _canonical_search(g)
+    enc_h, order_h, _, _ = _canonical_search(h)
     if enc_g != enc_h:
         return (False, None)
     w = _witness(order_g, order_h)
@@ -251,47 +274,8 @@ def are_isomorphic(g: SignedGraph, h: SignedGraph):
 
 
 def automorphism_count(g: UGraph) -> int:
-    """Order of the automorphism group of an unsigned graph, n <= 16.
-
-    Computed along the stabilizer chain of the base (0, 1, ..., n-1): the
-    group order is the product over v of the size of the orbit of v under
-    the pointwise stabilizer G of marks = (0, ..., v-1).  The orbit lies in
-    the refined cell of v.  A union-find over the vertices joins the images
-    under automorphisms known to lie in G: the automorphisms found by the
-    marked canonical searches of this level (each fixes marks and its own
-    marked vertex) and, for each w whose marked form equals v's, the witness
-    mapping v's marked canonical order onto w's, which sends v to w.  A
-    candidate w gets a marked search of its own only while its class is not
-    yet known to be inside or outside v's orbit.  Every join comes from an
-    automorphism in G and every "outside" from unequal canonical forms, so
-    the count is exact however few automorphisms the searches return.
-    """
+    """Order of the automorphism group of an unsigned graph, n <= 16, read
+    off one canonical search of its all-positive signing."""
     if g.n > AUT_COUNT_MAX_N:
         raise SizeExceeded(f"automorphism_count limited to n <= {AUT_COUNT_MAX_N}")
-    sg = all_positive(g)
-    total = 1
-    marks: tuple[int, ...] = ()
-    for v in range(g.n):
-        cells = _refine(sg.pos, sg.neg, _initial_cells(sg, marks))
-        cell_of_v = next(c for c in cells if v in c)
-        if len(cell_of_v) > 1:
-            parent = list(range(g.n))
-            ref, ref_order, gens = _canonical_search(sg, marks + (v,))
-            for p in gens:
-                _join(parent, p)
-            outside: list[int] = []
-            for w in cell_of_v:
-                rw = _find(parent, w)
-                if rw == _find(parent, v) or any(_find(parent, x) == rw for x in outside):
-                    continue
-                enc, order, gens = _canonical_search(sg, marks + (w,))
-                for p in gens:
-                    _join(parent, p)
-                if enc == ref:
-                    _join(parent, _witness(ref_order, order))
-                else:
-                    outside.append(w)
-            rv = _find(parent, v)
-            total *= sum(1 for w in cell_of_v if _find(parent, w) == rv)
-        marks = marks + (v,)
-    return total
+    return _canonical_search(all_positive(g))[3]

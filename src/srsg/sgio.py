@@ -19,12 +19,13 @@ from .errors import (
     BadHeader,
     BadSign,
     CountMismatch,
-    DuplicateEdge,
     MalformedHeader,
     ParseError,
+    SignedGraphError,
     SizeExceeded,
     TrailingBits,
     TruncatedPayload,
+    location,
 )
 
 _G6_MAX_N = 62
@@ -124,11 +125,12 @@ def _strip_comment(line: str) -> str:
 
 
 def parse_sg(text: str, filename: str | None = None) -> SignedGraph:
-    """Parse the .sg text format; errors carry line numbers."""
+    """Parse the .sg text format; every fault names the file and line.
+    Faults `from_signed_edges` finds are reported at the edge's line."""
     header = None
     header_line = 0
     edges: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = _strip_comment(raw).strip()
         if not s:
@@ -162,11 +164,8 @@ def parse_sg(text: str, filename: str | None = None) -> SignedGraph:
             sign = -1
         else:
             raise BadSign(f"sign token {parts[2]!r}, expected '+' or '-'", lineno, filename)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdge(f"duplicate edge ({u}, {v}) at line {lineno}")
-        seen.add(key)
         edges.append((u, v, sign))
+        edge_lines.append(lineno)
     if header is None:
         raise BadHeader("missing 'sg <n> <m>' header", None, filename)
     n, m = header
@@ -174,7 +173,17 @@ def parse_sg(text: str, filename: str | None = None) -> SignedGraph:
         raise CountMismatch(
             f"header declares {m} edges but {len(edges)} edge lines found", header_line, filename
         )
-    return from_signed_edges(n, edges)
+    at = header_line
+
+    def located():
+        nonlocal at
+        for at, e in zip(edge_lines, edges):
+            yield e
+
+    try:
+        return from_signed_edges(n, located())
+    except SignedGraphError as exc:
+        raise type(exc)(location(at, filename) + str(exc)) from None
 
 
 def parse_sg_file(path: str) -> SignedGraph:

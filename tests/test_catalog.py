@@ -3,10 +3,11 @@ import os
 import pytest
 
 from conftest import FIXTURES
+from srsg import catalog
 from srsg.catalog import CatalogEntry, build, build_underlying, list_names, underlying_names
 from srsg.core import components, negation, negative_subgraph, positive_subgraph
-from srsg.errors import UnknownName
-from srsg.iso import are_isomorphic, canonical_form
+from srsg.errors import ConstructionInvalid, UnknownName
+from srsg.iso import _encode, are_isomorphic, canonical_form
 from srsg.params import negation_dual
 from srsg.regularity import (
     SrsgClass,
@@ -62,6 +63,19 @@ def test_every_entry_self_validates():
 
 def test_build_caches():
     assert build("S2_8") is build("S2_8")
+
+
+def test_search_entry_pin_must_be_a_fixed_point(monkeypatch):
+    # S1_9 encoded with vertices 0 and 1 swapped decodes to an isomorphic
+    # graph, but that encoding is not its own canonical form
+    g = build("S1_9").graph
+    pin = _encode(g, [1, 0] + list(range(2, g.n))).hex()
+    assert pin != canonical_form(g).hex()
+    builder, tup, rho, provenance, _ = catalog._ENTRIES["S1_9"]
+    monkeypatch.setitem(catalog._ENTRIES, "S1_9", (builder, tup, rho, provenance, pin))
+    monkeypatch.setattr(catalog, "_cache", {})
+    with pytest.raises(ConstructionInvalid):
+        build("S1_9")
 
 
 def test_unknown_name():

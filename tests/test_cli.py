@@ -122,6 +122,25 @@ def test_check_cli_non_ascii_sg(tmp_path, capsys):
         assert str(bad) in obj["message"] and "line 2" in obj["message"]
 
 
+@pytest.mark.parametrize(
+    "text,error,line",
+    [
+        ("sg 3 2\n0 1 +\n1 0 -\n", "DuplicateEdge", 3),
+        ("sg 3 1\n0 5 +\n", "VertexOutOfRange", 2),
+        ("sg 3 1\n1 1 +\n", "SelfLoop", 2),
+        ("sg 100 0\n", "SizeExceeded", 1),
+    ],
+)
+def test_check_cli_sg_data_errors_name_file_and_line(tmp_path, capsys, text, error, line):
+    bad = tmp_path / "bad.sg"
+    bad.write_text(text)
+    rc, _, err = run(capsys, ["check", str(bad)])
+    assert rc == 1 and "Traceback" not in err
+    obj = json.loads(err.splitlines()[-1])["error"]
+    assert obj["type"] == error
+    assert obj["message"].startswith(f"{bad}:line {line}: ")
+
+
 def test_search_cli_malformed_params(capsys, fixtures_dir):
     g8 = os.path.join(fixtures_dir, "targets", "g8.g6")
     rc, _, err = run(capsys, ["search", "--underlying", g8, "--rho", "2", "--params", "8,6,x,1,2"])

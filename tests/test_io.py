@@ -16,8 +16,11 @@ from srsg.errors import (
     CountMismatch,
     DuplicateEdge,
     MalformedHeader,
+    SelfLoop,
+    SizeExceeded,
     TrailingBits,
     TruncatedPayload,
+    VertexOutOfRange,
 )
 from srsg.iso import are_isomorphic
 from srsg.sgio import (
@@ -107,12 +110,21 @@ def test_sg_errors_carry_line_numbers():
         parse_sg("sg 8 24\n" + "\n".join(f"0 {v} +" for v in range(1, 24)))
     with pytest.raises(CountMismatch):
         parse_sg("sg 2 1\n0 1 +\n1 0 -\n")
-    with pytest.raises(DuplicateEdge):
-        parse_sg("sg 3 2\n0 1 +\n1 0 -\n")
     with pytest.raises(BadEdgeLine):
         parse_sg("sg 2 1\nx 1 +\n")
     with pytest.raises(BadHeader):
         parse_sg("# only comments\n")
+
+    # faults in the edge data and the header's size name the file and line
+    for text, error, line in (
+        ("sg 3 2\n0 1 +\n1 0 -\n", DuplicateEdge, 3),
+        ("sg 3 1\n# note\n0 5 +\n", VertexOutOfRange, 3),
+        ("sg 3 2\n0 1 +\n1 1 +\n", SelfLoop, 3),
+        ("# n too large\nsg 100 0\n", SizeExceeded, 2),
+    ):
+        with pytest.raises(error) as ei:
+            parse_sg(text, "f.sg")
+        assert str(ei.value).startswith(f"f.sg:line {line}: ")
 
 
 def test_export_dot():

@@ -171,6 +171,21 @@ FORMULA_CASES = [
 ]
 
 
+def relabel(u, seed):
+    perm = list(range(u.n))
+    random.Random(seed).shuffle(perm)
+    return ugraph_from_edges(u.n, [(perm[a], perm[b]) for a, b in u.edges()])
+
+
+# the labelling picks the first path the count is read from, so every case
+# is also counted under a few relabellings
+FORMULA_CASES += [
+    (f"{name}~{seed}", relabel(u, seed), order)
+    for name, u, order in list(FORMULA_CASES)
+    for seed in (1, 2, 3)
+]
+
+
 @pytest.mark.parametrize("name,u,order", FORMULA_CASES, ids=[c[0] for c in FORMULA_CASES])
 def test_automorphism_count_closed_formulas(name, u, order):
     assert automorphism_count(u) == order
@@ -194,21 +209,46 @@ def test_automorphism_count_matches_vf2():
         assert automorphism_count(u) == sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
 
 
-def test_search_generators_are_marked_automorphisms():
-    rng = random.Random(3)
+def test_search_generators_are_automorphisms():
     graphs = [build(name).graph for name in list_names()]
     graphs += [all_positive(kmm(4)), all_positive(rook(3)), all_positive(cube(3))]
     graphs.append(from_signed_edges(8, [(i, 4 + j, 1 if i != j else -1) for i in range(4) for j in range(4)]))
     found = 0
     for g in graphs:
-        for marks in ((), (0,), (0, 1), tuple(rng.sample(range(g.n), 2))):
-            _, _, gens = _canonical_search(g, marks)
-            found += len(gens)
-            for p in gens:
-                assert sorted(p) == list(range(g.n))
-                assert all(p[x] == x for x in marks)
-                assert all(g.sign(p[u], p[v]) == s for u, v, s in g.edges())
+        _, _, gens, _ = _canonical_search(g)
+        found += len(gens)
+        for p in gens:
+            assert sorted(p) == list(range(g.n))
+            assert all(g.sign(p[u], p[v]) == s for u, v, s in g.edges())
     assert found > 0
+
+
+def brute_signed_group_order(g):
+    return sum(
+        1 for perm in permutations(range(g.n))
+        if all(g.sign(perm[u], perm[v]) == s for u, v, s in g.edges())
+    )
+
+
+def small_signed_graphs():
+    """Signed graphs with n <= 7, symmetric ones first, then seeded random."""
+    yield from_signed_edges(7, [])
+    yield from_signed_edges(7, [(u, v, 1) for u in range(7) for v in range(u + 1, 7)])
+    yield from_signed_edges(6, [(i, (i + 1) % 6, (-1) ** i) for i in range(6)])
+    yield from_signed_edges(6, [(i, 3 + j, -1 if i == j else 1) for i in range(3) for j in range(3)])
+    yield from_signed_edges(4, [(u, v, -1 if (u, v) in ((0, 1), (2, 3)) else 1)
+                                for u in range(4) for v in range(u + 1, 4)])
+    yield from_signed_edges(7, [(i, (i + d) % 7, 1 if d == 1 else -1) for i in range(7) for d in (1, 2)])
+    rng = random.Random(11)
+    for _ in range(24):
+        n = rng.randint(3, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        yield from_signed_edges(n, [(u, v, rng.choice((1, -1))) for u, v in pairs])
+
+
+def test_search_group_order_matches_brute_force_signed():
+    for g in small_signed_graphs():
+        assert _canonical_search(g)[3] == brute_signed_group_order(g)
 
 
 def test_automorphism_count_size_cap():
@@ -232,12 +272,12 @@ real = iso._canonical_search
 calls = []
 
 
-def wrong_second_order(x, marks=()):
-    enc, order, gens = real(x, marks)
+def wrong_second_order(x):
+    enc, order, gens, group_order = real(x)
     calls.append(x)
     if len(calls) == 2:
         order = order[1:] + order[:1]
-    return enc, order, gens
+    return enc, order, gens, group_order
 
 
 iso._canonical_search = wrong_second_order
