@@ -225,7 +225,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("search", help="search signings of graph6 underlying graphs")
     p.add_argument("--underlying", nargs="+", required=True, metavar="FILE.g6")
     p.add_argument("--rho", type=int, required=True)
-    p.add_argument("--params", nargs="*", default=None, metavar="n,r,a,b,c")
+    p.add_argument(
+        "--params",
+        nargs="*",
+        default=None,
+        metavar="n,r,a,b,c",
+        help="keep only hits with one of these parameter sets; '?', '*' or None "
+        "as a, b or c means that entry class is vacuous (no pair of that kind), "
+        "not any value",
+    )
     p.add_argument("--dedupe", choices=DEDUPE_MODES, default="iso")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--budget", type=_int_at_least(0), default=None)

@@ -7,11 +7,16 @@ iff they are isomorphic (sign-preservingly), and the byte strings are
 totally ordered.
 
 The canonical order is found by backtracking over individualizations with
-equitable refinement on (positive, negative) neighbour counts.  A leaf with
-the first or the best leaf's encoding gives an automorphism; every distinct
-one is kept, with no cap.  Each search node keeps one union-find over the
-vertices and folds in the automorphisms found since its previous sibling
-that fix its prefix pointwise; a sibling joined to an explored one is skipped.
+equitable refinement on (positive, negative) neighbour counts.  Each round
+of refinement counts only into the cells that split in the round before,
+leaving out the last piece of each, and a child counts first into the one
+vertex it individualised; `_refine` says why the ordered partition is the
+one full recounting would give.  A leaf with the first or the best leaf's
+encoding gives an automorphism; every distinct one is kept, with no cap,
+along with the bitmask of the points it fixes.  Each search node keeps one
+union-find over its target cell and folds in the automorphisms found since
+its previous sibling that fix its prefix pointwise, a test of that bitmask
+against the prefix's; a sibling joined to an explored one is skipped.
 
 The canonical result is exact however many automorphisms are found.  A
 skipped subtree is the image, under an automorphism fixing the prefix, of an
@@ -37,10 +42,7 @@ joined to an explored sibling.
 from __future__ import annotations
 
 from .core import SignedGraph, UGraph, _triangle_profiles, all_positive
-from .errors import SizeExceeded
 from .regularity import extract_params
-
-AUT_COUNT_MAX_N = 16
 
 
 def _vertex_invariants(g: SignedGraph) -> list[tuple]:
@@ -54,24 +56,42 @@ def fingerprint(g: SignedGraph) -> tuple:
     return (g.n, tuple(sorted(_vertex_invariants(g))))
 
 
-def _refine(pos, neg, cells):
+def _refine(pos, neg, cells, fresh):
     """Equitable refinement of an ordered partition.
 
-    Cells are split by the vector of (positive, negative) neighbour counts
-    into every current cell; subcells are ordered by key, which keeps the
-    procedure equivariant under relabelling.
+    Each round splits every cell by the vector of (positive, negative)
+    neighbour counts into the cells whose indices `fresh` lists, in index
+    order; subcells are ordered by key, which keeps the procedure
+    equivariant under relabelling.  When a cell splits, each piece but the
+    last in key order goes into the next round's `fresh`, and refinement
+    ends when a round splits nothing.  The root passes every cell; a child
+    passes the singleton it individualised out of an equitable partition.
+
+    The ordered partition is the one that counting into every cell every
+    round would give.  The root's first round leaves nothing out.  At the
+    start of any other round every cell has constant counts into each cell
+    of the previous partition: the previous round's, or for a child's first
+    round its parent's equitable partition, whose target cell has split
+    into the singleton and the rest.  So a count into an unsplit cell is
+    constant on every cell, and a count into the last piece of a split
+    cell C is the count into C, a constant, minus the counts into C's
+    earlier pieces: the counts left out are functions of the ones kept,
+    and the grouping is the same.  The order is the same as well: where
+    two full keys first differ is never a count left out, since an unsplit
+    cell's count never differs and a difference at C's last piece implies
+    one at an earlier piece of C, which comes first.  Leaving out the
+    largest piece instead (Hopcroft's rule) keeps the grouping but can
+    reverse the order.
     """
-    cells = [list(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
+    while fresh:
         masks = []
-        for c in cells:
+        for i in fresh:
             m = 0
-            for v in c:
+            for v in cells[i]:
                 m |= 1 << v
             masks.append(m)
         new_cells = []
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -85,9 +105,10 @@ def _refine(pos, neg, cells):
             if len(keyed) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
                 for key in sorted(keyed):
+                    fresh.append(len(new_cells))
                     new_cells.append(keyed[key])
+                fresh.pop()  # the last piece
         cells = new_cells
     return cells
 
@@ -147,10 +168,11 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _join(parent: list[int], p) -> None:
-    """Merge the union-find classes of x and p[x] for every vertex x."""
-    for x, y in enumerate(p):
-        rx, ry = _find(parent, x), _find(parent, y)
+def _join(parent: list[int], p, cell) -> None:
+    """Merge the union-find classes of x and p[x] for every vertex x of
+    cell, which p maps onto itself."""
+    for x in cell:
+        rx, ry = _find(parent, x), _find(parent, p[x])
         if rx != ry:
             parent[rx] = ry
 
@@ -170,9 +192,10 @@ def _canonical_search(g: SignedGraph):
     first_order: list[int] | None = None
     group_order = 1
     gens: list[tuple[int, ...]] = []
+    fixed: list[int] = []  # fixed[k]: bitmask of the points gens[k] fixes
     seen = {tuple(range(n))}
 
-    def rec(cells, prefix):
+    def rec(cells, pmask):
         nonlocal best_enc, best_order, first_enc, first_order, group_order
         target = -1
         for idx, cell in enumerate(cells):
@@ -192,20 +215,22 @@ def _canonical_search(g: SignedGraph):
                     if tphi not in seen:
                         seen.add(tphi)
                         gens.append(tphi)
+                        fixed.append(sum(1 << x for x in range(n) if tphi[x] == x))
             return
         on_first_path = first_enc is None
         cell = cells[target]
         explored: list[int] = []
-        # orbits of the automorphisms found so far that fix the prefix,
-        # folded in as they are found
+        # orbits on the cell of the automorphisms found so far that fix the
+        # prefix (pmask), folded in as they are found; each maps the cell
+        # onto itself, since `_refine` is invariant
         parent = list(range(n))
         folded = 0
 
         def fold() -> None:
             nonlocal folded
-            for p in gens[folded:]:
-                if all(p[x] == x for x in prefix):
-                    _join(parent, p)
+            for k in range(folded, len(gens)):
+                if pmask & ~fixed[k] == 0:
+                    _join(parent, gens[k], cell)
             folded = len(gens)
 
         for v in cell:
@@ -221,14 +246,15 @@ def _canonical_search(g: SignedGraph):
                 + [[v], [w for w in cell if w != v]]
                 + cells[target + 1 :]
             )
-            rec(_refine(pos, neg, child), prefix + (v,))
+            rec(_refine(pos, neg, child, (target,)), pmask | 1 << v)
         if on_first_path:
             # the class of the first child is its orbit (module docstring)
             fold()
             rv = _find(parent, cell[0])
             group_order *= sum(1 for w in cell if _find(parent, w) == rv)
 
-    rec(_refine(pos, neg, _initial_cells(g)), ())
+    cells = _initial_cells(g)
+    rec(_refine(pos, neg, cells, range(len(cells))), 0)
     assert best_enc is not None and best_order is not None
     return best_enc, best_order, gens, group_order
 
@@ -274,8 +300,6 @@ def are_isomorphic(g: SignedGraph, h: SignedGraph):
 
 
 def automorphism_count(g: UGraph) -> int:
-    """Order of the automorphism group of an unsigned graph, n <= 16, read
-    off one canonical search of its all-positive signing."""
-    if g.n > AUT_COUNT_MAX_N:
-        raise SizeExceeded(f"automorphism_count limited to n <= {AUT_COUNT_MAX_N}")
+    """Order of the automorphism group of an unsigned graph, read off one
+    canonical search of its all-positive signing."""
     return _canonical_search(all_positive(g))[3]

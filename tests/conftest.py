@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 from hypothesis import strategies as st
@@ -94,3 +95,10 @@ def petersen():
         [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
     )
+
+
+def relabel(u, seed):
+    """u with its vertices permuted by a seeded shuffle."""
+    perm = list(range(u.n))
+    random.Random(seed).shuffle(perm)
+    return ugraph_from_edges(u.n, [(perm[a], perm[b]) for a, b in u.edges()])

@@ -9,7 +9,7 @@ checkout, run `pin_digests()` with that checkout's `src` on the path.
 import hashlib
 import os
 
-from conftest import FIXTURES, kmm, rook
+from conftest import FIXTURES, kmm, relabel, rook
 from srsg.catalog import build, list_names
 from srsg.core import all_positive, negation
 from srsg.iso import canonical_labeling
@@ -27,10 +27,12 @@ def pin_inputs():
         g = build(name).graph
         yield name, g
         yield "-" + name, negation(g)
-    for m in range(2, 11):
+    for m in range(2, 13):
         yield f"K{m},{m}", all_positive(kmm(m))
-    for m in range(3, 7):
+    for m in range(3, 8):
         yield f"rook{m}", all_positive(rook(m))
+    for seed in (1, 2, 3):
+        yield f"rook6~{seed}", all_positive(relabel(rook(6), seed))
     for name in TARGETS:
         (u,) = read_graph6_file(os.path.join(FIXTURES, "targets", name + ".g6"))
         yield name, all_positive(u)
@@ -79,10 +81,16 @@ PINS = {
     "K8,8": "2f5157572cb0f98c7f31185855fd5d43afba7d0cafde90ba4cbadf61be28c580",
     "K9,9": "2fcaeb326654eaf2fdd99b53e51aa0de5db550ba0a786be48f3abe75f09c376e",
     "K10,10": "7670fb8ff47cda5b2b2a86d22ab26a3bda09edb673e3eaa9e2ba394222cc374b",
+    "K11,11": "63503732dd25b11107ae784b603bcaf279aea48753ff58e775afb1656d71ebc9",
+    "K12,12": "2bc56ab656694b0d629e2c5ea8d2ef52fd564a67974f9d2b1fbb14f7ac8e9db0",
     "rook3": "542678f3f998d6fa218461115be3edff9f736efb3451a8bf8598824a5474dd1d",
     "rook4": "4ae98b1015c25dc3cfc184f0746f4ac42a7307d1b483fff0ed3c450f57faae8e",
     "rook5": "991f3781e9e96afaafce68c2edee2889d8ca3cecb6b9ef8472d8758061a58e37",
     "rook6": "0d63675e5cfb8b4b3cdc31578ca8aaf5ef820a4173e07ca1aff580e3385292d3",
+    "rook7": "379b5b5b1d15ffacddd38cf51cb1200af9660b71744f6e7545eaa863e2eb7620",
+    "rook6~1": "e4d9f4c5f6ded6a66597b11ec3fc3d2bfb3d951e80de50da533948c82a622d39",
+    "rook6~2": "c41304b89ced49efca5b86093d59e1e6c4ea26a0cf5d34738daf4f622d06f59b",
+    "rook6~3": "93fd00432211be85a5550c9b77814865fd8c5ff5a74096258fe8f9cc7972867c",
     "g8": "19bf0312b10c38281c4a7efccef02358e6daee4313a21e4843603263d2d71743",
     "g9": "c4cc762af26b0261ed6b3c0c5d7b47a536c6b38b6492b8c9f3f21a0b1f1344f4",
     "gq22": "231c3451daad25ea20366e6e539b84ac5ee12e3954b2aee01c6c124575e4c106",

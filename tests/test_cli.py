@@ -66,6 +66,17 @@ def test_params_cli_vacuous_is_data_error(capsys):
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "VacuousQuery"
 
 
+def test_search_cli_params_question_mark_is_vacuous(capsys, fixtures_dir):
+    # '?' asks for an empty entry class, not for any value: the all-positive
+    # GQ(2,2) has no negative edge, so b is vacuous and 0 is no match
+    gq22 = os.path.join(fixtures_dir, "targets", "gq22.g6")
+    for spec, hits in (("15,6,1,?,3", 1), ("15,6,1,0,3", 0)):
+        rc, out, _ = run(capsys, ["search", "--underlying", gq22, "--rho", "6", "--params", spec])
+        rep = json.loads(out)
+        assert rc == 0 and rep["exhaustive"] is True
+        assert rep["hit_count"] == hits
+
+
 def test_search_cli(capsys, fixtures_dir):
     g8 = os.path.join(fixtures_dir, "targets", "g8.g6")
     rc, out, _ = run(capsys, ["search", "--underlying", g8, "--rho", "0"])

@@ -8,12 +8,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
-from conftest import cube, kmm, petersen, rook, signed_graphs
+from conftest import cube, kmm, petersen, relabel, rook, signed_graphs
 from srsg.catalog import build, build_underlying, list_names
 from srsg.core import all_positive, from_signed_edges, negation, ugraph_from_edges
-from srsg.errors import SizeExceeded
 from srsg.iso import (
     _canonical_search,
+    _initial_cells,
+    _refine,
     are_isomorphic,
     automorphism_count,
     canonical_form,
@@ -168,13 +169,10 @@ FORMULA_CASES = [
     ("C4+C8", cycles(4, 8), 8 * 16),
     ("C4+C4+C6", cycles(4, 4, 6), 2 * 8 * 8 * 12),
     ("C5+C10", cycles(5, 10), 10 * 20),
+    *(("K%d,%d" % (m, m), kmm(m), 2 * factorial(m) ** 2) for m in range(9, 17)),
+    *(("rook%d" % m, rook(m), 2 * factorial(m) ** 2) for m in range(5, 8)),
+    *(("C%d" % n, cycles(n), 2 * n) for n in range(17, 65)),
 ]
-
-
-def relabel(u, seed):
-    perm = list(range(u.n))
-    random.Random(seed).shuffle(perm)
-    return ugraph_from_edges(u.n, [(perm[a], perm[b]) for a, b in u.edges()])
 
 
 # the labelling picks the first path the count is read from, so every case
@@ -251,10 +249,87 @@ def test_search_group_order_matches_brute_force_signed():
         assert _canonical_search(g)[3] == brute_signed_group_order(g)
 
 
-def test_automorphism_count_size_cap():
-    big = ugraph_from_edges(17, [(u, u + 1) for u in range(16)])
-    with pytest.raises(SizeExceeded):
-        automorphism_count(big)
+def test_automorphism_count_path17():
+    assert automorphism_count(ugraph_from_edges(17, [(u, u + 1) for u in range(16)])) == 2
+
+
+def full_refine(pos, neg, cells):
+    """Oracle: equitable refinement counting into every cell every round."""
+    cells = [list(c) for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        masks = []
+        for c in cells:
+            m = 0
+            for v in c:
+                m |= 1 << v
+            masks.append(m)
+        new_cells = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            keyed = {}
+            for v in cell:
+                key = tuple(
+                    ((pos[v] & m).bit_count(), (neg[v] & m).bit_count()) for m in masks
+                )
+                keyed.setdefault(key, []).append(v)
+            if len(keyed) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for key in sorted(keyed):
+                    new_cells.append(keyed[key])
+        cells = new_cells
+    return cells
+
+
+def refine_inputs():
+    """Seeded random signed graphs with n <= 24, sparse to dense, then
+    symmetric hosts whose equitable partitions keep large cells."""
+    rng = random.Random(5)
+    for _ in range(120):
+        n = rng.randint(2, 24)
+        p = rng.choice((0.15, 0.3, 0.5, 0.8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        yield from_signed_edges(n, [(u, v, rng.choice((1, -1, 1))) for u, v in pairs])
+    for u in (kmm(5), rook(4), cube(4), petersen(), cycles(4, 4, 6), cycles(5, 10)):
+        yield all_positive(u)
+    for name in list_names():
+        yield build(name).graph
+
+
+def test_refine_matches_full_recompute_from_any_partition():
+    # (a) every cell fresh, from random ordered partitions
+    rng = random.Random(6)
+    for g in refine_inputs():
+        for _ in range(3):
+            labels = [rng.randrange(1 + g.n // 3) for _ in range(g.n)]
+            cells = [[v for v in range(g.n) if labels[v] == k] for k in sorted(set(labels))]
+            rng.shuffle(cells)
+            assert _refine(g.pos, g.neg, cells, range(len(cells))) == full_refine(g.pos, g.neg, cells)
+
+
+def test_refine_matches_full_recompute_after_individualising():
+    # (b) every child of an equitable partition, with only the new
+    # singleton fresh; the partitions are the root's and its children's
+    children = 0
+    for g in refine_inputs():
+        root = full_refine(g.pos, g.neg, _initial_cells(g))
+        todo = [(root, 0)]
+        while todo:
+            cells, depth = todo.pop()
+            for target, cell in enumerate(cells):
+                for v in cell if len(cell) > 1 else ():
+                    child = cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1 :]
+                    got = _refine(g.pos, g.neg, child, (target,))
+                    assert got == full_refine(g.pos, g.neg, child)
+                    children += 1
+                    if depth == 0:
+                        todo.append((got, 1))
+    assert children > 2000
 
 
 _OPTIMISED_CHECKS = """
