@@ -4,11 +4,13 @@
 The sweep is the six host-set searches the benchmark's sweep workloads
 run: the 21 order-10 fixture hosts at rho = 0, 2, 4, the 4 order-9 hosts at
 rho = 0, 2, and K8,8 at rho = 4.  Each search runs the DFS alone, in one
-process (jobs = 1), with the pair pruning `search_srsg` uses when no
-parameter filter is given, and consumes every leaf.  For each search one
-JSON line is printed with the host set, rho, the DFS counters summed over
-its hosts (nodes, leaves, pruned_degree, pruned_pair), the median seconds
-over the repeats and the nodes per second at that median.
+process (jobs = 1), on the tree `search_srsg` walks under its default
+dedupe "iso": the pair pruning it uses when no parameter filter is given,
+and one block choice per set of twin swaps (twins=True).  It consumes every
+leaf.  For each search one JSON line is printed with the host set, rho, the
+DFS counters summed over its hosts (nodes, leaves, pruned_degree,
+pruned_pair), the median seconds over the repeats and the nodes per second
+at that median.
 
     python3 scripts/dfs_ladder.py [--repeat N]
 """
@@ -53,7 +55,7 @@ def main() -> int:
             t0 = time.perf_counter()
             for u in hosts[name]:
                 k = negative_degree(u.degree(0), rho)
-                for _leaf in _search_raw(u.nbr, u.n, k, "learn", None, counters):
+                for _leaf in _search_raw(u.nbr, u.n, k, "learn", None, counters, twins=True):
                     pass
             times.append(time.perf_counter() - t0)
         seconds = statistics.median(times)

@@ -234,9 +234,27 @@ def main(argv=None) -> int:
         "as a, b or c means that entry class is vacuous (no pair of that kind), "
         "not any value",
     )
-    p.add_argument("--dedupe", choices=DEDUPE_MODES, default="iso")
+    p.add_argument(
+        "--dedupe",
+        choices=DEDUPE_MODES,
+        default="iso",
+        help="none keeps every signing and is the only mode that walks every "
+        "signing; iso keeps one hit per isomorphism class; iso-neg also drops "
+        "a class whose negation is a class of the same host with a smaller "
+        "canonical form. The iso modes walk the twin-reduced tree (one block "
+        "choice per set of interchangeable vertices), so their nodes, leaves "
+        "and raw_hits count that tree",
+    )
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p.add_argument("--budget", type=_int_at_least(0), default=None)
+    p.add_argument(
+        "--budget",
+        type=_int_at_least(0),
+        default=None,
+        metavar="N",
+        help="stop each host's search after N nodes and report it as not "
+        "exhaustive; under the iso modes the nodes are those of the "
+        "twin-reduced tree",
+    )
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("catalog", help="list or emit built-in catalog entries")

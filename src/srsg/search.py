@@ -29,6 +29,35 @@ when the nodes of the split and of all tasks together exceed it, the
 report is that of the single DFS stopped at node budget + 1, exactly as at
 jobs = 1.  So a report is exhaustive exactly when the whole tree has at
 most node_budget nodes, whatever the worker count.
+
+Under the iso modes the DFS walks a smaller tree, one block choice per set
+of choices that a swap of interchangeable vertices maps onto each other.
+Host vertices x != w are twins when their host rows are equal once each
+ignores the other (the sides of K_{m,m}, the parts of K3,3,3).  At block u,
+two later twins whose negative edges to the decided vertices 0..u-1 are the
+same lie in one cell, and within each cell the choice must be a prefix: the
+first i vertices negative, the rest positive (the cell rule of Crawford,
+Ginsberg, Luks & Roy 1996, "Symmetry-breaking predicates for search
+problems").  This is exact for a search that keeps one signing per class:
+
+- the swap of two cell-mates is a host automorphism that fixes every
+  decided edge;
+- the leaves accepted below a node are exactly the completions of its
+  state whose negative subgraph is k-regular and whose squared-matrix
+  entries are constant on each entry class (and equal to the entries
+  learned so far, or admitted by the filter); an automorphism that fixes
+  the state keeps all of that, so the swap maps the accepted leaves below a
+  choice S one to one onto those below swap(S), each to an isomorphic
+  signing;
+- every orbit of the cell permutations on block choices holds exactly one
+  prefix-form choice, so by induction from the leaves the reduced tree
+  finds a signing of every class the full tree finds;
+- the rule only removes children, so the reduced tree's leaves are a
+  subsequence of the full tree's, in the same order.
+
+Under dedupe "none" every signing is kept, so the full tree is walked.  The
+counters (nodes, leaves, raw hits, prunes) and the node budget count the
+tree that was walked.
 """
 
 from __future__ import annotations
@@ -77,9 +106,11 @@ class SearchConfig:
     class, "iso-neg" also drops a class whose negation is a class the same
     host has, with the smaller canonical form.  Every hit is a signing found
     at net degree rho; negation flips it to -rho, so iso-neg differs from
-    iso only at rho = 0.
-    node_budget caps search-tree nodes; on overrun the report is flagged
-    non-exhaustive instead of raising.
+    iso only at rho = 0.  Only "none" walks every signing; the iso modes walk
+    the twin-reduced tree (see the module docstring), and the report's
+    counters count the tree walked.
+    node_budget caps the nodes of that tree; on overrun the report is
+    flagged non-exhaustive instead of raising.
     jobs: worker processes.
     """
 
@@ -122,7 +153,7 @@ class _BudgetStop(Exception):
     pass
 
 
-def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), stop_depth=None):
+def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), stop_depth=None, twins=False):
     """Block DFS over signings whose negative subgraph is k-regular.
 
     A generator: yields each leaf lazily, in DFS order, as (pos_rows,
@@ -139,6 +170,17 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
     prefix: block choices replayed before the DFS starts (parallel tasks).
     stop_depth: yield each extendable prefix (the block choices of blocks
     below stop_depth) instead of recursing past it.
+
+    twins: try one block choice per orbit of twin swaps (see the module
+    docstring).  The twin class tid[w] of a vertex is computed once.  At
+    block u the later neighbours avail[u] fall into cells keyed by
+    (tid[w], negm[w]); for w > u, negm[w] holds exactly w's negative edges
+    to 0..u-1, so with equal host rows, equal keys mean equal signed rows
+    towards every decided vertex.  A choice S is accepted only when S meets
+    each cell in a prefix of the cell in avail order; a rejected choice is
+    not a node and is not counted.  Only blocks whose avail holds two
+    vertices of one twin class look at cells at all.  Off, the full tree is
+    walked and every signing is yielded.
 
     The state is the negative rows alone.  A block choice S for vertex u
     sets bit u in negm[w] and bumps negc[w] for w in S only, sets the mask
@@ -165,6 +207,13 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
         [(t, nbr[t] & nbr[u], (nbr[t] & nbr[u]).bit_count(), 0 if (nbr[u] >> t) & 1 else 2) for t in range(u)]
         for u in range(n)
     ]
+    # tid[w]: the least vertex whose host row equals w's once each ignores
+    # the other; an equivalence, as open and closed twins never mix
+    tid = list(range(n))
+    if twins:
+        for w in range(n):
+            tid[w] = next((tid[x] for x in range(w) if nbr[x] & ~bit[w] == nbr[w] & ~bit[x]), w)
+    twin_block = [len({tid[w] for w in av}) < len(av) for av in avail]
     learn: list[int | None] = [None, None, None]
     learning = allowed == "learn"
     filtering = isinstance(allowed, tuple)
@@ -187,6 +236,18 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
                 elif lv != e:
                     return False
         return True
+
+    def cell_mates(u):
+        """(v, w) for each two vertices of avail[u] that are next to each
+        other in one cell: a prefix-form choice holding w holds v."""
+        last = {}
+        mates = []
+        for w in avail[u]:
+            key = (tid[w], negm[w])
+            if key in last:
+                mates.append((last[key], w))
+            last[key] = w
+        return mates
 
     def apply_block(u, S):
         """Record block choice S at u and return the mask of S."""
@@ -214,7 +275,11 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
             return
         floor_u = floors[u]
         ub = 1 << u
-        for S in combinations(av, need):
+        choices = combinations(av, need)
+        mates = cell_mates(u) if twin_block[u] else None
+        if mates:
+            choices = (S for S in choices if not any(w in S and v not in S for v, w in mates))
+        for S in choices:
             counters[_NODES] += 1
             if budget is not None and counters[_NODES] > budget:
                 raise _BudgetStop
@@ -257,9 +322,9 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
 
 def _task_worker(payload):
     """Leaves and counters of the subtree below one task prefix."""
-    nbr, n, k, allowed, budget, prefix = payload
+    nbr, n, k, allowed, budget, prefix, twins = payload
     counters = [0, 0, 0, 0]
-    raw = list(_search_raw(nbr, n, k, allowed, budget, counters, prefix))
+    raw = list(_search_raw(nbr, n, k, allowed, budget, counters, prefix, twins=twins))
     return raw, counters
 
 
@@ -293,7 +358,7 @@ def _allowed_from_filter(compat: list[SrsgParams]):
     )
 
 
-def _split_tasks(nbr, n, k, allowed, jobs, counters):
+def _split_tasks(nbr, n, k, allowed, jobs, counters, twins):
     """Deterministic top-of-tree task prefixes; aims for a few per worker.
 
     Deepens the prefixes one block at a time until there are at least
@@ -303,7 +368,7 @@ def _split_tasks(nbr, n, k, allowed, jobs, counters):
     """
     prefixes: list[tuple] = [()]
     for depth in range(1, n):
-        prefixes = [q for p in prefixes for q in _search_raw(nbr, n, k, allowed, None, counters, p, depth)]
+        prefixes = [q for p in prefixes for q in _search_raw(nbr, n, k, allowed, None, counters, p, depth, twins)]
         if len(prefixes) >= 4 * jobs or not prefixes:
             break
     return prefixes
@@ -378,16 +443,18 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
         allowed = _allowed_from_filter(compat)
 
     n, nbr, budget = g.n, g.nbr, cfg.node_budget
+    # one signing per class suffices under the iso modes: walk the twin-reduced tree
+    twins = cfg.dedupe != "none"
     counters = [0, 0, 0, 0]
-    prefixes = [()] if cfg.jobs <= 1 else _split_tasks(nbr, n, k, allowed, cfg.jobs, counters)
-    tasks = _pool_map(_task_worker, [(nbr, n, k, allowed, budget, p) for p in prefixes], cfg.jobs)
+    prefixes = [()] if cfg.jobs <= 1 else _split_tasks(nbr, n, k, allowed, cfg.jobs, counters, twins)
+    tasks = _pool_map(_task_worker, [(nbr, n, k, allowed, budget, p, twins) for p in prefixes], cfg.jobs)
     raw = [leaf for leaves, _ in tasks for leaf in leaves]
     for _, tcounters in tasks:
         counters = [a + b for a, b in zip(counters, tcounters)]
     if budget is not None and counters[_NODES] > budget and prefixes != [()]:
         # the split search overran the budget: report what the single DFS
         # finds within it, as jobs=1 does
-        raw, counters = _task_worker((nbr, n, k, allowed, budget, ()))
+        raw, counters = _task_worker((nbr, n, k, allowed, budget, (), twins))
     stats.nodes, stats.leaves, stats.pruned_degree, stats.pruned_pair = counters
 
     # leaf verification: recompute parameters exactly and apply the filter,

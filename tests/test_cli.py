@@ -183,7 +183,8 @@ def test_cli_rejects_out_of_range_counts(capsys, fixtures_dir, argv):
 
 
 def test_search_cli_budget_same_output_any_jobs(tmp_path, capsys, fixtures_dir):
-    # order-10 host #5 has a 10,732-node tree at rho=0, within the budget
+    # order-10 host #5 has a 5,666-node twin-reduced tree at rho=0 (10,732
+    # nodes under --dedupe none), within the budget
     host = str(tmp_path / "host5.g6")
     write_graph6_file(host, [read_graph6_file(os.path.join(fixtures_dir, "6reg_order10.g6"))[5]])
     outs = []

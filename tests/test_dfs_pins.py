@@ -5,7 +5,10 @@ nodes, prunes and leaves in the same order, and the same task prefixes for
 the parallel split.  For every host, net-degree and pruning mode one digest
 is pinned: sha256 of the repr of three (counters, items) pairs, namely the
 full search, the search under a node budget of 1,000 and the stop_depth=3
-prefix list.  To regenerate the table from a trusted checkout, run
+prefix list.  The "twins" mode pins the twin-reduced tree the iso modes of
+`search_srsg` walk (pair pruning by learned entries, twins=True), on the
+hosts that have two vertices with equal host rows once each ignores the
+other.  To regenerate the table from a trusted checkout, run
 `pin_digests()` with that checkout's `src` on the path.
 """
 
@@ -39,32 +42,40 @@ def pin_hosts():
     yield "K8,8", kmm(8), (4,)
 
 
+def has_twins(u):
+    """Whether two vertices of u have equal host rows once each ignores the other."""
+    return any(u.nbr[x] & ~(1 << w) == u.nbr[w] & ~(1 << x) for x in range(u.n) for w in range(x))
+
+
 def pin_cases():
-    """(label, nbr, n, k, allowed): "learn" and FILTER everywhere, and
-    degree pruning alone (allowed=None) on hosts with at most 9 vertices."""
+    """(label, nbr, n, k, allowed, twins): "learn" and FILTER everywhere,
+    degree pruning alone (allowed=None) on hosts with at most 9 vertices,
+    and "learn" on the twin-reduced tree on hosts with twins."""
     for name, u, rhos in pin_hosts():
         r = u.degree(0)
-        modes = [("learn", "learn"), ("filter", FILTER)]
+        modes = [("learn", "learn", False), ("filter", FILTER, False)]
         if u.n <= 9:
-            modes.append(("none", None))
+            modes.append(("none", None, False))
+        if has_twins(u):
+            modes.append(("twins", "learn", True))
         for rho in rhos:
-            for mode, allowed in modes:
-                yield f"{name}/rho{rho}/{mode}", u.nbr, u.n, (r - rho) // 2, allowed
+            for mode, allowed, twins in modes:
+                yield f"{name}/rho{rho}/{mode}", u.nbr, u.n, (r - rho) // 2, allowed, twins
 
 
-def _run(nbr, n, k, allowed, budget=None, stop_depth=None):
+def _run(nbr, n, k, allowed, twins, budget=None, stop_depth=None):
     counters = [0, 0, 0, 0]
-    items = list(_search_raw(nbr, n, k, allowed, budget, counters, (), stop_depth))
+    items = list(_search_raw(nbr, n, k, allowed, budget, counters, (), stop_depth, twins))
     return counters, items
 
 
 def pin_digests():
     out = {}
-    for label, nbr, n, k, allowed in pin_cases():
+    for label, nbr, n, k, allowed, twins in pin_cases():
         runs = [
-            _run(nbr, n, k, allowed),
-            _run(nbr, n, k, allowed, budget=BUDGET),
-            _run(nbr, n, k, allowed, stop_depth=STOP_DEPTH),
+            _run(nbr, n, k, allowed, twins),
+            _run(nbr, n, k, allowed, twins, budget=BUDGET),
+            _run(nbr, n, k, allowed, twins, stop_depth=STOP_DEPTH),
         ]
         out[label] = hashlib.sha256(repr(runs).encode()).hexdigest()
     return out
@@ -74,39 +85,51 @@ PINS = {
     "6reg_order8.g6#0/rho0/learn": "b2d4df98f686c177797ee6059a85e955c8fdf0affd7175baccdaf391002b2cf2",
     "6reg_order8.g6#0/rho0/filter": "2485bbe7ab2af4a7ffd2b1e2f2e7eb8ba7e26737a2ace6769c457c9fb61c657c",
     "6reg_order8.g6#0/rho0/none": "07fed66a329e050ef4ba2ca43e660e2f1e051ac643b72b26822c149ce0a3e2f8",
+    "6reg_order8.g6#0/rho0/twins": "aaaa31126e309fff560632edd0df58bd32702a1be0feb4a2011b9d55b7dfd0d5",
     "6reg_order8.g6#0/rho2/learn": "bff9739be467f1219f72abf53bb9d8485f2c59f47d4b5a877203944e3beb61cc",
     "6reg_order8.g6#0/rho2/filter": "7135c718addfb5856e13bfe921ad025ce164bad82fc1d543018f769f8e2e7c55",
     "6reg_order8.g6#0/rho2/none": "29dd0deb7c7c31ecf7e3fd6781ac3e436caae51835f2ef2d94f20e0e2701f5dd",
+    "6reg_order8.g6#0/rho2/twins": "913b6f8525bac09428918a5092dfedee44f1bf0effb4cdc47ca6c3dda5e36be2",
     "6reg_order8.g6#0/rho4/learn": "c3a20011321a49ce3dde4efe80f1a659dc52922a36cc5cc2d8e745966fbf44c3",
     "6reg_order8.g6#0/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
     "6reg_order8.g6#0/rho4/none": "3a7e13af499e92d61ff8dd028528b947628b7f90850f936609672b193d10205a",
+    "6reg_order8.g6#0/rho4/twins": "85f85d6cc1ca82822d793a899142c9515b99e535eedd8b80814ab52600565024",
     "6reg_order9.g6#0/rho0/learn": "8ce11fa81c68f5f65aa8fc384da27e9b595a671190aa96c8eebf1f8d05deae66",
     "6reg_order9.g6#0/rho0/filter": "3f70aa30f39f65c8a8db8b6fb3501aa48dda4b5e0be5828ab10308da3da04335",
     "6reg_order9.g6#0/rho0/none": "d751fbf3ef45b74af20b7b4061866d4a46d054b94f965a6542b91dfa696fdcac",
+    "6reg_order9.g6#0/rho0/twins": "a308a855bd5a949989d20eb793a82973d06df41cc31ccf46d0ac302bedce16cd",
     "6reg_order9.g6#0/rho2/learn": "be705ff74d021d8b3c43e40deca6f4e712eb4021e2a3a558e02a412744411402",
     "6reg_order9.g6#0/rho2/filter": "b2d966cf058b39f056591cbef68206bef6ee42c83556ae2745ceed09a40655b0",
     "6reg_order9.g6#0/rho2/none": "4ae991aedb6b1c1adddb67f09abb8e593bf4a1980e072056eb7a877ad6ef86e1",
+    "6reg_order9.g6#0/rho2/twins": "35a32e1da056f9309d9dcb46ce8b27697fddf7556f7b43161c869006ab82908d",
     "6reg_order9.g6#0/rho4/learn": "dbe4624c6b333b849edcbfd0e209da2d191293c9fc3ffed7e2deebb0dc2177a5",
     "6reg_order9.g6#0/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
     "6reg_order9.g6#0/rho4/none": "56bb06ff692e08cc55d4780ea77243d3f4af7d415bef0f6bc8945237ac615bed",
+    "6reg_order9.g6#0/rho4/twins": "d68a8fb49cedef50e19ded49bb03edeeb9a9e6d3bf87ea638be3368191d9732b",
     "6reg_order9.g6#1/rho0/learn": "7c8f10fee3b6323ffe06b41e08023e3fd58e9b0f01a96dd5dcbdd9f872e3ebd3",
     "6reg_order9.g6#1/rho0/filter": "916fd0686718b3330accc9664de4c15dd8cb463fb374b21da0cf2e4ee7680a2c",
     "6reg_order9.g6#1/rho0/none": "20d9148a360502b6a3a14948c78285e13e10317b3fc3d903e8d656cfe399af98",
+    "6reg_order9.g6#1/rho0/twins": "7c8f10fee3b6323ffe06b41e08023e3fd58e9b0f01a96dd5dcbdd9f872e3ebd3",
     "6reg_order9.g6#1/rho2/learn": "39b310e38adb004f633e0ee0224c4b0a43d2ccad1fc67384abc1e87bc27bca7e",
     "6reg_order9.g6#1/rho2/filter": "b2d966cf058b39f056591cbef68206bef6ee42c83556ae2745ceed09a40655b0",
     "6reg_order9.g6#1/rho2/none": "dcc0cd608f72528378289c7fd174512af87680f53517dc33026e774b3fd20f04",
+    "6reg_order9.g6#1/rho2/twins": "39b310e38adb004f633e0ee0224c4b0a43d2ccad1fc67384abc1e87bc27bca7e",
     "6reg_order9.g6#1/rho4/learn": "cb3e7c7caed701e04720790a6990ab63311e2afb8faf5d756456b7d48c5ce5ca",
     "6reg_order9.g6#1/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
     "6reg_order9.g6#1/rho4/none": "bcece28effb253d311c9524d365f9a044fb19d4483f3a46c199addd48e95d2f3",
+    "6reg_order9.g6#1/rho4/twins": "cb3e7c7caed701e04720790a6990ab63311e2afb8faf5d756456b7d48c5ce5ca",
     "6reg_order9.g6#2/rho0/learn": "8b7c4fe0d8a096bfda7d2978239391cb51e894a1154dc486d1b136e2c4687ea3",
     "6reg_order9.g6#2/rho0/filter": "1a466dfa8220222f3bef84a93c5899c65837ceac019bdb3dbd0ba2840ff7d1d5",
     "6reg_order9.g6#2/rho0/none": "bc2dcd4ea1c7cbf945fc9e62a38cd53669eb2894693dc88e5b53fe03107e8620",
+    "6reg_order9.g6#2/rho0/twins": "8b7c4fe0d8a096bfda7d2978239391cb51e894a1154dc486d1b136e2c4687ea3",
     "6reg_order9.g6#2/rho2/learn": "507f5a9c859d78887263f8a7e1e62188c1708fb5de14ffba7e8bff15ee5d1c4c",
     "6reg_order9.g6#2/rho2/filter": "50908c7cf25ba8c5ebc0e083658704a0ff7ddcda9663bb7d5f5783f21933f747",
     "6reg_order9.g6#2/rho2/none": "c49ff09ddcb945768603b5754b572bf893104d7833acc5f6a36ef4f533115a69",
+    "6reg_order9.g6#2/rho2/twins": "507f5a9c859d78887263f8a7e1e62188c1708fb5de14ffba7e8bff15ee5d1c4c",
     "6reg_order9.g6#2/rho4/learn": "5df1def05196f05ee33d8c5c7cdd4c1b2e8e4a235b1f01429b1436d3e1f0b6cf",
     "6reg_order9.g6#2/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
     "6reg_order9.g6#2/rho4/none": "d4eb5c119f5e79a0307ca293165501eebc58f635dbca875d6667b47581cec9be",
+    "6reg_order9.g6#2/rho4/twins": "5df1def05196f05ee33d8c5c7cdd4c1b2e8e4a235b1f01429b1436d3e1f0b6cf",
     "6reg_order9.g6#3/rho0/learn": "ff6b7644404a62841749727d70c7894e7089158e47499137a83bf5a206bbc545",
     "6reg_order9.g6#3/rho0/filter": "3a750903c2e498917d15143445e3d7984b196f2009e5638f99d4d49bf53fb72f",
     "6reg_order9.g6#3/rho0/none": "3ce0c683a9ea165aa8e4581f8f9ee0444b48723c21d391f497e8d966560e6fcc",
@@ -118,40 +141,58 @@ PINS = {
     "6reg_order9.g6#3/rho4/none": "ddbaa5117a80c76e8a36b920f7a1d4f70b59cf1cb13d18d3055d3f999a91b67a",
     "6reg_order10.g6#0/rho0/learn": "9f002c1eabcfcff782ed11761eaa4f6bf41b7951538389cc56137e0e3772a8c9",
     "6reg_order10.g6#0/rho0/filter": "c78357d1f02b500444c2d81fe7e7bee0ffb5c498f4a0dac2fecdb52294184f91",
+    "6reg_order10.g6#0/rho0/twins": "9f002c1eabcfcff782ed11761eaa4f6bf41b7951538389cc56137e0e3772a8c9",
     "6reg_order10.g6#0/rho2/learn": "54eebfd5fede01d6e575809ad1bb490753c07220640c19bbf0c95d5c0c59ff72",
     "6reg_order10.g6#0/rho2/filter": "4c7947f14e140cbca9286b774c2758a070be8f1811eae530c876398e5449087b",
+    "6reg_order10.g6#0/rho2/twins": "54eebfd5fede01d6e575809ad1bb490753c07220640c19bbf0c95d5c0c59ff72",
     "6reg_order10.g6#0/rho4/learn": "d0c0172d757b98f314c470bc43802d08de72fdf4d8e286860e2bd76c6a9d15c1",
     "6reg_order10.g6#0/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#0/rho4/twins": "d0c0172d757b98f314c470bc43802d08de72fdf4d8e286860e2bd76c6a9d15c1",
     "6reg_order10.g6#1/rho0/learn": "9f002c1eabcfcff782ed11761eaa4f6bf41b7951538389cc56137e0e3772a8c9",
     "6reg_order10.g6#1/rho0/filter": "c78357d1f02b500444c2d81fe7e7bee0ffb5c498f4a0dac2fecdb52294184f91",
+    "6reg_order10.g6#1/rho0/twins": "819386a84e62b694321fb80510091241dd29ca3e64216a946c43aba15e7a90ee",
     "6reg_order10.g6#1/rho2/learn": "54eebfd5fede01d6e575809ad1bb490753c07220640c19bbf0c95d5c0c59ff72",
     "6reg_order10.g6#1/rho2/filter": "4c7947f14e140cbca9286b774c2758a070be8f1811eae530c876398e5449087b",
+    "6reg_order10.g6#1/rho2/twins": "32c55e46436b59e71384f1a4329d6099c2324dc3bd4aae8e99c28afedeaa3f8f",
     "6reg_order10.g6#1/rho4/learn": "5e8dd54ad12d5fc5f1a4a0ebe6e839c2e708564a4bff5ac8ff70a667a6825927",
     "6reg_order10.g6#1/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#1/rho4/twins": "80c22b41de94a377ea9fd63a12f7cd9b7854b5ee1e40284b46689e5bf153e138",
     "6reg_order10.g6#2/rho0/learn": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
     "6reg_order10.g6#2/rho0/filter": "093afb3e6d0ce23e1360b634d09b4904047917d07bb698d9075713ef430b1314",
+    "6reg_order10.g6#2/rho0/twins": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
     "6reg_order10.g6#2/rho2/learn": "ee29f2c744480dfd9a2a60e9a2b171e93c383577c61019d832af70ed1d832b93",
     "6reg_order10.g6#2/rho2/filter": "0cf1e1d805643ec475717db9a13e8cbb43fa32873427a2585fef213dd639d1c0",
+    "6reg_order10.g6#2/rho2/twins": "ee29f2c744480dfd9a2a60e9a2b171e93c383577c61019d832af70ed1d832b93",
     "6reg_order10.g6#2/rho4/learn": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
     "6reg_order10.g6#2/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#2/rho4/twins": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
     "6reg_order10.g6#3/rho0/learn": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
     "6reg_order10.g6#3/rho0/filter": "093afb3e6d0ce23e1360b634d09b4904047917d07bb698d9075713ef430b1314",
+    "6reg_order10.g6#3/rho0/twins": "ffc79a13583a271e47e3bf621fab9d6b3e61d07240c7fb1aa2c6491be9f8537d",
     "6reg_order10.g6#3/rho2/learn": "ee29f2c744480dfd9a2a60e9a2b171e93c383577c61019d832af70ed1d832b93",
     "6reg_order10.g6#3/rho2/filter": "0cf1e1d805643ec475717db9a13e8cbb43fa32873427a2585fef213dd639d1c0",
+    "6reg_order10.g6#3/rho2/twins": "3cac567af3cc156d390a78212fe59d314813cd0b90ceea91961066646b43dc9b",
     "6reg_order10.g6#3/rho4/learn": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
     "6reg_order10.g6#3/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#3/rho4/twins": "bbe8eb414aaf2b1795597318071565a0b57aaae5a2d568b01318a3e083f0ed68",
     "6reg_order10.g6#4/rho0/learn": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
     "6reg_order10.g6#4/rho0/filter": "4340bec92241ed5b2ffcc4558462c957e69ef244fa221e18d00dd7c47f657d7c",
+    "6reg_order10.g6#4/rho0/twins": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
     "6reg_order10.g6#4/rho2/learn": "d5bfe6313ff3d62f7614991cb05404e69f1085562d7ea65936fb9d160c6dbdf6",
     "6reg_order10.g6#4/rho2/filter": "dc21522f4843bccba97c3310a860a27d13cb800ee75c459c80fd7b6dadc5b779",
+    "6reg_order10.g6#4/rho2/twins": "d5bfe6313ff3d62f7614991cb05404e69f1085562d7ea65936fb9d160c6dbdf6",
     "6reg_order10.g6#4/rho4/learn": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
     "6reg_order10.g6#4/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#4/rho4/twins": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
     "6reg_order10.g6#5/rho0/learn": "10e8a65b084032778f345f23647bca007e590df7c987d818e0d18e715dcb35b2",
     "6reg_order10.g6#5/rho0/filter": "a22021c11c33459b390d4c7f0247c6c424bf805cf16a79509336974843960101",
+    "6reg_order10.g6#5/rho0/twins": "d232f9658c83c80f503cb75e9c582593217afd5becbaf5b32627beae5ae618a2",
     "6reg_order10.g6#5/rho2/learn": "43742ab23fa22438076e01a53424078ac2cb9423a295f851de22f4ec5125e789",
     "6reg_order10.g6#5/rho2/filter": "664ce4af8c0bb4fc7bd61638c1ff9a6e6a8fd23a344ef09eafe37e55318e7c43",
+    "6reg_order10.g6#5/rho2/twins": "7ecb2ab3ef0e5d610c15be28a49b4f996c89ee003484e72b3f8027e77e87b493",
     "6reg_order10.g6#5/rho4/learn": "e57132d9f27d04d9aa789336934de98242d68e06d1385e1ede7002fc3282a19d",
     "6reg_order10.g6#5/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
+    "6reg_order10.g6#5/rho4/twins": "842b6d85c40aa2976e4816c709c7d00571595e001263da12fa6aa2875df99df3",
     "6reg_order10.g6#6/rho0/learn": "71763ca0f690c6ae5ecae107882748af1d2ca29099c1d2e3fd2439cf4df073fe",
     "6reg_order10.g6#6/rho0/filter": "3e7bda3df7193e395ac51679345f2e5c06f88894ca8260617926a6e75132d417",
     "6reg_order10.g6#6/rho2/learn": "ffddb64fe69f96eba2dde92830769003b81927e66e918871938060a963c37e26",
@@ -184,10 +225,13 @@ PINS = {
     "6reg_order10.g6#10/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
     "6reg_order10.g6#11/rho0/learn": "47611a505c20e76611876e43cdda178c062fa8d51a3f40737330cea52b331f47",
     "6reg_order10.g6#11/rho0/filter": "1d15b46e786ab7ea8a703a3d8d12339382eb9290de793e83ae5178fec0f343e2",
+    "6reg_order10.g6#11/rho0/twins": "0d813d53fe01cfa3c883d1acdbd8a28cef4a40978fcd429e7822bc442863912b",
     "6reg_order10.g6#11/rho2/learn": "78b644c7146971e648cea5a13923a99deb8c0ff52f873aeb57d849818a099eb7",
     "6reg_order10.g6#11/rho2/filter": "5fe8ff5c42861b6981e8b3b8ea6889861201af82ae3acb10548957eddc0b687b",
+    "6reg_order10.g6#11/rho2/twins": "62f9b19c878b8c55a049f3eccbb2f9758629dd0397449fa94d3ed052624d0d25",
     "6reg_order10.g6#11/rho4/learn": "3b593c98b99c7b1a5192a54a7508cead25ef64814e00d60598792cb67cbbd704",
     "6reg_order10.g6#11/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
+    "6reg_order10.g6#11/rho4/twins": "879165075547af3d5063089b7ebeb0bccf2f97500c87cc07125559c048cd6d0d",
     "6reg_order10.g6#12/rho0/learn": "c10a92925db451d6f18603408ec3b8e61ffb078fd6071bca33e8d797226c04d3",
     "6reg_order10.g6#12/rho0/filter": "4556557cadda258480a91de0266c7758d94bb4571d4786be5bb4c19aaf236a17",
     "6reg_order10.g6#12/rho2/learn": "aef0d1ba3f71f651faf072e788dcb665cf7247c5eee23cf48c571089caaed289",
@@ -226,16 +270,22 @@ PINS = {
     "6reg_order10.g6#17/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
     "6reg_order10.g6#18/rho0/learn": "3052c76da4d63ff08a0416daf7b6ee935736ff82042704ef6e74f84d09d6387d",
     "6reg_order10.g6#18/rho0/filter": "543d487808d0d5a81cb6d90ddcf6688554046ff18927504c97e33c768fd0fd15",
+    "6reg_order10.g6#18/rho0/twins": "6fdfdd52d4ef04bb4950fac478361a09bb42d84e319fc409bc35307e7b48831d",
     "6reg_order10.g6#18/rho2/learn": "179d13558ef4c040b85363e62d87fea9dc6943f96e4734c7c4fbf6c3d1a440f9",
     "6reg_order10.g6#18/rho2/filter": "15396d0aa9cc025d039477415020a59955c43bb0ef437db89ba47a13fe8d78d5",
+    "6reg_order10.g6#18/rho2/twins": "f0dc155a1c76ff0a13a2069a7da6311616f841d6eb5e9f17a65e3b3b03a74d8e",
     "6reg_order10.g6#18/rho4/learn": "408ba42a3b5f79c40894d9d507a597877da6c9b387dcae160435284873203351",
     "6reg_order10.g6#18/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#18/rho4/twins": "8797d4f27c73aa9466b7411901cbddcfb67658aabb4f752cb248b3e1fdf5262b",
     "6reg_order10.g6#19/rho0/learn": "3052c76da4d63ff08a0416daf7b6ee935736ff82042704ef6e74f84d09d6387d",
     "6reg_order10.g6#19/rho0/filter": "543d487808d0d5a81cb6d90ddcf6688554046ff18927504c97e33c768fd0fd15",
+    "6reg_order10.g6#19/rho0/twins": "3c98daa5961249dbf1106c33b7e9143840ae3bf4f882c25254febe9671548898",
     "6reg_order10.g6#19/rho2/learn": "179d13558ef4c040b85363e62d87fea9dc6943f96e4734c7c4fbf6c3d1a440f9",
     "6reg_order10.g6#19/rho2/filter": "d1ddde817fad3f4f779c28f8d01430dafec976b97dae0099217b7c0df571f379",
+    "6reg_order10.g6#19/rho2/twins": "534acfe7d3aa40c2eb240a46b5d36b3872d7cf673da5d1bc0c29ea458c5fe54e",
     "6reg_order10.g6#19/rho4/learn": "408ba42a3b5f79c40894d9d507a597877da6c9b387dcae160435284873203351",
     "6reg_order10.g6#19/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "6reg_order10.g6#19/rho4/twins": "90ae9b4c8e8e437d05c196935082b939f466eb7958d8bc798b70657428a26d34",
     "6reg_order10.g6#20/rho0/learn": "e80d9ad6d6c0c57a2ea6570750c67b8412f5df655445aa942c0c29e4c7d21c3a",
     "6reg_order10.g6#20/rho0/filter": "fbe3a0f988eb108048103e162bae76f87f6d8b51cb58b79ea7e6d34750883f64",
     "6reg_order10.g6#20/rho2/learn": "0173c4b40920753cafd2d78df946bc01c230d7529836bdfbdeafc22b208670bf",
@@ -245,12 +295,15 @@ PINS = {
     "g8/rho0/learn": "8aba302db48ce4060c29b4feb578b7f0238396060f27fd6d06c2a56ce7a52ebf",
     "g8/rho0/filter": "263d9df5e2f869098bc20c5694a7e38e66715e163aafda08c9b4ee28e82ef844",
     "g8/rho0/none": "caf0c2f46129de003a625b101cca0b2058b2dae6761f7b8890f521cb1a331d87",
+    "g8/rho0/twins": "d09b6dbfd271e06b895e0aed39421c73ce1634e12d1dde9c88372d5451ec6755",
     "g8/rho2/learn": "4267593758f00e4a579fc84b3de4f8bb42e4ecdfec36e7596402d2c7262102d8",
     "g8/rho2/filter": "e795cfe715cc56679781650117fe3076bb4d113d55132be544651ef8e9efabb2",
     "g8/rho2/none": "64df487ed7162de65d794c7c608510822f3387a1895ea04ee9633f95e8532dce",
+    "g8/rho2/twins": "59c902bbb6d5880996b7dd56ec8408779b7c9e41311c7928de0d3fa83befd4f8",
     "g8/rho4/learn": "79cdde8d8876cf1e485ec7f89749c5c8cd676d9563d763b076b9b70dfc5de612",
     "g8/rho4/filter": "c41623cf3dfef2ef4f751ca1c44dff31556df44dbfa3519a9fc72440ff0ec2dd",
     "g8/rho4/none": "5159f7a9e16f8880ef6ca184083c3d467c415951c71681feeeb04a1d6ff7f26e",
+    "g8/rho4/twins": "7d95d065488bce1a2137a6840e272026cadf735c65336314a2b0d15754b2054d",
     "g9/rho0/learn": "69d1b5ca28a844e05ac28917ae3be64baf339b17ffb7f53c61bd9e0d82dee919",
     "g9/rho0/filter": "9ed2b1f63e89aa825041f07bda097c65998cc6226566447fdc73e7371ff41793",
     "g9/rho0/none": "b6742a04b41aba7c3c4332e61f38f356720e76b512a0c40f36db4723b6e1d10c",
@@ -269,18 +322,24 @@ PINS = {
     "k333/rho0/learn": "8ce11fa81c68f5f65aa8fc384da27e9b595a671190aa96c8eebf1f8d05deae66",
     "k333/rho0/filter": "3f70aa30f39f65c8a8db8b6fb3501aa48dda4b5e0be5828ab10308da3da04335",
     "k333/rho0/none": "d751fbf3ef45b74af20b7b4061866d4a46d054b94f965a6542b91dfa696fdcac",
+    "k333/rho0/twins": "a308a855bd5a949989d20eb793a82973d06df41cc31ccf46d0ac302bedce16cd",
     "k333/rho2/learn": "be705ff74d021d8b3c43e40deca6f4e712eb4021e2a3a558e02a412744411402",
     "k333/rho2/filter": "b2d966cf058b39f056591cbef68206bef6ee42c83556ae2745ceed09a40655b0",
     "k333/rho2/none": "4ae991aedb6b1c1adddb67f09abb8e593bf4a1980e072056eb7a877ad6ef86e1",
+    "k333/rho2/twins": "35a32e1da056f9309d9dcb46ce8b27697fddf7556f7b43161c869006ab82908d",
     "k333/rho4/learn": "dbe4624c6b333b849edcbfd0e209da2d191293c9fc3ffed7e2deebb0dc2177a5",
     "k333/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
     "k333/rho4/none": "56bb06ff692e08cc55d4780ea77243d3f4af7d415bef0f6bc8945237ac615bed",
+    "k333/rho4/twins": "d68a8fb49cedef50e19ded49bb03edeeb9a9e6d3bf87ea638be3368191d9732b",
     "k66/rho0/learn": "6bc61b2325b6020bfc78c738d0933218f80ea57d7756b2e89e6fcaf3d94874ed",
     "k66/rho0/filter": "967a8872591a1e4778671b7e4240a30d0af6699d3b29b51a253adb85e5ed1d23",
+    "k66/rho0/twins": "e0b65253e37fe025cde386b83c20676e4590da50a52dc07b5ab531560bc7a44f",
     "k66/rho2/learn": "dda26687ceea4ef251e6360bc8b0e3ae1b13d688b20b99bc7dfddaeac9795d76",
     "k66/rho2/filter": "c9aee5c7379706dcdef5825ed2c229863ae1b996754328307125fa1bf0d5963e",
+    "k66/rho2/twins": "9c0a777425bb75d8414411c5eeddfe32eee747c0a4237106a04cbb3b8408ce7f",
     "k66/rho4/learn": "19e3e5a56564596a569ed928b044583867b00d23987eba969cf9404fb43a43d8",
     "k66/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
+    "k66/rho4/twins": "ca0859fd2f1041fc1eaa910c099fe2b935022c443345ed648a204d2a16272cbd",
     "paley13/rho0/learn": "955c9a844c15bb7d85c3586efa488905bbc0d6a4cf53276525a0b2deb34998f8",
     "paley13/rho0/filter": "03a521486e91e1be2da4392587942cd6b600e666a970b5f669504319b8c6497d",
     "paley13/rho2/learn": "51582475aaee4498b056012366d9822458017e03389f3c79e90c4f68f7a692bc",
@@ -313,6 +372,7 @@ PINS = {
     "s3_12u/rho4/filter": "8d2ec8e3ba1c161658b5b42f729e96ca0f9f4077296fa9586b78bac49e3d0978",
     "K8,8/rho4/learn": "b4171954bf1b94dce9da130ae5aebb7ceb8a8992f5512cae266dc5a6b8d82efa",
     "K8,8/rho4/filter": "ea0bb174a764c5997097bc51723075559a1a644a7e5c31861ddf8b2665f44b40",
+    "K8,8/rho4/twins": "4c74f4e3c2ab3778b7e6c62e21c8cf5a42c0fc61762272e722fbb87da6d37692",
 }
 
 

@@ -9,11 +9,13 @@ from conftest import FIXTURES, brute_extract, brute_square, cube, kmm, petersen
 from srsg.catalog import build, build_underlying
 from srsg.core import negation, sign_with, ugraph_from_edges
 from srsg.errors import DegreeMismatch, DisconnectedInput
-from srsg.iso import canonical_form
+from srsg.iso import canonical_form, decode_canonical
 from srsg.regularity import SrsgClass, SrsgParams
 import srsg.search
+from srsg.regularity import negative_degree
 from srsg.search import (
     SearchConfig,
+    _search_raw,
     enumerate_negative_subgraphs,
     search_catalog,
     search_srsg,
@@ -158,7 +160,8 @@ def test_leaf_to_hit_call_counts(monkeypatch, mode):
         read_graph6_file(os.path.join(FIXTURES, f"6reg_order{n}.g6")))]
     rep = search_catalog(graphs, SearchConfig(rho=2, dedupe=mode))
     assert calls["search_srsg"] == len(graphs) == 25
-    assert rep.stats.leaves == rep.stats.raw_hits == 49
+    # every signing under "none"; the iso modes walk the twin-reduced tree
+    assert rep.stats.leaves == rep.stats.raw_hits == (49 if mode == "none" else 14)
     assert calls["extract_params"] == rep.stats.leaves
     assert calls["classify"] == 0
     if mode == "none":
@@ -172,11 +175,25 @@ def test_leaf_to_hit_call_counts(monkeypatch, mode):
         assert calls["decode_canonical"] == sum(host_classes)
 
 
-def test_search_k66_rho4():
-    rep = search_srsg(build_underlying("K66"), SearchConfig(rho=4))
+def test_search_k66_rho4(monkeypatch):
+    k66 = build_underlying("K66")
+    s1_12 = canonical_form(build("S1_12").graph)
+    rep = search_srsg(k66, SearchConfig(rho=4, dedupe="none"))
     assert rep.stats.raw_hits == 720  # every matching signing works here
+    assert {h.canonical for h in rep.hits} == {s1_12}
+    # the twin cells leave one of the 720 matchings to canonicalise
+    calls = Counter()
+    real = srsg.search.canonical_form
+
+    def counted(g):
+        calls["canonical_form"] += 1
+        return real(g)
+
+    monkeypatch.setattr(srsg.search, "canonical_form", counted)
+    rep = search_srsg(k66, SearchConfig(rho=4))
     assert len(rep.hits) == 1
-    assert rep.hits[0].canonical == canonical_form(build("S1_12").graph)
+    assert rep.hits[0].canonical == s1_12
+    assert calls["canonical_form"] <= 2
 
 
 def test_search_filter_restricts_hits():
@@ -250,11 +267,14 @@ def _outcome(rep):
 @pytest.mark.parametrize(
     "host, rho, budget, dedupe",
     [
-        # order-10 host #5 has a 10,732-node tree at rho=0
+        # order-10 host #5 has a 10,732-node tree at rho=0, and a
+        # 5,666-node twin-reduced tree
         (5, 0, 5000, "iso"),
-        (5, 0, 10731, "iso"),
-        (5, 0, 10732, "iso"),
-        (5, 0, 10737, "iso"),
+        (5, 0, 5665, "iso"),
+        (5, 0, 5666, "iso"),
+        (5, 0, 5671, "iso"),
+        (5, 0, 10731, "none"),
+        (5, 0, 10732, "none"),
         # host #16 is T(5): the cut falls after 6 of its 12 leaves
         (16, 2, 3000, "none"),
     ],
@@ -264,7 +284,7 @@ def test_budget_report_independent_of_jobs(host, rho, budget, dedupe):
     one = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe))
     two = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe, jobs=2))
     assert _outcome(two) == _outcome(one)
-    full = search_srsg(g, SearchConfig(rho=rho)).stats.nodes
+    full = search_srsg(g, SearchConfig(rho=rho, dedupe=dedupe)).stats.nodes
     assert one.exhaustive == (budget >= full)
     assert one.stats.nodes == min(budget + 1, full)
 
@@ -444,3 +464,56 @@ def test_order10_c2_example_regression():
     assert all(
         not (comp.nbr[u] & comp.nbr[v]).bit_count() for u, v in comp.edges()
     )
+
+
+def _twin_test_hosts():
+    """(label, host): every fixture and target host, and K3,3..K5,5."""
+    for fname in ("6reg_order8.g6", "6reg_order9.g6", "6reg_order10.g6"):
+        for i, g in enumerate(read_graph6_file(os.path.join(FIXTURES, fname))):
+            yield f"{fname}#{i}", g
+    for fname in sorted(os.listdir(os.path.join(FIXTURES, "targets"))):
+        (g,) = read_graph6_file(os.path.join(FIXTURES, "targets", fname))
+        yield fname, g
+    for m in (3, 4, 5):
+        yield f"K{m},{m}", kmm(m)
+
+
+TWIN_TEST_HOSTS = dict(_twin_test_hosts())
+
+
+def _classes_of_every_signing(g, rho):
+    """{mode: {canonical form: (params, class)}} expected of the iso modes,
+    from the hits of dedupe "none", which walks the full tree."""
+    iso = {h.canonical: (h.params, h.cls) for h in search_srsg(g, SearchConfig(rho=rho, dedupe="none")).hits}
+    negs = {key: canonical_form(negation(decode_canonical(key))) for key in iso}
+    iso_neg = {key: v for key, v in iso.items() if not (negs[key] < key and negs[key] in iso)}
+    return {"iso": iso, "iso-neg": iso_neg}
+
+
+@pytest.mark.parametrize("label", TWIN_TEST_HOSTS)
+def test_twin_reduced_search_finds_every_class(label):
+    """At every net degree, the iso modes (which walk the twin-reduced tree)
+    report exactly the classes of all the signings dedupe "none" finds, with
+    their parameters; at jobs 2 too on the hosts with at least 12 vertices."""
+    g = TWIN_TEST_HOSTS[label]
+    r = g.degree(0)
+    for rho in range(-r, r + 1, 2):
+        want = _classes_of_every_signing(g, rho)
+        for mode in ("iso", "iso-neg"):
+            for jobs in (1, 2) if g.n >= 12 else (1,):
+                rep = search_srsg(g, SearchConfig(rho=rho, dedupe=mode, jobs=jobs))
+                assert rep.exhaustive
+                assert {h.canonical: (h.params, h.cls) for h in rep.hits} == want[mode], (rho, mode, jobs)
+
+
+@pytest.mark.parametrize("label", [label for label, g in TWIN_TEST_HOSTS.items() if g.n <= 12])
+def test_twin_reduced_leaves_are_a_subsequence(label):
+    """The twin cells only remove children: the reduced tree's leaves are
+    some of the full tree's, in the same order."""
+    g = TWIN_TEST_HOSTS[label]
+    r = g.degree(0)
+    for rho in range(-r, r + 1, 2):
+        k = negative_degree(r, rho)
+        full = iter(_search_raw(g.nbr, g.n, k, "learn"))
+        reduced = list(_search_raw(g.nbr, g.n, k, "learn", twins=True))
+        assert all(leaf in full for leaf in reduced), rho
