@@ -5,10 +5,13 @@ The sweep is the six host-set searches the benchmark's sweep workloads
 run: the 21 order-10 fixture hosts at rho = 0, 2, 4, the 4 order-9 hosts at
 rho = 0, 2, and K8,8 at rho = 4.  Each search runs the DFS alone, in one
 process (jobs = 1), on the tree `search_srsg` walks under its default
-dedupe "iso": the pair pruning it uses when no parameter filter is given,
-and one block choice per set of twin swaps (twins=True).  It consumes every
-leaf.  For each search one JSON line is printed with the host set, rho, the
-DFS counters summed over its hosts (nodes, leaves, pruned_degree,
+dedupe "iso": each host relabelled into the order `search_srsg` searches
+it in, the pair pruning it uses when no parameter filter is given, and one
+block choice per set of twin swaps (twins=True).  A search that
+`search_srsg` answers without a DFS (an odd n * k) counts no node.  The
+host orders are computed before the timed runs.  It consumes every leaf.
+For each search one JSON line is printed with the host set, rho, the DFS
+counters summed over its hosts (nodes, leaves, pruned_degree,
 pruned_pair), the median seconds over the repeats and the nodes per second
 at that median.
 
@@ -29,7 +32,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from canon_ladder import kmm
 from srsg.regularity import negative_degree
-from srsg.search import _search_raw
+from srsg.search import _no_dfs_note, _search_order, _search_raw
 from srsg.sgio import read_graph6_file
 
 SWEEP = (("order10", 0), ("order10", 2), ("order10", 4), ("order9", 0), ("order9", 2), ("K8,8", 4))
@@ -48,14 +51,17 @@ def main() -> int:
         "order9": read_graph6_file(os.path.join(fixtures, "6reg_order9.g6")),
         "K8,8": [kmm(8)],
     }
+    rows = {name: [_search_order(u)[1] for u in us] for name, us in hosts.items()}
     for name, rho in SWEEP:
         times = []
         for _ in range(args.repeat):
             counters = [0, 0, 0, 0]
             t0 = time.perf_counter()
-            for u in hosts[name]:
+            for u, nbr in zip(hosts[name], rows[name]):
                 k = negative_degree(u.degree(0), rho)
-                for _leaf in _search_raw(u.nbr, u.n, k, "learn", None, counters, twins=True):
+                if _no_dfs_note(u.n, k):
+                    continue
+                for _leaf in _search_raw(nbr, u.n, k, "learn", None, counters, twins=True):
                     pass
             times.append(time.perf_counter() - t0)
         seconds = statistics.median(times)

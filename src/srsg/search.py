@@ -19,6 +19,18 @@ row minus its negative row, and the entry of a completed pair t < u is
 |C| - 2 * popcount((neg[t] ^ neg[u]) & C) over its common neighbours C:
 a term sigma(tw)sigma(uw) is -1 exactly when one of tw, uw is negative.
 
+search_srsg does not search the host in the labelling it is given.  It
+relabels the host into a greedy order computed from its canonical form (see
+_search_order), so the tree, and every counter, is the same for every
+labelling of the host.  A relabelling is an isomorphism of hosts: it maps
+the host's signings one to one onto the relabelled host's, each to an
+isomorphic signing with the same parameters, so the set of classes found
+is unchanged.  Each leaf is mapped back to the input labels before it is
+verified, so the hits of dedupe "none" are signings of the host as given;
+the iso modes report decoded canonical forms, which no labelling changes.  A search that needs no DFS (no negative degree fits the net
+degree, or n * k is odd, when no k-regular subgraph exists) is answered
+with an empty exhaustive report and a note.
+
 Reports are deterministic: fixed edge order, canonical representatives,
 sorted output, and identical results for any worker count.  With jobs > 1
 the top blocks are split into task prefixes; each task searches the
@@ -67,9 +79,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .core import SignedGraph, UGraph, negation
+from .core import SignedGraph, UGraph, all_positive, negation
 from .errors import DegreeMismatch, DisconnectedInput
-from .iso import canonical_form, decode_canonical
+from .iso import canonical_form, canonical_labeling, decode_canonical
 from .regularity import SrsgClass, SrsgParams, class_of, extract_params, negative_degree
 
 # not called here, but perfbench's traced runs wrap it among this module's names
@@ -358,6 +370,49 @@ def _allowed_from_filter(compat: list[SrsgParams]):
     )
 
 
+def _relabel(rows, perm) -> tuple[int, ...]:
+    """Bitmask rows with vertex i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = sum(1 << perm[j] for j in range(len(rows)) if (row >> j) & 1)
+    return tuple(out)
+
+
+def _search_order(g: UGraph) -> tuple[list[int], tuple[int, ...]]:
+    """The vertex order search_srsg searches g in (order[i] is the vertex at
+    position i), and g's rows relabelled into it.
+
+    Start from the canonical labelling of g and take its position 0, then
+    repeatedly the vertex with the most neighbours among those taken, ties
+    going to the lower canonical position.  A vertex with many earlier
+    neighbours completes many pairs as soon as its block closes, so the
+    pair prune cuts early.  The order is computed from the canonical form
+    alone, so the relabelled rows, and every counter of the search, are the
+    same for every labelling of g.
+    """
+    _, canon = canonical_labeling(all_positive(g))
+    order, rest, taken = canon[:1], canon[1:], 1 << canon[0]
+    while rest:
+        v = max(rest, key=lambda w: (g.nbr[w] & taken).bit_count())
+        rest.remove(v)
+        order.append(v)
+        taken |= 1 << v
+    position = [0] * g.n
+    for i, v in enumerate(order):
+        position[v] = i
+    return order, _relabel(g.nbr, position)
+
+
+def _no_dfs_note(n: int, k: int | None) -> str:
+    """Why a search for a k-regular negative subgraph on n vertices needs no
+    DFS (no such subgraph exists), or "" when it needs one."""
+    if k is None:
+        return "vacuous: no k-regular negative subgraph fits this net-degree"
+    if n * k % 2:
+        return "parity: a k-regular subgraph needs n * k even"
+    return ""
+
+
 def _split_tasks(nbr, n, k, allowed, jobs, counters, twins):
     """Deterministic top-of-tree task prefixes; aims for a few per worker.
 
@@ -391,10 +446,12 @@ def _dedupe_hits(hits: list[Hit], cfg: SearchConfig) -> list[Hit]:
     iso-neg drops a class when its negation has the smaller canonical form
     and is itself a class of this host.  A signing and its negation share
     their host, so this fold over one host is complete; the class kept is
-    one the search found, at net degree rho."""
+    one the search found, at net degree rho.  Negation flips the net degree
+    to -rho, so a fold can happen only at rho = 0, and only there are the
+    negation forms computed."""
     if cfg.dedupe != "none":
         classes = {h.canonical: h for h in hits}
-        if cfg.dedupe == "iso-neg":
+        if cfg.dedupe == "iso-neg" and cfg.rho == 0:
             negs = {key: canonical_form(negation(h.graph)) for key, h in classes.items()}
             classes = {key: h for key, h in classes.items() if not (negs[key] < key and negs[key] in classes)}
         hits = [replace(h, graph=decode_canonical(key)) for key, h in classes.items()]
@@ -406,8 +463,8 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
 
     The underlying graph must be regular (DegreeMismatch otherwise) and
     connected (DisconnectedInput otherwise).  A degree/net-degree
-    parity mismatch is answered with an empty exhaustive report: no signing
-    exists, which is a result rather than an error.
+    parity mismatch, or an odd n * k, is answered with an empty exhaustive
+    report: no signing exists, which is a result rather than an error.
     """
     if not g.is_regular():
         raise DegreeMismatch("underlying graph is not regular")
@@ -430,8 +487,9 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
         return SearchReport(cfg.rho, hits, stats, exhaustive, [row])
 
     k = negative_degree(r, cfg.rho)
-    if k is None:
-        return report([], True, "vacuous: no k-regular negative subgraph fits this net-degree")
+    note = _no_dfs_note(g.n, k)
+    if note:
+        return report([], True, note)
 
     filter_set = None
     allowed = "learn"
@@ -442,7 +500,8 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
         filter_set = set(compat)
         allowed = _allowed_from_filter(compat)
 
-    n, nbr, budget = g.n, g.nbr, cfg.node_budget
+    n, budget = g.n, cfg.node_budget
+    order, nbr = _search_order(g)
     # one signing per class suffices under the iso modes: walk the twin-reduced tree
     twins = cfg.dedupe != "none"
     counters = [0, 0, 0, 0]
@@ -461,7 +520,7 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
     # whether or not pair pruning already enforced them
     found: list[Hit] = []
     for pm, nm in raw:
-        sg = SignedGraph(n, pm, nm)
+        sg = SignedGraph(n, _relabel(pm, order), _relabel(nm, order))
         p = extract_params(sg)
         if p is None or (filter_set is not None and p not in filter_set):
             continue

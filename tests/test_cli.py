@@ -183,18 +183,19 @@ def test_cli_rejects_out_of_range_counts(capsys, fixtures_dir, argv):
 
 
 def test_search_cli_budget_same_output_any_jobs(tmp_path, capsys, fixtures_dir):
-    # order-10 host #5 has a 5,666-node twin-reduced tree at rho=0 (10,732
-    # nodes under --dedupe none), within the budget
+    # order-10 host #5 has an 856-node twin-reduced tree at rho=0 (1,476
+    # nodes under --dedupe none): one node short of it, and all of it
     host = str(tmp_path / "host5.g6")
     write_graph6_file(host, [read_graph6_file(os.path.join(fixtures_dir, "6reg_order10.g6"))[5]])
-    outs = []
-    for jobs in ("1", "2"):
-        rc, out, _ = run(capsys, ["search", "--underlying", host, "--rho", "0",
-                                  "--budget", "10737", "--jobs", jobs])
-        assert rc == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["exhaustive"] is True
+    for budget, exhaustive in (("855", False), ("856", True)):
+        outs = []
+        for jobs in ("1", "2"):
+            rc, out, _ = run(capsys, ["search", "--underlying", host, "--rho", "0",
+                                      "--budget", budget, "--jobs", jobs])
+            assert rc == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["exhaustive"] is exhaustive
 
 
 @pytest.mark.parametrize("host", ["targets/g8.g6", "6reg_order9.g6"])

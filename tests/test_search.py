@@ -5,16 +5,18 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURES, brute_extract, brute_square, cube, kmm, petersen
+from conftest import FIXTURES, brute_extract, brute_square, cube, kmm, petersen, relabel
 from srsg.catalog import build, build_underlying
-from srsg.core import negation, sign_with, ugraph_from_edges
+from srsg.core import SignedGraph, negation, sign_with, ugraph_from_edges
 from srsg.errors import DegreeMismatch, DisconnectedInput
 from srsg.iso import canonical_form, decode_canonical
-from srsg.regularity import SrsgClass, SrsgParams
+from srsg.regularity import SrsgClass, SrsgParams, extract_params
 import srsg.search
 from srsg.regularity import negative_degree
 from srsg.search import (
+    DEDUPE_MODES,
     SearchConfig,
+    _search_order,
     _search_raw,
     enumerate_negative_subgraphs,
     search_catalog,
@@ -136,9 +138,10 @@ def test_dedupe_mode_validated_by_config():
 @pytest.mark.parametrize("mode", ["none", "iso", "iso-neg"])
 def test_leaf_to_hit_call_counts(monkeypatch, mode):
     """Each verified leaf is canonicalised once and its parameters extracted
-    once; iso decodes each host's class once and iso-neg adds one negation
-    form per host class; the catalog merge adds no call.  Counted at the
-    module globals that search.py calls."""
+    once; iso decodes each host's class once; iso-neg adds no negation form
+    at rho = 2, where no fold can happen (test_search_dedupe_modes folds at
+    rho = 0); the catalog merge adds no call.  Counted at the module globals
+    that search.py calls."""
     calls = Counter()
     host_classes = []
 
@@ -170,8 +173,7 @@ def test_leaf_to_hit_call_counts(monkeypatch, mode):
         assert calls["decode_canonical"] == 0
     else:
         assert len(rep.hits) == sum(host_classes) == 3
-        negation_forms = sum(host_classes) if mode == "iso-neg" else 0
-        assert calls["canonical_form"] == rep.stats.raw_hits + negation_forms
+        assert calls["canonical_form"] == rep.stats.raw_hits == 14
         assert calls["decode_canonical"] == sum(host_classes)
 
 
@@ -264,18 +266,31 @@ def _outcome(rep):
     return [(h.canonical, h.graph.neg) for h in rep.hits], rep.exhaustive, counters, rep.per_graph
 
 
+# (nodes, leaves) of the trees search_srsg walks, pinned so that a change of
+# search order that moves the budget edges below fails here
+FULL_TREES = {(5, 0, "iso"): (856, 0), (5, 0, "none"): (1476, 0), (16, 2, "none"): (1664, 12)}
+
+
 @pytest.mark.parametrize(
     "host, rho, budget, dedupe",
     [
-        # order-10 host #5 has a 10,732-node tree at rho=0, and a
-        # 5,666-node twin-reduced tree
+        # order-10 host #5 at rho=0: mid-tree, and the edges of both trees
+        (5, 0, 600, "iso"),
+        (5, 0, 855, "iso"),
+        (5, 0, 856, "iso"),
+        (5, 0, 861, "iso"),
+        (5, 0, 1475, "none"),
+        (5, 0, 1476, "none"),
+        (5, 0, 1481, "none"),
+        # host #16 is T(5): the cut falls after 6 of its 12 leaves
+        (16, 2, 900, "none"),
+        # far above the tree: exhaustive, as with no budget
         (5, 0, 5000, "iso"),
         (5, 0, 5665, "iso"),
         (5, 0, 5666, "iso"),
         (5, 0, 5671, "iso"),
         (5, 0, 10731, "none"),
         (5, 0, 10732, "none"),
-        # host #16 is T(5): the cut falls after 6 of its 12 leaves
         (16, 2, 3000, "none"),
     ],
 )
@@ -284,9 +299,12 @@ def test_budget_report_independent_of_jobs(host, rho, budget, dedupe):
     one = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe))
     two = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe, jobs=2))
     assert _outcome(two) == _outcome(one)
-    full = search_srsg(g, SearchConfig(rho=rho, dedupe=dedupe)).stats.nodes
-    assert one.exhaustive == (budget >= full)
-    assert one.stats.nodes == min(budget + 1, full)
+    full = search_srsg(g, SearchConfig(rho=rho, dedupe=dedupe)).stats
+    assert (full.nodes, full.leaves) == FULL_TREES[host, rho, dedupe]
+    assert one.exhaustive == (budget >= full.nodes)
+    assert one.stats.nodes == min(budget + 1, full.nodes)
+    if host == 16 and not one.exhaustive:
+        assert one.stats.leaves == 6
 
 
 def test_counters_independent_of_jobs_order10():
@@ -466,19 +484,18 @@ def test_order10_c2_example_regression():
     )
 
 
-def _twin_test_hosts():
-    """(label, host): every fixture and target host, and K3,3..K5,5."""
+def _fixture_and_target_hosts():
+    """(label, host): every fixture and target host."""
     for fname in ("6reg_order8.g6", "6reg_order9.g6", "6reg_order10.g6"):
         for i, g in enumerate(read_graph6_file(os.path.join(FIXTURES, fname))):
             yield f"{fname}#{i}", g
     for fname in sorted(os.listdir(os.path.join(FIXTURES, "targets"))):
         (g,) = read_graph6_file(os.path.join(FIXTURES, "targets", fname))
         yield fname, g
-    for m in (3, 4, 5):
-        yield f"K{m},{m}", kmm(m)
 
 
-TWIN_TEST_HOSTS = dict(_twin_test_hosts())
+HOSTS = dict(_fixture_and_target_hosts())
+TWIN_TEST_HOSTS = {**HOSTS, **{f"K{m},{m}": kmm(m) for m in (3, 4, 5)}}
 
 
 def _classes_of_every_signing(g, rho):
@@ -517,3 +534,76 @@ def test_twin_reduced_leaves_are_a_subsequence(label):
         full = iter(_search_raw(g.nbr, g.n, k, "learn"))
         reduced = list(_search_raw(g.nbr, g.n, k, "learn", twins=True))
         assert all(leaf in full for leaf in reduced), rho
+
+
+def _verified_leaves(g, rho):
+    """The signings of g as given whose parameters extract, from the DFS on
+    g's own labelling with no twin cells: none of the search order's or the
+    twin cells' code."""
+    k = negative_degree(g.degree(0), rho)
+    leaves = (SignedGraph(g.n, pm, nm) for pm, nm in _search_raw(g.nbr, g.n, k, "learn"))
+    return [sg for sg in leaves if extract_params(sg) is not None]
+
+
+@pytest.mark.parametrize("label", [label for label, g in HOSTS.items() if g.n <= 12])
+def test_search_order_keeps_every_hit(label):
+    """search_srsg searches a relabelled host; in every dedupe mode its hits
+    are those of the DFS on the host as given: the same signings, in the
+    input labels, under "none", and the same classes under the iso modes
+    (folded by negation for iso-neg)."""
+    g = HOSTS[label]
+    for rho in (0, 2, 4):
+        oracle = _verified_leaves(g, rho)
+        forms = {canonical_form(sg) for sg in oracle}
+        negs = {key: canonical_form(negation(decode_canonical(key))) for key in forms}
+        want = {
+            "none": forms,
+            "iso": forms,
+            "iso-neg": {key for key in forms if not (negs[key] < key and negs[key] in forms)},
+        }
+        for mode in DEDUPE_MODES:
+            rep = search_srsg(g, SearchConfig(rho=rho, dedupe=mode))
+            assert {h.canonical for h in rep.hits} == want[mode], (rho, mode)
+            if mode == "none":
+                assert sorted((h.graph.pos, h.graph.neg) for h in rep.hits) == sorted(
+                    (sg.pos, sg.neg) for sg in oracle
+                ), rho
+
+
+ORDER_INVARIANCE_CASES = [(f"6reg_order10.g6#{i}", 0) for i in range(21)] + [
+    ("s16u.g6", 0), ("s3_12u.g6", 0), ("gq22.g6", 2),
+]
+
+
+@pytest.mark.parametrize("label, rho", ORDER_INVARIANCE_CASES)
+def test_search_independent_of_input_labelling(label, rho):
+    """The host is searched in an order computed from its canonical form, so
+    under five relabellings the relabelled rows, the counters and the iso
+    hits are identical, and "none" finds the same classes."""
+    g = HOSTS[label]
+    rows = _search_order(g)[1]
+    iso = _outcome(search_srsg(g, SearchConfig(rho=rho)))
+    none = search_srsg(g, SearchConfig(rho=rho, dedupe="none"))
+    for seed in range(1, 6):
+        h = relabel(g, seed)
+        assert _search_order(h)[1] == rows, seed
+        assert _outcome(search_srsg(h, SearchConfig(rho=rho))) == iso, seed
+        other = search_srsg(h, SearchConfig(rho=rho, dedupe="none"))
+        assert _outcome(other)[2] == _outcome(none)[2], seed
+        assert sorted(x.canonical for x in other.hits) == sorted(x.canonical for x in none.hits), seed
+
+
+@pytest.mark.parametrize("label", [label for label, g in HOSTS.items() if g.n % 2])
+def test_parity_answers_without_dfs(label):
+    """n * k odd: search_srsg reports no hit, exhaustively, without a node,
+    and the DFS it skips, on the host as given, finds no leaf."""
+    g = HOSTS[label]
+    r = g.degree(0)
+    for rho in range(-r, r + 1, 2):
+        k = negative_degree(r, rho)
+        if k % 2 == 0:
+            continue
+        rep = search_srsg(g, SearchConfig(rho=rho))
+        assert rep.exhaustive and not rep.hits and rep.stats.nodes == 0
+        assert rep.per_graph[0]["note"].startswith("parity"), rho
+        assert not any(True for _ in _search_raw(g.nbr, g.n, k, "learn")), rho
