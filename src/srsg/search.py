@@ -42,6 +42,12 @@ report is that of the single DFS stopped at node budget + 1, exactly as at
 jobs = 1.  So a report is exhaustive exactly when the whole tree has at
 most node_budget nodes, whatever the worker count.
 
+The worker pool is started at the first call with jobs > 1 and serves every
+later search of the process with the same jobs; another jobs value or a
+forked child gets a new pool, and no worker sees a later change to this
+module.  At a normal exit concurrent.futures joins the workers; a worker
+whose parent is gone exits by itself, whatever the start method.
+
 Under the iso modes the DFS walks a smaller tree, one block choice per set
 of choices that a swap of interchangeable vertices maps onto each other.
 Host vertices x != w are twins when their host rows are equal once each
@@ -74,8 +80,11 @@ tree that was walked.
 
 from __future__ import annotations
 
+import multiprocessing.connection
+import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -340,13 +349,40 @@ def _task_worker(payload):
     return raw, counters
 
 
+def _exit_with_parent() -> None:
+    """Pool worker initializer: exit once the process that started the worker
+    is gone, also when it was killed and never ran the exit hook that joins
+    its workers.  The parent sentinel reads end of file then (under fork, once
+    the workers forked after this one are gone too); os.getppid() would not
+    change under forkserver, where it is the fork server."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
+_pool = None  # ((pid, jobs), the ProcessPoolExecutor that process made)
+
+
 def _pool_map(fn, items, jobs):
-    """[fn(x) for x in items]: in this process at jobs <= 1, otherwise in a
-    pool of jobs worker processes.  Results keep the order of items."""
+    """[fn(x) for x in items]: in this process at jobs <= 1, otherwise in the
+    process's pool of jobs workers (see the module docstring).  Results keep
+    the order of items.  A broken pool is dropped and its error raised."""
+    global _pool
     if jobs <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
+    pid = os.getpid()
+    if _pool is None or _pool[0] != (pid, jobs):
+        if _pool is not None and _pool[0][0] == pid:
+            _pool[1].shutdown()
+        _pool = (pid, jobs), ProcessPoolExecutor(jobs, initializer=_exit_with_parent)
+    try:
+        return list(_pool[1].map(fn, items))
+    except BrokenProcessPool:
+        _pool = None
+        raise
 
 
 def enumerate_negative_subgraphs(g: UGraph, k: int):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -7,7 +8,19 @@ from conftest import FIXTURES, kmm
 from srsg.search import SearchConfig, search_catalog
 from srsg.sgio import read_graph6_file
 
-SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SCRIPTS = os.path.join(ROOT, "scripts")
+SWEEP = (("order10", 0), ("order10", 2), ("order10", 4), ("order9", 0), ("order9", 2), ("K8,8", 4))
+
+
+def _sweep_stats():
+    """search_catalog's stats for each of the six sweep searches, in order."""
+    hosts = {
+        name: [(f"{name}[{i}]", g) for i, g in enumerate(read_graph6_file(os.path.join(FIXTURES, f"6reg_{name}.g6")))]
+        for name in ("order10", "order9")
+    }
+    hosts["K8,8"] = [("K8,8", kmm(8))]
+    return [search_catalog(hosts[name], SearchConfig(rho=rho)).stats for name, rho in SWEEP]
 
 
 def test_dfs_ladder_counts_the_tree_search_walks():
@@ -18,14 +31,45 @@ def test_dfs_ladder_counts_the_tree_search_walks():
         capture_output=True, text=True, check=True,
     ).stdout
     rows = [json.loads(line) for line in out.splitlines()]
-    hosts = {
-        name: [(f"{name}[{i}]", g) for i, g in enumerate(read_graph6_file(os.path.join(FIXTURES, f"6reg_{name}.g6")))]
-        for name in ("order10", "order9")
-    }
-    hosts["K8,8"] = [("K8,8", kmm(8))]
-    assert [(row["hosts"], row["rho"]) for row in rows] == [
-        ("order10", 0), ("order10", 2), ("order10", 4), ("order9", 0), ("order9", 2), ("K8,8", 4),
-    ]
-    for row in rows:
-        stats = search_catalog(hosts[row["hosts"]], SearchConfig(rho=row["rho"])).stats
+    assert [(row["hosts"], row["rho"]) for row in rows] == list(SWEEP)
+    for row, stats in zip(rows, _sweep_stats()):
         assert (row["nodes"], row["leaves"]) == (stats.nodes, stats.leaves), row
+
+
+def test_bench_writes_spread_counters_and_deltas(tmp_path):
+    """scripts/bench.py at a tiny size, run in a copy of the checkout, since
+    perfbench writes its results beside itself: the keys of the bench file,
+    its counters against search_catalog's, and its deltas against the newest
+    earlier bench file."""
+    for name in ("src", "fixtures", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, name), tmp_path / name,
+                        ignore=shutil.ignore_patterns("results", "__pycache__"))
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(os.path.join(SCRIPTS, "bench.py"), tmp_path / "scripts")
+    earlier = {"workloads": {"sweep-d6-j2": {"end_to_end": {"wall_s": {"median": 1.0}},
+                                             "counters": {"search.nodes": 1}}}}
+    (tmp_path / "BENCH_1.json").write_text(json.dumps(earlier))
+    (tmp_path / "BENCH_3.json").write_text("{}")  # numbered above the new file: not its baseline
+    out = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "bench.py"), "--out", str(tmp_path / "BENCH_2.json"),
+         "--workloads", "sweep-d6-j2", "--seeds", "0", "--seconds", "0.2", "--trace-seconds", "0.2"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    bench = json.loads((tmp_path / "BENCH_2.json").read_text())
+    assert set(bench) == {"host", "seeds", "seconds", "trace_seconds", "workloads", "baseline", "deltas"}
+    assert set(bench["host"]) == {"nproc", "python"}
+    wl = bench["workloads"]["sweep-d6-j2"]
+    assert [run["seed"] for run in wl["runs"]] == [0] and wl["runs"][0]["correct"] and wl["traced_correct"]
+    assert set(wl["end_to_end"]) == {"wall_s", "cpu_s", "setup_s", "peak_rss_mb"}
+    for s in wl["end_to_end"].values():
+        assert s["q1"] == s["median"] == s["q3"]  # one seed
+    stats = _sweep_stats()
+    nodes = sum(s.nodes for s in stats)
+    assert wl["counters"]["search.nodes"] == nodes
+    assert wl["counters"]["search.leaves"] == sum(s.leaves for s in stats)
+    assert wl["counters"]["search.pruned_pair"] == sum(s.pruned_pair for s in stats)
+    assert bench["baseline"] == "BENCH_1.json"
+    assert set(bench["deltas"]["sweep-d6-j2"]) == {"wall_s", "search.nodes"}
+    assert bench["deltas"]["sweep-d6-j2"]["search.nodes"] == {"before": 1, "after": nodes, "change": nodes - 1}
+    assert "delta vs BENCH_1.json: sweep-d6-j2 search.nodes: 1 -> " in out

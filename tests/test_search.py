@@ -1,6 +1,11 @@
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 
 import pytest
@@ -16,6 +21,7 @@ from srsg.regularity import negative_degree
 from srsg.search import (
     DEDUPE_MODES,
     SearchConfig,
+    _pool_map,
     _search_order,
     _search_raw,
     enumerate_negative_subgraphs,
@@ -607,3 +613,157 @@ def test_parity_answers_without_dfs(label):
         assert rep.exhaustive and not rep.hits and rep.stats.nodes == 0
         assert rep.per_graph[0]["note"].startswith("parity"), rho
         assert not any(True for _ in _search_raw(g.nbr, g.n, k, "learn")), rho
+
+
+# -- the worker pool ----------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+
+
+def _worker_pid(delay):
+    """A pool task that takes delay seconds and says which worker ran it."""
+    time.sleep(delay)
+    return os.getpid()
+
+
+def _pool_pids(jobs):
+    """The pids of the workers _pool_map runs jobs-wide tasks on, once each
+    has run a task (a worker that starts late may miss one round)."""
+    pids = set()
+    for _ in range(20):
+        pids |= set(_pool_map(_worker_pid, [0.05] * (2 * jobs), jobs))
+        if len(pids) >= jobs:
+            break
+    return pids
+
+
+def _alive(pid):
+    """Whether pid is a live process; an exited one awaiting its reaper is not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _order9_catalog():
+    return [(f"o9[{i}]", g) for i, g in enumerate(read_graph6_file(os.path.join(FIXTURES, "6reg_order9.g6")))]
+
+
+def test_pool_serves_every_call():
+    first = _pool_pids(2)
+    assert len(first) == 2 and os.getpid() not in first
+    assert set(_pool_map(_worker_pid, [0.05] * 4, 2)) <= first
+    graphs = _order9_catalog()
+    rep = search_catalog(graphs, SearchConfig(rho=2, jobs=2))
+    assert _outcome(rep) == _outcome(search_catalog(graphs, SearchConfig(rho=2)))
+    assert _pool_pids(2) == first
+
+
+@needs_proc
+def test_pool_replaced_when_jobs_change():
+    two = _pool_pids(2)
+    three = _pool_pids(3)
+    assert len(three) == 3 and not two & three
+    assert not any(_alive(pid) for pid in two)
+    assert not _pool_pids(2) & three
+
+
+def test_pool_with_a_killed_worker_fails_one_call():
+    graphs = _order9_catalog()
+    want = _outcome(search_catalog(graphs, SearchConfig(rho=2)))
+    victim = min(_pool_pids(2))
+    os.kill(victim, signal.SIGKILL)
+    # wait until the pool has seen the death and reaped the worker
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            os.kill(victim, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.01)
+    with pytest.raises(BrokenProcessPool):
+        search_catalog(graphs, SearchConfig(rho=2, jobs=2))
+    assert _outcome(search_catalog(graphs, SearchConfig(rho=2, jobs=2))) == want
+
+
+def test_pool_survives_an_error_in_a_task():
+    graphs = _order9_catalog()
+    bad = graphs[:2] + [("path", ugraph_from_edges(3, [(0, 1), (1, 2)]))] + graphs[3:]
+    assert len(bad) == 4
+    with pytest.raises(DegreeMismatch):
+        search_catalog(bad, SearchConfig(rho=2))
+    before = _pool_pids(2)
+    with pytest.raises(DegreeMismatch):
+        search_catalog(bad, SearchConfig(rho=2, jobs=2))
+    rep = search_catalog(graphs, SearchConfig(rho=2, jobs=2))
+    assert _outcome(rep) == _outcome(search_catalog(graphs, SearchConfig(rho=2)))
+    assert set(_pool_map(_worker_pid, [0.05] * 4, 2)) <= before
+
+
+def _python(code, *args):
+    """A Python subprocess running code with srsg importable."""
+    path = os.pathsep.join(p for p in (os.path.abspath(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+VERIFY_THEN_WORKERS = """
+import multiprocessing, sys
+from srsg.cli import main
+rc = main(["verify-classification", "--degree", "6", "--fixtures", sys.argv[1], "--jobs", "2"])
+print(*[p.pid for p in multiprocessing.active_children()], file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@needs_proc
+def test_cli_exit_leaves_no_worker():
+    proc = _python(VERIFY_THEN_WORKERS, FIXTURES)
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert proc.returncode == 0, err
+    pids = [int(pid) for pid in err.splitlines()[-1].split()]
+    assert len(pids) == 2
+    assert not any(_alive(pid) for pid in pids)
+
+
+WARM_POOL_THEN_WAIT = """
+import multiprocessing, sys, time
+from srsg.search import _pool_map
+multiprocessing.set_start_method(sys.argv[1])
+assert _pool_map(abs, [1, -2], 2) == [1, 2]
+print(*[p.pid for p in multiprocessing.active_children()], file=sys.stderr, flush=True)
+time.sleep(60)
+"""
+
+
+@needs_proc
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_workers_exit_after_parent_is_killed(method):
+    """Under each start method the pool serves a call, and its idle workers
+    are gone within 3 s of a SIGKILL of the process that holds it."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    proc = _python(WARM_POOL_THEN_WAIT, method)
+    pids = []
+    try:
+        line = proc.stderr.readline()
+        pids = [int(pid) for pid in line.split() if pid.isdigit()]
+        assert len(pids) == 2, line
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 3
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(pid) for pid in pids)
+    finally:
+        proc.kill()
+        for pid in pids:  # leave no worker behind when the test fails
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.communicate(timeout=10)
