@@ -6,8 +6,9 @@ run: the 21 order-10 fixture hosts at rho = 0, 2, 4, the 4 order-9 hosts at
 rho = 0, 2, and K8,8 at rho = 4.  Each search runs the DFS alone, in one
 process (jobs = 1), on the tree `search_srsg` walks under its default
 dedupe "iso": each host relabelled into the order `search_srsg` searches
-it in, the pair pruning it uses when no parameter filter is given, and one
-block choice per set of twin swaps (twins=True).  A search that
+it in, the pair pruning it uses when no parameter filter is given, with
+its look-ahead (the identity tie and the forward check, lookahead=True),
+and one block choice per set of twin swaps (twins=True).  A search that
 `search_srsg` answers without a DFS (an odd n * k) counts no node.  The
 host orders are computed before the timed runs.  It consumes every leaf.
 For each search one JSON line is printed with the host set, rho, the DFS
@@ -61,7 +62,7 @@ def main() -> int:
                 k = negative_degree(u.degree(0), rho)
                 if _no_dfs_note(u.n, k):
                     continue
-                for _leaf in _search_raw(nbr, u.n, k, "learn", None, counters, twins=True):
+                for _leaf in _search_raw(nbr, u.n, k, "learn", None, counters, twins=True, lookahead=True):
                     pass
             times.append(time.perf_counter() - t0)
         seconds = statistics.median(times)

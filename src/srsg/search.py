@@ -19,6 +19,33 @@ row minus its negative row, and the entry of a completed pair t < u is
 |C| - 2 * popcount((neg[t] ^ neg[u]) & C) over its common neighbours C:
 a term sigma(tw)sigma(uw) is -1 exactly when one of tw, uw is negative.
 
+When it learns entries, search_srsg's DFS also looks ahead, with two prunes
+that each cut only subtrees holding no accepted leaf, so the leaves and
+their order are those of the DFS without them:
+
+- the identity tie: on an r-regular host every vertex of a leaf has r - k
+  positive and k negative neighbours and n - 1 - r non-neighbours, so an
+  accepted leaf's entries a, b, c satisfy a(r - k) + bk + c(n - 1 - r) =
+  rho^2 - r, the row sum of the off-diagonal entries of A^2 (eq3_doubled,
+  halved).  Once every class with a nonzero coefficient but one is
+  learned, the last one is derived (a subtree where it is not an integer
+  holds no accepted leaf), and later pairs of its class are checked
+  against it.  A host that is not regular has no such identity, and the
+  tie is off there;
+- the forward check: after block u, take a pair (t, v) with t <= u < v
+  whose class value e is learned.  Its entry sums sigma(tw)sigma(vw) over
+  the common neighbours w; the terms of w <= u are decided, and for w > u
+  sigma(tw) is known and sigma(vw) open.  Vertex v takes exactly
+  k - negc[v] more negative edges among its open edges, and that bounds
+  the open part to an interval of one parity.  Every completion of the
+  state has the pair's entry in that interval, so when e is not in it no
+  leaf below is accepted.  Only the pairs whose interval block u can move
+  are checked: (u, v) for every v > u, and (t, v) for t < u and v a later
+  neighbour of u.  A pair whose class value is learned after its last
+  check waits for the next block that moves it, which only delays a cut.
+
+The parameter filter path does not look ahead.
+
 search_srsg does not search the host in the labelling it is given.  It
 relabels the host into a greedy order computed from its canonical form (see
 _search_order), so the tree, and every counter, is the same for every
@@ -27,9 +54,10 @@ the host's signings one to one onto the relabelled host's, each to an
 isomorphic signing with the same parameters, so the set of classes found
 is unchanged.  Each leaf is mapped back to the input labels before it is
 verified, so the hits of dedupe "none" are signings of the host as given;
-the iso modes report decoded canonical forms, which no labelling changes.  A search that needs no DFS (no negative degree fits the net
-degree, or n * k is odd, when no k-regular subgraph exists) is answered
-with an empty exhaustive report and a note.
+the iso modes report decoded canonical forms, which no labelling changes.
+A search that needs no DFS (no negative degree fits the net degree, or
+n * k is odd, when no k-regular subgraph exists) is answered with an
+empty exhaustive report and a note.
 
 Reports are deterministic: fixed edge order, canonical representatives,
 sorted output, and identical results for any worker count.  With jobs > 1
@@ -63,8 +91,10 @@ problems").  This is exact for a search that keeps one signing per class:
 - the leaves accepted below a node are exactly the completions of its
   state whose negative subgraph is k-regular and whose squared-matrix
   entries are constant on each entry class (and equal to the entries
-  learned so far, or admitted by the filter); an automorphism that fixes
-  the state keeps all of that, so the swap maps the accepted leaves below a
+  learned so far, or admitted by the filter); the look-ahead changes none
+  of that, as a value the tie derives is the one every such leaf has and
+  a cut subtree holds none of them; an automorphism that fixes the state
+  keeps all of that, so the swap maps the accepted leaves below a
   choice S one to one onto those below swap(S), each to an isomorphic
   signing;
 - every orbit of the cell permutations on block choices holds exactly one
@@ -174,7 +204,9 @@ class _BudgetStop(Exception):
     pass
 
 
-def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), stop_depth=None, twins=False):
+def _search_raw(
+    nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), stop_depth=None, twins=False, lookahead=False
+):
     """Block DFS over signings whose negative subgraph is k-regular.
 
     A generator: yields each leaf lazily, in DFS order, as (pos_rows,
@@ -202,6 +234,14 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
     not a node and is not counted.  Only blocks whose avail holds two
     vertices of one twin class look at cells at all.  Off, the full tree is
     walked and every signing is yielded.
+
+    lookahead: with allowed="learn", add the identity tie (on a regular
+    host) and the forward check of the module docstring.  Both prunes count
+    in pruned_pair.  The derived class value goes on the trail of the node
+    that derived it, so backtracking forgets it, and a replayed prefix
+    derives it again.  The leaves are those of lookahead=False, in the same
+    order; only the tree shrinks.  search_srsg, its task split and its tasks
+    always look ahead; False keeps the tree the DFS pins pin.
 
     The state is the negative rows alone.  A block choice S for vertex u
     sets bit u in negm[w] and bumps negc[w] for w in S only, sets the mask
@@ -239,6 +279,33 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
     learning = allowed == "learn"
     filtering = isinstance(allowed, tuple)
     chosen: list[tuple[int, ...]] = []
+    ahead_on = lookahead and learning
+    r = nbr[0].bit_count() if n else 0
+    tie_on = ahead_on and all(row.bit_count() == r for row in nbr)
+    # the identity tie: coef[c] pairs of class c at each vertex of an
+    # r-regular host, and the row sum of the off-diagonal entries
+    coef = (r - k, k, n - 1 - r)
+    tie_classes = [c for c in range(3) if coef[c]]
+    tie_sum = (r - 2 * k) ** 2 - r
+    # ahead[u]: built at the first forward check after block u
+    ahead: list[list[tuple] | None] = [None] * n
+
+    def ahead_pairs(u):
+        """The pairs (t, v), t <= u < v, whose reachable entries may change
+        when block u closes: (t, v, decided and open common neighbours, the
+        number of all and of the open ones, v's other open edges, whether tv
+        is an edge)."""
+        high = ~((1 << (u + 1)) - 1)
+        out = []
+        for t, vs in [(u, range(u + 1, n))] + [(t, avail[u]) for t in range(u)]:
+            nt = nbr[t]
+            for v in vs:
+                common = nt & nbr[v]
+                co = common & high
+                lam_o = co.bit_count()
+                q = (nbr[v] & high).bit_count() - lam_o
+                out.append((t, v, common & ~high, co, common.bit_count(), lam_o, q, (nt >> v) & 1))
+        return out
 
     def pairs_ok(u, trail):
         nu = negm[u]
@@ -257,6 +324,68 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
                 elif lv != e:
                     return False
         return True
+
+    def tie(trail):
+        """Derive the one class the identity leaves unlearned, or check the
+        identity when every class is learned."""
+        rest, missing = tie_sum, None
+        for c in tie_classes:
+            value = learn[c]
+            if value is not None:
+                rest -= coef[c] * value
+            elif missing is None:
+                missing = c
+            else:
+                return True
+        if missing is None:
+            return rest == 0
+        value, odd = divmod(rest, coef[missing])
+        if odd:
+            return False
+        learn[missing] = value
+        trail.append(missing)
+        return True
+
+    def reachable(u):
+        """Whether every pair of ahead[u] whose class is learned can still
+        reach its value e.  Of the open common neighbours w, where sigma(tw)
+        is known, pos are positive and nw negative.  If v takes x negative
+        edges to the former and y to the latter, the entry is e exactly when
+        y - x = (e - |C|)/2 + (decided w with sigma(tw) != sigma(vw)) + nw;
+        x <= pos, y <= nw, and x + y + z = k - negc[v], with z <= q the
+        negatives v takes on its other open edges."""
+        rows = ahead[u]
+        if rows is None:
+            rows = ahead[u] = ahead_pairs(u)
+        for t, v, cd, co, lam, lam_o, q, adj in rows:
+            nt = negm[t]
+            e = learn[(nt >> v) & 1 if adj else 2]
+            if e is None:
+                continue
+            gap = e - lam
+            if gap & 1:
+                return False
+            nw = (nt & co).bit_count()
+            j = (gap >> 1) + ((nt ^ negm[v]) & cd).bit_count() + nw
+            m = k - negc[v]
+            # the largest y - x: y = min(nw, m), x = max(0, m - q - y)
+            y = nw if nw < m else m
+            x = m - q - y
+            if j > (y - x if x > 0 else y):
+                return False
+            # the least: x = min(pos, m), y = max(0, m - q - x)
+            x = lam_o - nw
+            if x > m:
+                x = m
+            y = m - q - x
+            if j < (y - x if y > 0 else -x):
+                return False
+        return True
+
+    def block_ok(u, trail):
+        """The pair checks of a closed block u: its completed pairs, then the
+        tie and the forward check when they are on."""
+        return pairs_ok(u, trail) and (not (tie_on and trail) or tie(trail)) and (not ahead_on or reachable(u))
 
     def cell_mates(u):
         """(v, w) for each two vertices of avail[u] that are next to each
@@ -313,7 +442,7 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
             trail: list[int] = []
             if not ok:
                 counters[_PDEG] += 1
-            elif (learning or filtering) and not pairs_ok(u, trail):
+            elif (learning or filtering) and not block_ok(u, trail):
                 ok = False
                 counters[_PPAIR] += 1
             if ok:
@@ -331,7 +460,7 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), 
     # they must pass their own checks again (and relearn the entries)
     for u, S in enumerate(prefix):
         apply_block(u, S)
-        if (learning or filtering) and not pairs_ok(u, []):
+        if (learning or filtering) and not block_ok(u, []):
             raise RuntimeError("task prefix failed replay")
         chosen.append(S)
 
@@ -345,7 +474,7 @@ def _task_worker(payload):
     """Leaves and counters of the subtree below one task prefix."""
     nbr, n, k, allowed, budget, prefix, twins = payload
     counters = [0, 0, 0, 0]
-    raw = list(_search_raw(nbr, n, k, allowed, budget, counters, prefix, twins=twins))
+    raw = list(_search_raw(nbr, n, k, allowed, budget, counters, prefix, twins=twins, lookahead=True))
     return raw, counters
 
 
@@ -459,7 +588,9 @@ def _split_tasks(nbr, n, k, allowed, jobs, counters, twins):
     """
     prefixes: list[tuple] = [()]
     for depth in range(1, n):
-        prefixes = [q for p in prefixes for q in _search_raw(nbr, n, k, allowed, None, counters, p, depth, twins)]
+        prefixes = [
+            q for p in prefixes for q in _search_raw(nbr, n, k, allowed, None, counters, p, depth, twins, True)
+        ]
         if len(prefixes) >= 4 * jobs or not prefixes:
             break
     return prefixes

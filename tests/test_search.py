@@ -273,14 +273,24 @@ def _outcome(rep):
 
 
 # (nodes, leaves) of the trees search_srsg walks, pinned so that a change of
-# search order that moves the budget edges below fails here
-FULL_TREES = {(5, 0, "iso"): (856, 0), (5, 0, "none"): (1476, 0), (16, 2, "none"): (1664, 12)}
+# search order or pruning that moves the budget edges below fails here
+FULL_TREES = {(5, 0, "iso"): (130, 0), (5, 0, "none"): (220, 0), (16, 2, "none"): (869, 12)}
 
 
 @pytest.mark.parametrize(
     "host, rho, budget, dedupe",
     [
         # order-10 host #5 at rho=0: mid-tree, and the edges of both trees
+        (5, 0, 90, "iso"),
+        (5, 0, 129, "iso"),
+        (5, 0, 130, "iso"),
+        (5, 0, 135, "iso"),
+        (5, 0, 219, "none"),
+        (5, 0, 220, "none"),
+        (5, 0, 225, "none"),
+        # host #16 is T(5): the cut falls after 6 of its 12 leaves
+        (16, 2, 400, "none"),
+        # far above the tree: exhaustive, as with no budget
         (5, 0, 600, "iso"),
         (5, 0, 855, "iso"),
         (5, 0, 856, "iso"),
@@ -288,9 +298,7 @@ FULL_TREES = {(5, 0, "iso"): (856, 0), (5, 0, "none"): (1476, 0), (16, 2, "none"
         (5, 0, 1475, "none"),
         (5, 0, 1476, "none"),
         (5, 0, 1481, "none"),
-        # host #16 is T(5): the cut falls after 6 of its 12 leaves
         (16, 2, 900, "none"),
-        # far above the tree: exhaustive, as with no budget
         (5, 0, 5000, "iso"),
         (5, 0, 5665, "iso"),
         (5, 0, 5666, "iso"),
@@ -540,6 +548,53 @@ def test_twin_reduced_leaves_are_a_subsequence(label):
         full = iter(_search_raw(g.nbr, g.n, k, "learn"))
         reduced = list(_search_raw(g.nbr, g.n, k, "learn", twins=True))
         assert all(leaf in full for leaf in reduced), rho
+
+
+def _leaves_and_nodes(g, k, twins, lookahead):
+    counters = [0, 0, 0, 0]
+    leaves = list(_search_raw(g.nbr, g.n, k, "learn", None, counters, twins=twins, lookahead=lookahead))
+    return leaves, counters[0]
+
+
+def _assert_lookahead_keeps_leaves(g, rhos, label):
+    for rho in rhos:
+        k = negative_degree(g.degree(0), rho)
+        for twins in (True, False):
+            if not twins and g.n > 12 and abs(rho) <= 2:
+                continue
+            plain, plain_nodes = _leaves_and_nodes(g, k, twins, False)
+            ahead, ahead_nodes = _leaves_and_nodes(g, k, twins, True)
+            assert ahead == plain, (label, rho, twins)
+            assert ahead_nodes <= plain_nodes, (label, rho, twins)
+
+
+@pytest.mark.parametrize("label", HOSTS)
+def test_lookahead_keeps_the_leaf_sequence(label):
+    """The identity tie and the forward check cut only subtrees that hold no
+    leaf: with twin cells on and off, the look-ahead DFS yields the leaves
+    of the DFS without it, in the same order, and walks none of its own."""
+    _assert_lookahead_keeps_leaves(HOSTS[label], (0, 2, 4), label)
+
+
+def test_lookahead_keeps_the_leaf_sequence_on_small_hosts():
+    """The same at every net degree of the brute-scan hosts, where K6 at
+    rho = +-5 has a single entry class, and on a host that is not regular,
+    where the tie is off."""
+    for name, g in SMALL_HOSTS.items():
+        r = g.degree(0)
+        _assert_lookahead_keeps_leaves(g, range(-r, r + 1, 2), name)
+    # Q3 plus the long diagonals 0-7 and 1-6: degrees 3 and 4
+    g = ugraph_from_edges(8, sorted(cube(3).edges()) + [(0, 7), (1, 6)])
+    for k in range(4):
+        for twins in (True, False):
+            assert _leaves_and_nodes(g, k, twins, True)[0] == _leaves_and_nodes(g, k, twins, False)[0], k
+
+
+def test_lookahead_walks_a_small_kmm_tree_without_dedupe():
+    """Under dedupe "none" K8,8 at rho=4 took 1,704,226 nodes before the
+    look-ahead; now its whole tree fits a budget of 50,000."""
+    rep = search_srsg(kmm(8), SearchConfig(rho=4, dedupe="none", node_budget=50_000))
+    assert rep.exhaustive and not rep.hits
 
 
 def _verified_leaves(g, rho):
