@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Time canonical forms on a ladder of symmetric hosts.
 
-The ladder is K_{m,m} for m = 6..12 and the m x m rook graph for m = 4..7,
-all edges positive.  For each graph one JSON line is printed with n, the
-seconds `canonical_form` took, and the search nodes and leaves it visited.
-Nodes and leaves are counted from outside the package by wrapping
-`srsg.iso._refine` (one call per search node) and `srsg.iso._encode` (one
-call per leaf).  A graph that exceeds the per-graph limit is reported with
-"timeout": true and the counts reached so far.
+The ladder is K_{m,m} for m = 6, 8, 10, 12, 16, 24, 32 and the m x m rook
+graph for m = 4..8, all edges positive, up to n = 64.  For each graph one
+JSON line is printed with n, the seconds `canonical_form` took, and the
+search nodes and leaves it visited.  Nodes and leaves are counted from
+outside the package by wrapping `srsg.iso._refine` (one call per search
+node) and `srsg.iso._encode` (one call per leaf).  A graph that reaches the
+per-graph limit is reported with "timeout": true and the counts reached so
+far, the ladder goes on, and the script exits 1.
 
     python3 scripts/canon_ladder.py [--limit SECONDS]
 """
@@ -64,8 +65,9 @@ def main() -> int:
     iso._encode = counted(iso._encode, "leaves")
     signal.signal(signal.SIGALRM, _alarm)
 
-    ladder = [(f"K{m},{m}", kmm(m)) for m in range(6, 13)]
-    ladder += [(f"rook{m}", rook(m)) for m in range(4, 8)]
+    ladder = [(f"K{m},{m}", kmm(m)) for m in (6, 8, 10, 12, 16, 24, 32)]
+    ladder += [(f"rook{m}", rook(m)) for m in range(4, 9)]
+    status = 0
     for name, u in ladder:
         g = all_positive(u)
         counts["nodes"] = counts["leaves"] = 0
@@ -81,8 +83,9 @@ def main() -> int:
         row = {"graph": name, "n": g.n, "seconds": round(time.perf_counter() - t0, 3), **counts}
         if timed_out:
             row["timeout"] = True
+            status = 1
         print(json.dumps(row), flush=True)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -14,29 +14,48 @@ vertex it individualised; `_refine` says why the ordered partition is the
 one full recounting would give.  A leaf with the first or the best leaf's
 encoding gives an automorphism; every distinct one is kept, with no cap,
 along with the bitmask of the points it fixes.  Each search node keeps one
-union-find over its target cell and folds in the automorphisms found since
-its previous sibling that fix its prefix pointwise, a test of that bitmask
-against the prefix's; a sibling joined to an explored one is skipped.
+union-find over its target cell; before each child after the first it folds
+in the automorphisms found since its last fold that fix its prefix
+pointwise, a test of that bitmask against the prefix's, and a sibling
+joined to an explored one is skipped.
+
+A leaf with the first leaf's encoding also sends the search back to its
+deepest common ancestor with the first leaf: every node below that ancestor
+returns at once, and the ancestor goes on with its loop, whose next fold
+joins the new sibling (McKay 1981, "Practical graph isomorphism"; McKay &
+Piperno 2014, "Practical graph isomorphism, II").  The jump skips only
+images of explored subtrees.  The position of the vertex a node
+individualises depends only on the node's ordered partition, so a leaf's
+partition determines its path.  The leaf's witness p maps the first leaf's
+partition onto this leaf's, so it maps the first path onto this path node
+by node: p fixes the ancestor's prefix pointwise and maps the subtree of
+the ancestor's first child, explored earlier, onto the subtree of its
+current child, which holds everything the jump skips.
 
 The canonical result is exact however many automorphisms are found.  A
-skipped subtree is the image, under an automorphism fixing the prefix, of an
-explored earlier sibling's subtree, so the first leaf of minimum encoding
-in depth-first order always has its preimage earlier in that order and is
+subtree skipped by either rule is the image, under an automorphism fixing
+a prefix, of a subtree earlier in depth-first order, so the first leaf of
+minimum encoding in that order always has its preimage earlier and is
 never skipped.  The search returns that leaf, so the encoding and the order
 do not depend on how much was pruned.
 
 The group order is the product of the orbit sizes along the first path,
-the nodes entered before any leaf (McKay 1981, "Practical graph
-isomorphism"; McKay & Piperno 2014).  `_refine` is invariant, so an
-automorphism fixing a node's prefix pointwise keeps its cells; the path
-ends in a discrete partition, so its vertices form a base, and
-orbit-stabilizer gives the product.  At each node on it, the orbit of the
-first child v is the union-find class of v once the loop ends.  Every join
-is an automorphism fixing the prefix.  Conversely, w in the orbit has an
-image of the first leaf in its subtree, and pruning skips only images of
-explored subtrees, so either the search reaches a leaf under w with the
-first leaf's encoding, whose witness maps v to w, or w is skipped as
-joined to an explored sibling.
+the nodes entered before any leaf (McKay 1981; McKay & Piperno 2014).
+`_refine` is invariant, so an automorphism fixing a node's prefix
+pointwise keeps its cells; the path ends in a discrete partition, so its
+vertices form a base, and orbit-stabilizer gives the product.  At each
+node on it, the orbit of the first child v is the union-find class of v
+once the loop ends.  Every join is an automorphism fixing the prefix.
+Conversely, w in the orbit has an image of the first leaf in its subtree,
+and pruning skips only images of explored subtrees, so either the search
+reaches a leaf under w with the first leaf's encoding, whose witness maps
+v to w, or w is skipped as joined to an explored sibling.  The jumps keep
+this.  While the loop of a node on the first path runs, every leaf found
+lies below it, so a jump ends at that node or deeper and never cuts its
+loop short.  A jump inside w's subtree starts at a leaf with the first
+leaf's encoding, and that leaf's automorphism is recorded before the jump;
+the first such leaf under w is never skipped, by the argument above, and
+its witness maps v to w.
 """
 
 from __future__ import annotations
@@ -194,9 +213,15 @@ def _canonical_search(g: SignedGraph):
     gens: list[tuple[int, ...]] = []
     fixed: list[int] = []  # fixed[k]: bitmask of the points gens[k] fixes
     seen = {tuple(range(n))}
+    path: list[int] = []  # the vertices individualised so far
+    first_path: list[int] = []
 
-    def rec(cells, pmask):
-        nonlocal best_enc, best_order, first_enc, first_order, group_order
+    def rec(cells, pmask) -> int:
+        """Search below one node; return the depth the search goes on at:
+        the node's own, or after a leaf with the first leaf's encoding, the
+        depth of its deepest common ancestor with the first leaf."""
+        nonlocal best_enc, best_order, first_enc, first_order, first_path, group_order
+        depth = len(path)
         target = -1
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
@@ -206,7 +231,7 @@ def _canonical_search(g: SignedGraph):
             order = [c[0] for c in cells]
             enc = _encode(g, order)
             if first_enc is None:
-                first_enc, first_order = enc, order
+                first_enc, first_order, first_path = enc, order, path[:]
             if best_enc is None or enc < best_enc:
                 best_enc, best_order = enc, order
             for ref_enc, ref in ((first_enc, first_order), (best_enc, best_order)):
@@ -216,7 +241,14 @@ def _canonical_search(g: SignedGraph):
                         seen.add(tphi)
                         gens.append(tphi)
                         fixed.append(sum(1 << x for x in range(n) if tphi[x] == x))
-            return
+            if enc == first_enc and order is not first_order:
+                # jump back: the rest of the ancestor's current child is an
+                # image of its first child's subtree (module docstring)
+                common = 0
+                while path[common] == first_path[common]:
+                    common += 1
+                return common
+            return depth
         on_first_path = first_enc is None
         cell = cells[target]
         explored: list[int] = []
@@ -236,22 +268,28 @@ def _canonical_search(g: SignedGraph):
         for v in cell:
             # skip v when such an automorphism maps an explored sibling onto
             # it; that subtree is an image of an explored one
-            fold()
-            rv = _find(parent, v)
-            if any(_find(parent, u) == rv for u in explored):
-                continue
+            if explored:
+                fold()
+                rv = _find(parent, v)
+                if any(_find(parent, u) == rv for u in explored):
+                    continue
             explored.append(v)
             child = (
                 cells[:target]
                 + [[v], [w for w in cell if w != v]]
                 + cells[target + 1 :]
             )
-            rec(_refine(pos, neg, child, (target,)), pmask | 1 << v)
+            path.append(v)
+            back = rec(_refine(pos, neg, child, (target,)), pmask | 1 << v)
+            path.pop()
+            if back < depth:
+                return back
         if on_first_path:
             # the class of the first child is its orbit (module docstring)
             fold()
             rv = _find(parent, cell[0])
             group_order *= sum(1 for w in cell if _find(parent, w) == rv)
+        return depth
 
     cells = _initial_cells(g)
     rec(_refine(pos, neg, cells, range(len(cells))), 0)

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
+import srsg.iso as iso
 from conftest import cube, kmm, petersen, relabel, rook, signed_graphs
 from srsg.catalog import build, build_underlying, list_names
 from srsg.core import all_positive, from_signed_edges, negation, ugraph_from_edges
@@ -169,8 +170,8 @@ FORMULA_CASES = [
     ("C4+C8", cycles(4, 8), 8 * 16),
     ("C4+C4+C6", cycles(4, 4, 6), 2 * 8 * 8 * 12),
     ("C5+C10", cycles(5, 10), 10 * 20),
-    *(("K%d,%d" % (m, m), kmm(m), 2 * factorial(m) ** 2) for m in range(9, 17)),
-    *(("rook%d" % m, rook(m), 2 * factorial(m) ** 2) for m in range(5, 8)),
+    *(("K%d,%d" % (m, m), kmm(m), 2 * factorial(m) ** 2) for m in (*range(9, 17), 20, 24, 32)),
+    *(("rook%d" % m, rook(m), 2 * factorial(m) ** 2) for m in range(5, 9)),
     *(("C%d" % n, cycles(n), 2 * n) for n in range(17, 65)),
 ]
 
@@ -205,6 +206,61 @@ def test_automorphism_count_matches_vf2():
         G.add_nodes_from(range(u.n))
         G.add_edges_from((a, b) for a in range(u.n) for b in range(a + 1, u.n) if u.adjacent(a, b))
         assert automorphism_count(u) == sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
+
+
+def random_signings():
+    """Seeded random signings of K_{m,m} (m <= 6) and rook m x m (m <= 5),
+    each edge negative with probability p; a small p leaves a large group.
+    Small p only up to n = 9, as VF2 lists every automorphism."""
+    rng = random.Random(14)
+    hosts = [kmm(m) for m in range(2, 7)] + [rook(m) for m in range(2, 6)]
+    for u in hosts:
+        for p in (0.0, 0.1, 0.25, 0.5) if u.n <= 9 else (0.25, 0.5):
+            yield from_signed_edges(u.n, [(a, b, -1 if rng.random() < p else 1) for a, b in u.edges()])
+    for m in (4, 5):  # a negative perfect matching: a group of order 2 * m!
+        yield from_signed_edges(2 * m, [(i, m + j, -1 if i == j else 1) for i in range(m) for j in range(m)])
+
+
+def test_search_group_order_matches_vf2_signed():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def same_sign(x, y):
+        return x["s"] == y["s"]
+
+    for k, g in enumerate(random_signings()):
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from((a, b, {"s": s}) for a, b, s in g.edges())
+        vf2 = sum(1 for _ in GraphMatcher(G, G, edge_match=same_sign).isomorphisms_iter())
+        enc, _, _, group_order = _canonical_search(g)
+        assert group_order == vf2, k
+        for seed in (1, 2, 3):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            assert canonical_form(apply_perm(g, perm)) == enc, (k, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("u,m", [(rook(7), 7), (kmm(12), 12)], ids=["rook7", "K12,12"])
+def test_automorphism_leaves_jump_back(monkeypatch, u, m, seed):
+    """A leaf with the first leaf's encoding sends the search back to its
+    deepest common ancestor with the first leaf, so a vertex-transitive
+    host reaches at most n leaves under any labelling (without the jump,
+    rook 7x7 reaches 337 to 6,908 leaves under these labellings and
+    K12,12 134)."""
+    leaves = 0
+    encode = iso._encode
+
+    def counted(*args):
+        nonlocal leaves
+        leaves += 1
+        return encode(*args)
+
+    monkeypatch.setattr(iso, "_encode", counted)
+    g = all_positive(relabel(u, seed))
+    assert _canonical_search(g)[3] == 2 * factorial(m) ** 2
+    assert 0 < leaves <= g.n
 
 
 def test_search_generators_are_automorphisms():
