@@ -29,7 +29,7 @@ def _params_json(p: SrsgParams | None):
 
 
 def _row_json(row: FeasibleSet):
-    return {**asdict(row), "n_free": row.n_free}
+    return {**row._asdict(), "n_free": row.n_free}
 
 
 def _hit_json(h: Hit):

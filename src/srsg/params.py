@@ -12,11 +12,16 @@ need care:
 * n-free families: when c = 0 the identity does not involve n, so the
   family is returned once with n = None plus its instantiations up to
   n_max.
+
+Rows are FeasibleSet named tuples, built straight from their field tuples
+and bucketed by n, which gives the (n, a, b, c) order without sorting the
+rows (the argument is in the feasible_param_sets docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyRange, VacuousQuery
 from .regularity import SrsgParams, negative_degree
@@ -37,9 +42,14 @@ class ParamQuery:
     a_max: int | None = None
 
 
-@dataclass(frozen=True)
-class FeasibleSet:
-    """One feasible row; n is None for an n-free family (c = 0)."""
+class FeasibleSet(NamedTuple):
+    """One feasible row; n is None for an n-free family (c = 0).
+
+    A NamedTuple: rows are immutable (assigning a field raises
+    AttributeError) and hashable, and they compare, hash and iterate as the
+    plain tuple (n, r, a, b, c, complete).  row._asdict() gives the fields
+    as a dict in that order, where a dataclass would use dataclasses.asdict.
+    """
 
     n: int | None
     r: int
@@ -58,18 +68,36 @@ class FeasibleSet:
         return SrsgParams(self.n, self.r, self.a, self.b, self.c)
 
 
+def _vacuous_reason(r: int, rho: int) -> str:
+    """Why no signing has degree r and net-degree rho, in exact terms."""
+    if r < 0:
+        return f"no signing has degree {r}: the degree must be non-negative"
+    k, odd = divmod(r - rho, 2)
+    need = f"{r - rho}/2, which is not an integer" if odd else f"{k}, outside 0..{r}"
+    return (f"no signing has degree {r} and net-degree {rho}: "
+            f"the negative subgraph would need degree {need}")
+
+
 def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
     """All parameter rows compatible with the query.
 
-    Rows are sorted by (n, a, b, c) with n-free family rows last.  Every
-    concrete row satisfies regularity.eq3_holds exactly.
+    Rows come in (n, a, b, c) order with the n-free family rows last.
+    Every concrete row satisfies regularity.eq3_holds exactly.
+
+    That order needs no sort of the rows.  Each row is appended to a bucket
+    for its n (family rows to a list of their own) and the buckets are
+    joined in increasing n.  Within a bucket the rows follow the scan,
+    which takes a and b in ascending order, and each (n, a, b) gives at
+    most one row: the n = r+1 bucket holds only complete rows, as the c
+    loop starts at n = r+2; when twice == 0 the family branch adds one
+    c = 0 row per n and skips the c loop; otherwise c = twice / (2(n-r-1))
+    is unique.  So no two rows of a bucket tie on (a, b), and the order is
+    the sorted one.  The c loop visits only d = n-r-1 in
+    |twice/2| / r <= d <= |twice/2|, so its cost does not grow with n_max.
     """
     r, rho = q.r, q.rho
     if negative_degree(r, rho) is None:
-        raise VacuousQuery(
-            f"no signing has degree {r} and net-degree {rho}: "
-            f"the negative subgraph would need degree {(r - rho) / 2}"
-        )
+        raise VacuousQuery(_vacuous_reason(r, rho))
     n_max = q.n_max if q.n_max is not None else 2 * r + 5
     n_min = q.n_min if q.n_min is not None else r + 1
     n_min = max(n_min, r + 1)
@@ -94,7 +122,10 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
             return False
         return True
 
-    rows: list[FeasibleSet] = []
+    # rows are plain tuples in field order; tuple.__new__ skips the keyword constructor
+    new = tuple.__new__
+    buckets: dict[int, list[FeasibleSet]] = {}
+    families: list[FeasibleSet] = []
     for a in a_range:
         for b in b_range:
             # eq3_doubled with c moved to one side: 2c(n-r-1) == twice
@@ -102,30 +133,23 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
             if twice == 0:
                 # n = r+1: the c term vanishes, c is vacuous (complete graph)
                 if n_ok(r + 1):
-                    rows.append(FeasibleSet(r + 1, r, a, b, None, complete=True))
+                    buckets.setdefault(r + 1, []).append(new(FeasibleSet, (r + 1, r, a, b, None, True)))
                 # c = 0: n drops out of the identity, so this is an n-free family
-                members = [n for n in range(r + 2, n_max + 1) if n_ok(n)]
-                rows.append(FeasibleSet(None, r, a, b, 0))
-                rows.extend(FeasibleSet(n, r, a, b, 0) for n in members)
+                families.append(new(FeasibleSet, (None, r, a, b, 0, False)))
+                for n in range(r + 2, n_max + 1):
+                    if n_ok(n):
+                        buckets.setdefault(n, []).append(new(FeasibleSet, (n, r, a, b, 0, False)))
                 continue
             if twice % 2:
                 continue
-            for n in range(r + 2, n_max + 1):
-                c, rest = divmod(twice // 2, n - r - 1)
-                if not rest and abs(c) <= r and n_ok(n):
-                    rows.append(FeasibleSet(n, r, a, b, c))
-
-    big = n_max + 1
-
-    def key(row: FeasibleSet):
-        return (
-            row.n if row.n is not None else big,
-            row.a,
-            row.b,
-            row.c if row.c is not None else -(r + 1),
-        )
-
-    rows.sort(key=key)
+            # c = half/d for d = n-r-1: d divides half, and |c| <= r needs d >= |half|/r
+            half = twice // 2
+            for d in range((abs(half) + r - 1) // r, min(abs(half), n_max - r - 1) + 1):
+                if not half % d and n_ok(d + r + 1):
+                    buckets.setdefault(d + r + 1, []).append(
+                        new(FeasibleSet, (d + r + 1, r, a, b, half // d, False)))
+    rows = [row for n in sorted(buckets) for row in buckets[n]]
+    rows += families
     return rows
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -64,6 +65,35 @@ def test_params_cli_vacuous_is_data_error(capsys):
     rc, _, err = run(capsys, ["params", "--r", "6", "--rho", "3"])
     assert rc == 1
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "VacuousQuery"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--r", "6", "--rho", "3"], "no signing has degree 6 and net-degree 3: "
+                                 "the negative subgraph would need degree 3/2, which is not an integer"),
+    (["--r", "-3", "--rho", "1"], "no signing has degree -3: the degree must be non-negative"),
+])
+def test_params_cli_vacuous_message_is_exact(capsys, argv, message):
+    rc, _, err = run(capsys, ["params", *argv])
+    assert rc == 1
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error == {"type": "VacuousQuery", "message": message}
+
+
+# sha256 of the `srsg params` stdout bytes
+PARAMS_STDOUT_PINS = [
+    ("--r 6 --rho 4", "8363438fe43168785a58039dd483081dd305e2f62539773e380a56fdfd309f49"),
+    ("--r 6 --rho 2", "bf47c04f09d8f3f5c832d412c5328dad24575cbe2ddfda5159a1780a243f9584"),
+    ("--r 6 --rho 0", "2873d5f4b8365ccf4c0aa33bbcf159a7c708d6b6d5c31b245ed3dc303e336efc"),
+    ("--r 6 --rho 4 --fix-b 0 --even-n", "248d1b72027d7783129b6b7be9e482173e5ee6366c5f5c328293c0725b0a054f"),
+    ("--r 6 --rho 2 --div-n 15", "0f935dce4b0d7dd680940f606ac47bf63a2b31096536b72b01b839ff777e5257"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PARAMS_STDOUT_PINS)
+def test_params_cli_stdout_pinned(capsys, args, digest):
+    rc, out, _ = run(capsys, ["params", *args.split()])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_cli_params_question_mark_is_vacuous(capsys, fixtures_dir):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from srsg.errors import EmptyRange, VacuousQuery
@@ -124,11 +126,66 @@ def test_vacuous_and_empty_queries():
             feasible_param_sets(ParamQuery(r=6, rho=2, div_n=div_n))
 
 
+@pytest.mark.parametrize("r,rho,message", [
+    (6, 3, "no signing has degree 6 and net-degree 3: "
+           "the negative subgraph would need degree 3/2, which is not an integer"),
+    (6, -8, "no signing has degree 6 and net-degree -8: "
+            "the negative subgraph would need degree 7, outside 0..6"),
+    (6, 8, "no signing has degree 6 and net-degree 8: "
+           "the negative subgraph would need degree -1, outside 0..6"),
+    (-3, 1, "no signing has degree -3: the degree must be non-negative"),
+    (-2, -2, "no signing has degree -2: the degree must be non-negative"),
+])
+def test_vacuous_message_is_exact(r, rho, message):
+    with pytest.raises(VacuousQuery) as ei:
+        feasible_param_sets(ParamQuery(r=r, rho=rho))
+    assert str(ei.value) == message
+
+
 def test_family_row_has_no_params_tuple():
     fam = next(q for q in feasible_param_sets(ParamQuery(r=6, rho=4, fix_b=0)) if q.n_free)
     with pytest.raises(ValueError):
         fam.params()
     assert FeasibleSet(12, 6, 0, 0, 2).params() == SrsgParams(12, 6, 0, 0, 2)
+
+
+def test_rows_are_immutable_hashable_tuples():
+    rows = feasible_param_sets(ParamQuery(r=6, rho=4))
+    assert len(set(rows)) == len(rows)
+    row = rows[0]
+    for name in ("n", "c", "complete"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, 0)
+    assert row == (7, 6, row.a, row.b, None, True) and row.complete
+    assert list(row._asdict()) == ["n", "r", "a", "b", "c", "complete"]
+    assert repr(FeasibleSet(None, 6, 2, 0, 0)) == (
+        "FeasibleSet(n=None, r=6, a=2, b=0, c=0, complete=False)")
+
+
+def test_rows_with_c_nonzero_stop_below_a_large_n_max():
+    # b = 1 at rho = 4 has no c = 0 family, so every row has |c| >= 1 and
+    # n - r - 1 <= |twice/2|: a larger n_max adds no row
+    small = feasible_param_sets(ParamQuery(r=6, rho=4, fix_b=1, n_max=60))
+    assert small and not any(q.n_free for q in small)
+    assert feasible_param_sets(ParamQuery(r=6, rho=4, fix_b=1, n_max=10**6)) == small
+
+
+# sha256 of repr(feasible_param_sets(q)); perfbench hashes the same repr
+REPR_PINS = [
+    ({"r": 6, "rho": 4}, "8e978ba906a28f9fe1cfe4650cecdbe9f6a0e7f4b9c0a0382803ef69a9f2bebb"),
+    ({"r": 6, "rho": 2}, "8f85d9964aae36fe96bd9dad54d2163440e57b39c70f04c385278051d2578b96"),
+    ({"r": 6, "rho": 0}, "51d13b8cd4dedaef63ded8933fab2d95e0a85a2d8614a60e181d8e237145966e"),
+    ({"r": 6, "rho": 4, "fix_b": 0, "even_n": True},
+     "ea554f7627c22c152acfbebe2ce04e1b37308580a5a537f524ac0da2bd907fb5"),
+    ({"r": 6, "rho": 2, "div_n": 15},
+     "bc93b5728f21cbd73d9e9d9db91d57b5e7e6770c1d9000ce3dfaa6566294ba4d"),
+]
+
+
+@pytest.mark.parametrize("opts,digest", REPR_PINS)
+def test_rows_repr_pinned(opts, digest):
+    rows = feasible_param_sets(ParamQuery(**opts))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def brute_rows(r, rho, n_max=None, n_min=None, fix_b=None, even_n=False, div_n=None,
@@ -159,12 +216,28 @@ def brute_rows(r, rho, n_max=None, n_min=None, fix_b=None, even_n=False, div_n=N
                                        -(r + 1) if t[4] is None else t[4]))
 
 
-@pytest.mark.parametrize("r,rho", [(3, 1), (4, 0), (5, -1), (5, 3), (6, 2), (7, 1), (7, -5)])
+BOX_PAIRS = [(3, 1), (4, 0), (5, -1), (5, 3), (6, 2), (7, 1), (7, -5),
+             (1, 1), (1, -1), (2, 2), (2, 0), (2, -2), (6, 6), (6, -6)]
+
+
+@pytest.mark.parametrize("r,rho", BOX_PAIRS)
 @pytest.mark.parametrize("opts", [
     {}, {"even_n": True}, {"div_n": 3}, {"fix_b": 1}, {"fix_b": 9}, {"a_min": -1, "a_max": 2},
     {"n_min": 10}, {"n_max": 11}, {"n_min": 9, "n_max": 30, "div_n": 2},
+    {"fix_b": -9}, {"a_min": 2, "a_max": -2}, {"div_n": 1}, {"n_min": 1, "even_n": True},
 ])
 def test_rows_match_full_box_scan(r, rho, opts):
+    if opts.get("n_max", 2 * r + 5) < max(opts.get("n_min", r + 1), r + 1):
+        with pytest.raises(EmptyRange):
+            feasible_param_sets(ParamQuery(r=r, rho=rho, **opts))
+        return
     rows = feasible_param_sets(ParamQuery(r=r, rho=rho, **opts))
     got = [(q.n, q.r, q.a, q.b, q.c, q.complete) for q in rows]
     assert got == brute_rows(r, rho, **opts)
+
+
+@pytest.mark.parametrize("r,rho", BOX_PAIRS)
+def test_n_max_r_plus_1_gives_complete_rows_only(r, rho):
+    rows = feasible_param_sets(ParamQuery(r=r, rho=rho, n_max=r + 1))
+    assert rows == brute_rows(r, rho, n_max=r + 1)  # rows compare as plain tuples
+    assert all(q.complete or q.n_free for q in rows)

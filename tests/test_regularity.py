@@ -1,9 +1,13 @@
+import glob
+import os
+import random
+
 import pytest
 from hypothesis import given
 
-from conftest import signed_graphs
-from srsg.catalog import build
-from srsg.core import from_signed_edges, negation
+from conftest import FIXTURES, signed_graphs
+from srsg.catalog import build, list_names
+from srsg.core import all_positive, from_signed_edges, negation
 from srsg.errors import SizeExceeded
 from srsg.regularity import (
     SrsgClass,
@@ -17,6 +21,7 @@ from srsg.regularity import (
     srg_relation_eq1,
     verify_identity_eq2,
 )
+from srsg.sgio import read_graph6_file
 
 
 def complete_graph(n, sign=1):
@@ -152,6 +157,49 @@ def test_char_poly_cayley_hamilton(g):
         for i in range(n):
             acc[i][i] += c
     assert all(acc[i][j] == 0 for i in range(n) for j in range(n))
+
+
+def _oracle_graphs():
+    """Labelled signed graphs for the sympy oracle, up to n = 20."""
+    out = []
+    for name in list_names():
+        g = build(name).graph
+        out += [(name, g), (f"-{name}", negation(g))]
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "targets", "*.g6"))):
+        for k, u in enumerate(read_graph6_file(path)):
+            out.append((f"{os.path.basename(path)}[{k}]", all_positive(u)))
+    rng = random.Random(20)
+    for t in range(24):
+        n = rng.randint(1, 20)
+        p_edge, p_neg = rng.random(), rng.random()
+        edges = [(u, v, -1 if rng.random() < p_neg else 1)
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < p_edge]
+        out.append((f"random{t}", from_signed_edges(n, edges)))
+    # isolated vertices, an all-negative star and path, complete graphs of each sign
+    out.append(("isolated3", from_signed_edges(3, [])))
+    out.append(("isolated+edge", from_signed_edges(6, [(1, 4, -1), (2, 3, 1)])))
+    out.append(("negative-star", from_signed_edges(7, [(0, v, -1) for v in range(1, 7)])))
+    out.append(("negative-path", from_signed_edges(9, [(v, v + 1, -1) for v in range(8)])))
+    for n in (1, 2, 9, 20):
+        out.append((f"+K{n}", complete_graph(n)))
+        out.append((f"-K{n}", complete_graph(n, -1)))
+    rng = random.Random(21)
+    out.append(("mixedK17", from_signed_edges(
+        17, [(u, v, rng.choice((1, -1))) for u in range(17) for v in range(u + 1, 17)])))
+    return out
+
+
+ORACLE_GRAPHS = _oracle_graphs()
+
+
+@pytest.mark.parametrize("g", [g for _, g in ORACLE_GRAPHS], ids=[name for name, _ in ORACLE_GRAPHS])
+def test_char_poly_matches_sympy(g):
+    # independent oracle: sympy's charpoly of the dense matrix built from the edge list
+    sympy = pytest.importorskip("sympy")
+    A = [[0] * g.n for _ in range(g.n)]
+    for u, v, s in g.edges():
+        A[u][v] = A[v][u] = s
+    assert char_poly(g) == [int(c) for c in sympy.Matrix(A).charpoly().all_coeffs()]
 
 
 def test_quadratic_check_implies_char_poly_divides():
