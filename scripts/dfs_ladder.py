@@ -62,7 +62,7 @@ def main() -> int:
                 k = negative_degree(u.degree(0), rho)
                 if _no_dfs_note(u.n, k):
                     continue
-                for _leaf in _search_raw(nbr, u.n, k, "learn", None, counters, twins=True, lookahead=True):
+                for _leaf in _search_raw(nbr, u.n, k, (None, None, None), None, counters, twins=True, lookahead=True):
                     pass
             times.append(time.perf_counter() - t0)
         seconds = statistics.median(times)

@@ -8,10 +8,11 @@ whose squared sign matrix is constant on each entry class.
 Edges are decided in lexicographic (min, max) order, which groups them
 into per-vertex blocks: when block u closes, every edge at u is decided,
 so u is "complete" and each pair (t, u) with t complete has its final
-squared-matrix entry.  Those entries are checked against the parameter
-filter (or against values learned from the first completed pair of each
-class) and inconsistent subtrees are cut.  The degree-cap prune rejects
-blocks that overshoot k or leave a vertex unable to reach it.
+squared-matrix entry.  The first completed pair of each entry class sets
+its value, later pairs must have it, and inconsistent subtrees are cut.  A
+parameter filter only narrows which value may be set (see _search_raw).
+The degree-cap prune rejects blocks that overshoot k or leave a vertex
+unable to reach it.
 
 The DFS keeps the negative rows only.  An edge of a decided block that is
 not negative is positive, so a complete vertex's positive row is its host
@@ -19,19 +20,19 @@ row minus its negative row, and the entry of a completed pair t < u is
 |C| - 2 * popcount((neg[t] ^ neg[u]) & C) over its common neighbours C:
 a term sigma(tw)sigma(uw) is -1 exactly when one of tw, uw is negative.
 
-When it learns entries, search_srsg's DFS also looks ahead, with two prunes
-that each cut only subtrees holding no accepted leaf, so the leaves and
-their order are those of the DFS without them:
+search_srsg's DFS, filtered or not, also looks ahead, with two prunes that
+each cut only subtrees holding no accepted leaf, so the leaves and their
+order are those of the DFS without them:
 
 - the identity tie: on an r-regular host every vertex of a leaf has r - k
   positive and k negative neighbours and n - 1 - r non-neighbours, so an
   accepted leaf's entries a, b, c satisfy a(r - k) + bk + c(n - 1 - r) =
   rho^2 - r, the row sum of the off-diagonal entries of A^2 (eq3_doubled,
   halved).  Once every class with a nonzero coefficient but one is
-  learned, the last one is derived (a subtree where it is not an integer
-  holds no accepted leaf), and later pairs of its class are checked
-  against it.  A host that is not regular has no such identity, and the
-  tie is off there;
+  known, the last one is derived (a subtree where it is not an integer, or
+  not admitted, holds no accepted leaf), and later pairs of its class are
+  checked against it.  A host that is not regular has no such identity,
+  and the tie is off there;
 - the forward check: after block u, take a pair (t, v) with t <= u < v
   whose class value e is learned.  Its entry sums sigma(tw)sigma(vw) over
   the common neighbours w; the terms of w <= u are decided, and for w > u
@@ -43,8 +44,6 @@ their order are those of the DFS without them:
   are checked: (u, v) for every v > u, and (t, v) for t < u and v a later
   neighbour of u.  A pair whose class value is learned after its last
   check waits for the next block that moves it, which only delays a cut.
-
-The parameter filter path does not look ahead.
 
 search_srsg does not search the host in the labelling it is given.  It
 relabels the host into a greedy order computed from its canonical form (see
@@ -90,8 +89,8 @@ problems").  This is exact for a search that keeps one signing per class:
   decided edge;
 - the leaves accepted below a node are exactly the completions of its
   state whose negative subgraph is k-regular and whose squared-matrix
-  entries are constant on each entry class (and equal to the entries
-  learned so far, or admitted by the filter); the look-ahead changes none
+  entries are constant on each entry class, equal to the values known so
+  far and admitted by the filter's sets; the look-ahead changes none
   of that, as a value the tie derives is the one every such leaf has and
   a cut subtree holds none of them; an automorphism that fixes the state
   keeps all of that, so the swap maps the accepted leaves below a
@@ -121,7 +120,7 @@ from itertools import combinations
 from .core import SignedGraph, UGraph, all_positive, negation
 from .errors import DegreeMismatch, DisconnectedInput
 from .iso import canonical_form, canonical_labeling, decode_canonical
-from .regularity import SrsgClass, SrsgParams, class_of, extract_params, negative_degree
+from .regularity import SrsgClass, SrsgParams, class_of, eq3_holds, extract_params, negative_degree
 
 # not called here, but perfbench's traced runs wrap it among this module's names
 from .regularity import classify  # noqa: F401
@@ -152,7 +151,8 @@ class SearchStats:
 class SearchConfig:
     """Search targets and policies.
 
-    param_filter: the parameter sets a hit may have (None: any).
+    param_filter: the parameter sets a hit may have (None: any).  Its rows
+    that fit the host and the identity at rho narrow what the DFS learns.
     dedupe: "none" keeps every signing found, "iso" one per isomorphism
     class, "iso-neg" also drops a class whose negation is a class the same
     host has, with the smaller canonical form.  Every hit is a signing found
@@ -212,9 +212,12 @@ def _search_raw(
     A generator: yields each leaf lazily, in DFS order, as (pos_rows,
     neg_rows) mask tuples.  The host need not be regular.
 
-    allowed: None (degree pruning only), the string "learn", or a triple of
-    frozensets of admissible squared-matrix entries for (positive,
-    negative, non-adjacent) pairs.
+    allowed: None (degree pruning only), or a triple of the admissible
+    squared-matrix entries of (positive, negative, non-adjacent) pairs, a
+    frozenset or None (any value) for each class.  A class takes the value
+    of its first completed pair if its set admits it (else the node is
+    cut); later pairs must have that value.  A class with one admissible
+    value is known from the start, on no trail.
 
     counters: a list [nodes, leaves, pruned_degree, pruned_pair] the DFS
     adds to.  With a budget the DFS stops when it reaches node budget + 1,
@@ -235,13 +238,13 @@ def _search_raw(
     vertices of one twin class look at cells at all.  Off, the full tree is
     walked and every signing is yielded.
 
-    lookahead: with allowed="learn", add the identity tie (on a regular
+    lookahead: with allowed not None, add the identity tie (on a regular
     host) and the forward check of the module docstring.  Both prunes count
-    in pruned_pair.  The derived class value goes on the trail of the node
-    that derived it, so backtracking forgets it, and a replayed prefix
-    derives it again.  The leaves are those of lookahead=False, in the same
-    order; only the tree shrinks.  search_srsg, its task split and its tasks
-    always look ahead; False keeps the tree the DFS pins pin.
+    in pruned_pair.  A value the tie derives goes on the trail of its node,
+    so backtracking forgets it, and a replayed prefix derives it again.  The
+    leaves are those of lookahead=False, in the same order; only the tree
+    shrinks.  search_srsg, its task split and its tasks always look ahead;
+    False keeps the tree the DFS pins pin.
 
     The state is the negative rows alone.  A block choice S for vertex u
     sets bit u in negm[w] and bumps negc[w] for w in S only, sets the mask
@@ -275,11 +278,10 @@ def _search_raw(
         for w in range(n):
             tid[w] = next((tid[x] for x in range(w) if nbr[x] & ~bit[w] == nbr[w] & ~bit[x]), w)
     twin_block = [len({tid[w] for w in av}) < len(av) for av in avail]
-    learn: list[int | None] = [None, None, None]
-    learning = allowed == "learn"
-    filtering = isinstance(allowed, tuple)
+    # learn[c]: the value of class c in every accepted leaf below, once known
+    learn = [next(iter(s)) if s is not None and len(s) == 1 else None for s in allowed or (None,) * 3]
     chosen: list[tuple[int, ...]] = []
-    ahead_on = lookahead and learning
+    ahead_on = lookahead and allowed is not None
     r = nbr[0].bit_count() if n else 0
     tie_on = ahead_on and all(row.bit_count() == r for row in nbr)
     # the identity tie: coef[c] pairs of class c at each vertex of an
@@ -313,16 +315,14 @@ def _search_raw(
             e = lam - 2 * ((negm[t] ^ nu) & common).bit_count()
             if (nu >> t) & 1:
                 c = 1
-            if filtering:
-                if e not in allowed[c]:
+            lv = learn[c]
+            if lv is None:
+                if allowed[c] is not None and e not in allowed[c]:
                     return False
-            else:
-                lv = learn[c]
-                if lv is None:
-                    learn[c] = e
-                    trail.append(c)
-                elif lv != e:
-                    return False
+                learn[c] = e
+                trail.append(c)
+            elif lv != e:
+                return False
         return True
 
     def tie(trail):
@@ -340,7 +340,7 @@ def _search_raw(
         if missing is None:
             return rest == 0
         value, odd = divmod(rest, coef[missing])
-        if odd:
+        if odd or (allowed[missing] is not None and value not in allowed[missing]):
             return False
         learn[missing] = value
         trail.append(missing)
@@ -442,7 +442,7 @@ def _search_raw(
             trail: list[int] = []
             if not ok:
                 counters[_PDEG] += 1
-            elif (learning or filtering) and not block_ok(u, trail):
+            elif allowed is not None and not block_ok(u, trail):
                 ok = False
                 counters[_PPAIR] += 1
             if ok:
@@ -460,7 +460,7 @@ def _search_raw(
     # they must pass their own checks again (and relearn the entries)
     for u, S in enumerate(prefix):
         apply_block(u, S)
-        if (learning or filtering) and not block_ok(u, []):
+        if allowed is not None and not block_ok(u, []):
             raise RuntimeError("task prefix failed replay")
         chosen.append(S)
 
@@ -659,11 +659,11 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
         return report([], True, note)
 
     filter_set = None
-    allowed = "learn"
+    allowed = (None, None, None)
     if cfg.param_filter is not None:
-        compat = [p for p in cfg.param_filter if p.n == g.n and p.r == r]
+        compat = [p for p in cfg.param_filter if p.n == g.n and p.r == r and eq3_holds(p, cfg.rho)]
         if not compat:
-            return report([], True, "filter excludes this order or degree")
+            return report([], True, "filter excludes this order, degree or net degree")
         filter_set = set(compat)
         allowed = _allowed_from_filter(compat)
 

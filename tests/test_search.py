@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FIXTURES, brute_extract, brute_square, cube, kmm, petersen, relabel
 from srsg.catalog import build, build_underlying
-from srsg.core import SignedGraph, negation, sign_with, ugraph_from_edges
+from srsg.core import SignedGraph, all_positive, negation, sign_with, ugraph_from_edges
 from srsg.errors import DegreeMismatch, DisconnectedInput
 from srsg.iso import canonical_form, decode_canonical
 from srsg.regularity import SrsgClass, SrsgParams, extract_params
@@ -29,6 +29,9 @@ from srsg.search import (
     search_srsg,
 )
 from srsg.sgio import read_graph6_file
+
+# _search_raw's per-class sets with no filter: learn every class's entry
+LEARN = (None, None, None)
 
 
 def complete_ugraph(n):
@@ -545,14 +548,14 @@ def test_twin_reduced_leaves_are_a_subsequence(label):
     r = g.degree(0)
     for rho in range(-r, r + 1, 2):
         k = negative_degree(r, rho)
-        full = iter(_search_raw(g.nbr, g.n, k, "learn"))
-        reduced = list(_search_raw(g.nbr, g.n, k, "learn", twins=True))
+        full = iter(_search_raw(g.nbr, g.n, k, LEARN))
+        reduced = list(_search_raw(g.nbr, g.n, k, LEARN, twins=True))
         assert all(leaf in full for leaf in reduced), rho
 
 
 def _leaves_and_nodes(g, k, twins, lookahead):
     counters = [0, 0, 0, 0]
-    leaves = list(_search_raw(g.nbr, g.n, k, "learn", None, counters, twins=twins, lookahead=lookahead))
+    leaves = list(_search_raw(g.nbr, g.n, k, LEARN, None, counters, twins=twins, lookahead=lookahead))
     return leaves, counters[0]
 
 
@@ -602,7 +605,7 @@ def _verified_leaves(g, rho):
     g's own labelling with no twin cells: none of the search order's or the
     twin cells' code."""
     k = negative_degree(g.degree(0), rho)
-    leaves = (SignedGraph(g.n, pm, nm) for pm, nm in _search_raw(g.nbr, g.n, k, "learn"))
+    leaves = (SignedGraph(g.n, pm, nm) for pm, nm in _search_raw(g.nbr, g.n, k, LEARN))
     return [sg for sg in leaves if extract_params(sg) is not None]
 
 
@@ -654,6 +657,58 @@ def test_search_independent_of_input_labelling(label, rho):
         assert sorted(x.canonical for x in other.hits) == sorted(x.canonical for x in none.hits), seed
 
 
+def shrikhande():
+    """The Cayley graph on Z4 x Z4 with connection set +-(1,0), +-(0,1), +-(1,1)."""
+    steps = ((1, 0), (0, 1), (1, 1))
+    return ugraph_from_edges(
+        16, [(4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4) for x in range(4) for y in range(4) for dx, dy in steps]
+    )
+
+
+S16_ROW = (SrsgParams(16, 6, 2, 2, -2),)
+
+
+def test_shrikhande_host_has_no_signing():
+    """The Shrikhande graph is srg(16,6,2,2), like the 4 x 4 rook graph under
+    S_16 but not isomorphic to it; at net degrees 0, 2 and 4 it has no
+    strongly regular signing, and S_16's row keeps S_16 on the rook graph
+    and finds nothing on the Shrikhande graph."""
+    shr, rook = shrikhande(), HOSTS["s16u.g6"]
+    assert shr.degrees() == [6] * 16
+    for u in range(16):
+        for v in range(u + 1, 16):
+            common = (shr.nbr[u] & shr.nbr[v]).bit_count()
+            assert common == 2, (u, v)
+    assert canonical_form(all_positive(shr)) != canonical_form(all_positive(rook))
+    for rho in (0, 2, 4):
+        rep = search_srsg(shr, SearchConfig(rho=rho))
+        assert rep.exhaustive and not rep.hits and rep.stats.nodes > 0, rho
+    s_16 = canonical_form(build("S_16").graph)
+    assert [h.canonical for h in search_srsg(rook, SearchConfig(rho=0, param_filter=S16_ROW)).hits] == [s_16]
+    rep = search_srsg(shr, SearchConfig(rho=0, param_filter=S16_ROW))
+    assert rep.exhaustive and not rep.hits
+
+
+def test_filter_drops_rows_that_break_the_identity():
+    """A row that breaks the net-regular identity at the search's net degree
+    matches no leaf, so it is dropped before the DFS: S_16's row at rho=2
+    walks no node (at rho=0 it finds S_16; see the Shrikhande test)."""
+    rep = search_srsg(HOSTS["s16u.g6"], SearchConfig(rho=2, param_filter=S16_ROW))
+    assert rep.exhaustive and not rep.hits and rep.stats.nodes == 0
+    assert rep.per_graph[0]["note"] == "filter excludes this order, degree or net degree"
+
+
+def test_filtered_search_looks_ahead():
+    """verify's Paley-13 check: the row 13,6,2,-2,-1 at rho=2 narrows what
+    the look-ahead DFS learns, so it walks fewer nodes than learning alone
+    and than the 381 of the per-class filter without the look-ahead."""
+    paley = HOSTS["paley13.g6"]
+    rep = search_srsg(paley, SearchConfig(rho=2, param_filter=(SrsgParams(13, 6, 2, -2, -1),)))
+    learning = search_srsg(paley, SearchConfig(rho=2))
+    assert rep.exhaustive and not rep.hits
+    assert rep.stats.nodes < min(381, learning.stats.nodes)
+
+
 @pytest.mark.parametrize("label", [label for label, g in HOSTS.items() if g.n % 2])
 def test_parity_answers_without_dfs(label):
     """n * k odd: search_srsg reports no hit, exhaustively, without a node,
@@ -667,7 +722,7 @@ def test_parity_answers_without_dfs(label):
         rep = search_srsg(g, SearchConfig(rho=rho))
         assert rep.exhaustive and not rep.hits and rep.stats.nodes == 0
         assert rep.per_graph[0]["note"].startswith("parity"), rho
-        assert not any(True for _ in _search_raw(g.nbr, g.n, k, "learn")), rho
+        assert not any(True for _ in _search_raw(g.nbr, g.n, k, LEARN)), rho
 
 
 # -- the worker pool ----------------------------------------------------------
