@@ -3,14 +3,15 @@
 
 The ladder is K_{m,m} for m = 6, 8, 10, 12, 16, 24, 32 and the m x m rook
 graph for m = 4..8, all edges positive, up to n = 64.  For each graph one
-JSON line is printed with n, the seconds `canonical_form` took, and the
-search nodes and leaves it visited.  Nodes and leaves are counted from
-outside the package by wrapping `srsg.iso._refine` (one call per search
-node) and `srsg.iso._encode` (one call per leaf).  A graph that reaches the
-per-graph limit is reported with "timeout": true and the counts reached so
-far, the ladder goes on, and the script exits 1.
+JSON line is printed with n, the median seconds `canonical_form` took over
+--repeat runs, and the search nodes and leaves one run visited.  Nodes and
+leaves are counted from outside the package by wrapping `srsg.iso._refine`
+(one call per search node) and `srsg.iso._encode` (one call per leaf); they
+are the same on every run.  A run that reaches the per-graph limit is
+reported with "timeout": true, its seconds and the counts it reached, the
+graph gets no further runs, the ladder goes on, and the script exits 1.
 
-    python3 scripts/canon_ladder.py [--limit SECONDS]
+    python3 scripts/canon_ladder.py [--limit SECONDS] [--repeat N]
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import signal
+import statistics
 import sys
 import time
 
@@ -50,8 +52,11 @@ def _alarm(signum, frame):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--limit", type=int, default=120, help="seconds allowed per graph")
+    ap.add_argument("--limit", type=int, default=120, help="seconds allowed per run")
+    ap.add_argument("--repeat", type=int, default=1, help="runs per graph; seconds is their median")
     args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
 
     counts = {"nodes": 0, "leaves": 0}
 
@@ -70,17 +75,22 @@ def main() -> int:
     status = 0
     for name, u in ladder:
         g = all_positive(u)
-        counts["nodes"] = counts["leaves"] = 0
+        seconds = []
         timed_out = False
-        t0 = time.perf_counter()
-        signal.alarm(args.limit)
-        try:
-            iso.canonical_form(g)
-        except _Timeout:
-            timed_out = True
-        finally:
-            signal.alarm(0)
-        row = {"graph": name, "n": g.n, "seconds": round(time.perf_counter() - t0, 3), **counts}
+        while len(seconds) < args.repeat and not timed_out:
+            counts["nodes"] = counts["leaves"] = 0
+            t0 = time.perf_counter()
+            signal.alarm(args.limit)
+            try:
+                iso.canonical_form(g)
+            except _Timeout:
+                timed_out = True
+            finally:
+                signal.alarm(0)
+            seconds.append(time.perf_counter() - t0)
+        # a timed-out run reports its own time, not a median with finished ones
+        took = seconds[-1] if timed_out else statistics.median(seconds)
+        row = {"graph": name, "n": g.n, "seconds": round(took, 3), **counts}
         if timed_out:
             row["timeout"] = True
             status = 1

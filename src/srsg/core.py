@@ -29,6 +29,38 @@ def _bits(x: int):
         x ^= b
 
 
+def _relabel(rows, perm) -> tuple[int, ...]:
+    """Bitmask rows with vertex i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = sum(1 << perm[j] for j in _bits(row))
+    return tuple(out)
+
+
+def _twin_classes(pos, neg) -> list[list[int]]:
+    """The twin classes of a signed graph with two or more members, each
+    in ascending order.
+
+    Vertices u and v are twins when every other vertex has the same sign
+    towards both, so swapping them is an automorphism.  Twins have equal
+    (pos, neg) rows when they are not adjacent, equal (pos | {u}, neg) rows
+    when uv is positive and equal (pos, neg | {u}) rows when it is negative,
+    so each of those three keys groups its kind in O(n) dict operations.
+    If v and w are both twins of u, then w sees u as it sees v and v sees u
+    as it sees w, so uv, uw and vw have one sign: the kinds never share a
+    vertex, and each key's groups are equivalence classes.  Each row pair is
+    packed into one int key.
+    """
+    n = len(pos)
+    keyed: tuple[dict[int, list[int]], ...] = ({}, {}, {})
+    for v, (p, q) in enumerate(zip(pos, neg)):
+        row = p << n | q
+        keyed[0].setdefault(row, []).append(v)
+        keyed[1].setdefault(row | 1 << (n + v), []).append(v)
+        keyed[2].setdefault(row | 1 << v, []).append(v)
+    return [cls for groups in keyed if len(groups) < n for cls in groups.values() if len(cls) > 1]
+
+
 def _check_size(n: int) -> None:
     if not 1 <= n <= MAX_VERTICES:
         raise SizeExceeded(f"n={n} outside supported range 1..{MAX_VERTICES}")

@@ -13,11 +13,11 @@ leaving out the last piece of each, and a child counts first into the one
 vertex it individualised; `_refine` says why the ordered partition is the
 one full recounting would give.  A leaf with the first or the best leaf's
 encoding gives an automorphism; every distinct one is kept, with no cap,
-along with the bitmask of the points it fixes.  Each search node keeps one
-union-find over its target cell; before each child after the first it folds
-in the automorphisms found since its last fold that fix its prefix
-pointwise, a test of that bitmask against the prefix's, and a sibling
-joined to an explored one is skipped.
+along with the bitmask of the points it moves.  Each search node keeps one
+union-find over its target cell, made when it is first needed; before each
+child after the first it folds in the automorphisms found since its last
+fold that fix its prefix pointwise, a test of that bitmask against the
+prefix's, and a sibling joined to an explored one is skipped.
 
 A leaf with the first leaf's encoding also sends the search back to its
 deepest common ancestor with the first leaf: every node below that ancestor
@@ -56,11 +56,43 @@ loop short.  A jump inside w's subtree starts at a leaf with the first
 leaf's encoding, and that leaf's automorphism is recorded before the jump;
 the first such leaf under w is never skipped, by the argument above, and
 its witness maps v to w.
+
+Three details of the implementation leave every result above unchanged:
+
+- Cells are int bitmasks.  A cell as a mask holds the same vertices as the
+  ascending list of them, and every cell of the list partitions is
+  ascending: the initial cells collect vertices in increasing order, each
+  piece of a split keeps its cell's order, and a child replaces its target
+  cell by [v] and the rest of the cell in order.  So the mask partition is
+  the list partition cell by cell, and walking a mask lowest bit first
+  visits a cell's vertices in the list's order.  `_refine` splits by bit
+  planes of the counts, which gives the pieces in the sorted key order the
+  lists used (its docstring says why).
+- Twin transpositions seed the generators.  Vertices u and v are twins
+  when every other vertex has the same sign towards both.  Swapping them
+  then maps each edge uw onto vw with its sign and uv onto itself, so the
+  transposition is an automorphism.  `core._twin_classes` finds every twin
+  class in O(n) dict operations, by the keys (pos, neg), (pos | {u}, neg)
+  and (pos, neg | {u}), and the transpositions of consecutive members
+  generate its symmetric group.  The pruning and the orbit counting hold
+  for any set of automorphisms, so seeding them changes only the
+  generators returned.
+- An isomorphism test stops at the match.  `are_isomorphic` searches h
+  only until the first leaf whose encoding is g's canonical form.  When g
+  and h are isomorphic that is h's minimum encoding, so the leaf is the
+  first leaf of minimum encoding in depth-first order, the one h's full
+  search returns and never skips.  Each pruning decision depends only on
+  the leaves found before it, so up to that leaf the stopped search takes
+  the full search's steps and reaches it, and the witness is the full
+  search's.  When no leaf matches, the search runs to its end and the
+  graphs are not isomorphic.
 """
 
 from __future__ import annotations
 
-from .core import SignedGraph, UGraph, _triangle_profiles, all_positive
+from operator import itemgetter
+
+from .core import SignedGraph, UGraph, _bits, _relabel, _triangle_profiles, _twin_classes, all_positive
 from .regularity import extract_params
 
 
@@ -75,8 +107,27 @@ def fingerprint(g: SignedGraph) -> tuple:
     return (g.n, tuple(sorted(_vertex_invariants(g))))
 
 
+def _count_planes(rows, m: int) -> list[int]:
+    """Bit planes of the counts |rows[v] & m| over all v, most significant
+    first: the plane of bit k holds the vertices whose count has bit k set.
+    The rows of m's vertices are added by ripple carry."""
+    planes: list[int] = []
+    for w in _bits(m):
+        carry = rows[w]
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    planes.reverse()
+    return planes
+
+
 def _refine(pos, neg, cells, fresh):
-    """Equitable refinement of an ordered partition.
+    """Equitable refinement of an ordered partition of bitmask cells.
 
     Each round splits every cell by the vector of (positive, negative)
     neighbour counts into the cells whose indices `fresh` lists, in index
@@ -85,6 +136,16 @@ def _refine(pos, neg, cells, fresh):
     last in key order goes into the next round's `fresh`, and refinement
     ends when a round splits nothing.  The root passes every cell; a child
     passes the singleton it individualised out of an equitable partition.
+
+    The counts are bit planes: for each fresh cell in index order the
+    planes of the positive, then of the negative counts into it, most
+    significant first (a singleton {x} gives the single planes pos[x] and
+    neg[x]).  Each cell is split by every plane in turn, each piece into
+    its vertices outside the plane, then those inside.  Two vertices stay
+    together iff their keys are equal, and two pieces are ordered by the
+    first plane they differ on, 0 first.  All counts into one cell have the
+    same planes, so that is the lexicographic order of the keys, the
+    sorted order of the count tuples.
 
     The ordered partition is the one that counting into every cell every
     round would give.  The root's first round leaves nothing out.  At the
@@ -102,54 +163,71 @@ def _refine(pos, neg, cells, fresh):
     largest piece instead (Hopcroft's rule) keeps the grouping but can
     reverse the order.
     """
+    # with no negative edge every negative count is 0 and gives no plane
+    signs = (pos, neg) if any(neg) else (pos,)
     while fresh:
-        masks = []
+        planes: list[int] = []
         for i in fresh:
-            m = 0
-            for v in cells[i]:
-                m |= 1 << v
-            masks.append(m)
-        new_cells = []
+            m = cells[i]
+            if m & (m - 1):
+                for rows in signs:
+                    planes += _count_planes(rows, m)
+            else:
+                x = m.bit_length() - 1
+                planes += (pos[x], neg[x])
+        new_cells: list[int] = []
         fresh = []
         for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            keyed: dict[tuple, list[int]] = {}
-            for v in cell:
-                key = tuple(
-                    ((pos[v] & m).bit_count(), (neg[v] & m).bit_count()) for m in masks
-                )
-                keyed.setdefault(key, []).append(v)
-            if len(keyed) == 1:
-                new_cells.append(cell)
-            else:
-                for key in sorted(keyed):
-                    fresh.append(len(new_cells))
-                    new_cells.append(keyed[key])
-                fresh.pop()  # the last piece
+            if cell & (cell - 1):
+                pieces = [cell]
+                for plane in planes:
+                    inside = cell & plane
+                    if inside and inside != cell:
+                        pieces = [
+                            half for piece in pieces
+                            for half in (piece & ~plane, piece & plane) if half
+                        ]
+                if len(pieces) > 1:
+                    # every piece but the last
+                    fresh += range(len(new_cells), len(new_cells) + len(pieces) - 1)
+                    new_cells += pieces
+                    continue
+            new_cells.append(cell)
         cells = new_cells
     return cells
 
 
-def _initial_cells(g: SignedGraph) -> list[list[int]]:
-    inv = _vertex_invariants(g)
-    grouped: dict[tuple, list[int]] = {}
-    for v in range(g.n):
-        grouped.setdefault(inv[v], []).append(v)
+def _initial_cells(g: SignedGraph, inv: list[tuple] | None = None) -> list[int]:
+    """Bitmask cells of equal vertex invariants, in sorted invariant order."""
+    grouped: dict[tuple, int] = {}
+    for v, key in enumerate(_vertex_invariants(g) if inv is None else inv):
+        grouped[key] = grouped.get(key, 0) | 1 << v
     return [grouped[key] for key in sorted(grouped)]
 
 
-def _encode(g: SignedGraph, order: list[int]) -> bytes:
+def _code_rows(g: SignedGraph) -> list[bytes]:
+    """Each vertex's row of the sign matrix, encoded as in the canonical form."""
+    rows = []
+    for p, q in zip(g.pos, g.neg):
+        row = bytearray(g.n)
+        for v in _bits(p):
+            row[v] = 2
+        for v in _bits(q):
+            row[v] = 1
+        rows.append(bytes(row))
+    return rows
+
+
+def _encode(g: SignedGraph, order: list[int], codes: list[bytes] | None = None) -> bytes:
+    """The encoding of g under order; codes are g's `_code_rows`."""
     n = g.n
     out = bytearray([n])
-    pos, neg = g.pos, g.neg
-    for i in range(n):
-        vi = order[i]
-        pi, qi = pos[vi], neg[vi]
-        for j in range(i + 1, n):
-            vj = order[j]
-            out.append(2 if (pi >> vj) & 1 else (1 if (qi >> vj) & 1 else 0))
+    if n > 1:
+        if codes is None:
+            codes = _code_rows(g)
+        gather = itemgetter(*order)
+        for i in range(n - 1):
+            out.extend(gather(codes[order[i]])[i + 1 :])
     return bytes(out)
 
 
@@ -187,60 +265,63 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _join(parent: list[int], p, cell) -> None:
-    """Merge the union-find classes of x and p[x] for every vertex x of
-    cell, which p maps onto itself."""
-    for x in cell:
-        rx, ry = _find(parent, x), _find(parent, p[x])
-        if rx != ry:
-            parent[rx] = ry
-
-
-def _canonical_search(g: SignedGraph):
+def _canonical_search(g: SignedGraph, inv: list[tuple] | None = None, stop: bytes | None = None):
     """Return (canonical encoding, order achieving it, automorphisms found,
     order of the sign-preserving automorphism group).
 
     order[i] is the vertex at position i.  Each automorphism is a tuple p
-    mapping vertex x to p[x].
+    mapping vertex x to p[x].  inv, when given, is g's `_vertex_invariants`.
+    With stop, the search ends at the first leaf whose encoding is stop and
+    returns it as the encoding and order (module docstring); the group
+    order is then that of an unfinished search.
     """
     n = g.n
     pos, neg = g.pos, g.neg
+    codes = _code_rows(g)
     best_enc: bytes | None = None
     best_order: list[int] | None = None
     first_enc: bytes | None = None
     first_order: list[int] | None = None
     group_order = 1
     gens: list[tuple[int, ...]] = []
-    fixed: list[int] = []  # fixed[k]: bitmask of the points gens[k] fixes
-    seen = {tuple(range(n))}
+    moved: list[int] = []  # moved[k]: bitmask of the points gens[k] moves
+    for cls in _twin_classes(pos, neg):
+        # transpositions of consecutive twins generate the class's symmetric group
+        for a, b in zip(cls, cls[1:]):
+            t = list(range(n))
+            t[a], t[b] = b, a
+            gens.append(tuple(t))
+            moved.append(1 << a | 1 << b)
+    seen = {tuple(range(n)), *gens}
     path: list[int] = []  # the vertices individualised so far
     first_path: list[int] = []
 
     def rec(cells, pmask) -> int:
         """Search below one node; return the depth the search goes on at:
         the node's own, or after a leaf with the first leaf's encoding, the
-        depth of its deepest common ancestor with the first leaf."""
+        depth of its deepest common ancestor with the first leaf; -1 stops
+        the search."""
         nonlocal best_enc, best_order, first_enc, first_order, first_path, group_order
         depth = len(path)
-        target = -1
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = idx
+        for target, cell in enumerate(cells):
+            if cell & (cell - 1):
                 break
-        if target < 0:
-            order = [c[0] for c in cells]
-            enc = _encode(g, order)
+        else:
+            order = [c.bit_length() - 1 for c in cells]
+            enc = _encode(g, order, codes)
             if first_enc is None:
                 first_enc, first_order, first_path = enc, order, path[:]
             if best_enc is None or enc < best_enc:
                 best_enc, best_order = enc, order
+            if enc == stop:
+                return -1
             for ref_enc, ref in ((first_enc, first_order), (best_enc, best_order)):
                 if enc == ref_enc and ref is not order:
                     tphi = tuple(_witness(ref, order))
                     if tphi not in seen:
                         seen.add(tphi)
                         gens.append(tphi)
-                        fixed.append(sum(1 << x for x in range(n) if tphi[x] == x))
+                        moved.append(sum(1 << x for x in range(n) if tphi[x] != x))
             if enc == first_enc and order is not first_order:
                 # jump back: the rest of the ancestor's current child is an
                 # image of its first child's subtree (module docstring)
@@ -250,22 +331,27 @@ def _canonical_search(g: SignedGraph):
                 return common
             return depth
         on_first_path = first_enc is None
-        cell = cells[target]
         explored: list[int] = []
         # orbits on the cell of the automorphisms found so far that fix the
         # prefix (pmask), folded in as they are found; each maps the cell
         # onto itself, since `_refine` is invariant
-        parent = list(range(n))
+        parent: list[int] | None = None
         folded = 0
 
         def fold() -> None:
-            nonlocal folded
+            nonlocal parent, folded
+            if parent is None:
+                parent = list(range(n))
             for k in range(folded, len(gens)):
-                if pmask & ~fixed[k] == 0:
-                    _join(parent, gens[k], cell)
+                if not pmask & moved[k]:
+                    p = gens[k]
+                    for x in _bits(cell & moved[k]):
+                        rx, ry = _find(parent, x), _find(parent, p[x])
+                        if rx != ry:
+                            parent[rx] = ry
             folded = len(gens)
 
-        for v in cell:
+        for v in _bits(cell):
             # skip v when such an automorphism maps an explored sibling onto
             # it; that subtree is an image of an explored one
             if explored:
@@ -274,24 +360,21 @@ def _canonical_search(g: SignedGraph):
                 if any(_find(parent, u) == rv for u in explored):
                     continue
             explored.append(v)
-            child = (
-                cells[:target]
-                + [[v], [w for w in cell if w != v]]
-                + cells[target + 1 :]
-            )
+            bit = 1 << v
+            child = cells[:target] + [bit, cell ^ bit] + cells[target + 1 :]
             path.append(v)
-            back = rec(_refine(pos, neg, child, (target,)), pmask | 1 << v)
+            back = rec(_refine(pos, neg, child, (target,)), pmask | bit)
             path.pop()
             if back < depth:
                 return back
         if on_first_path:
             # the class of the first child is its orbit (module docstring)
             fold()
-            rv = _find(parent, cell[0])
-            group_order *= sum(1 for w in cell if _find(parent, w) == rv)
+            rv = _find(parent, explored[0])
+            group_order *= sum(1 for w in _bits(cell) if _find(parent, w) == rv)
         return depth
 
-    cells = _initial_cells(g)
+    cells = _initial_cells(g, inv)
     rec(_refine(pos, neg, cells, range(len(cells))), 0)
     assert best_enc is not None and best_order is not None
     return best_enc, best_order, gens, group_order
@@ -317,23 +400,26 @@ def are_isomorphic(g: SignedGraph, h: SignedGraph):
     """Decide sign-preserving isomorphism; on success also return a witness.
 
     Fast paths: unequal fingerprints or unequal strong-regularity parameters
-    decide non-isomorphism without canonicalizing.  The witness w maps
-    vertices of g to vertices of h and is verified edge-by-edge (signs
-    included) before being returned.
+    decide non-isomorphism without canonicalizing.  Otherwise g is
+    canonicalised and h searched only until a leaf matches g's canonical
+    form (module docstring).  The witness w maps vertices of g to vertices
+    of h and is verified, signs included, by relabelling g's rows with it
+    before being returned.
     """
-    if g.n != h.n or fingerprint(g) != fingerprint(h):
+    if g.n != h.n:
+        return (False, None)
+    inv_g, inv_h = _vertex_invariants(g), _vertex_invariants(h)
+    if sorted(inv_g) != sorted(inv_h):
         return (False, None)
     if extract_params(g) != extract_params(h):
         return (False, None)
-    enc_g, order_g, _, _ = _canonical_search(g)
-    enc_h, order_h, _, _ = _canonical_search(h)
+    enc_g, order_g, _, _ = _canonical_search(g, inv_g)
+    enc_h, order_h, _, _ = _canonical_search(h, inv_h, enc_g)
     if enc_g != enc_h:
         return (False, None)
     w = _witness(order_g, order_h)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.sign(u, v) != h.sign(w[u], w[v]):
-                raise RuntimeError("isomorphism witness failed verification")
+    if _relabel(g.pos, w) != tuple(h.pos) or _relabel(g.neg, w) != tuple(h.neg):
+        raise RuntimeError("isomorphism witness failed verification")
     return (True, w)
 
 

@@ -117,7 +117,7 @@ from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .core import SignedGraph, UGraph, all_positive, negation
+from .core import SignedGraph, UGraph, _relabel, _twin_classes, all_positive, negation
 from .errors import DegreeMismatch, DisconnectedInput
 from .iso import canonical_form, canonical_labeling, decode_canonical
 from .regularity import SrsgClass, SrsgParams, class_of, eq3_holds, extract_params, negative_degree
@@ -272,11 +272,12 @@ def _search_raw(
         for u in range(n)
     ]
     # tid[w]: the least vertex whose host row equals w's once each ignores
-    # the other; an equivalence, as open and closed twins never mix
+    # the other, w's class in the host as an all-positive signed graph
     tid = list(range(n))
     if twins:
-        for w in range(n):
-            tid[w] = next((tid[x] for x in range(w) if nbr[x] & ~bit[w] == nbr[w] & ~bit[x]), w)
+        for cls in _twin_classes(nbr, (0,) * n):
+            for w in cls:
+                tid[w] = cls[0]
     twin_block = [len({tid[w] for w in av}) < len(av) for av in avail]
     # learn[c]: the value of class c in every accepted leaf below, once known
     learn = [next(iter(s)) if s is not None and len(s) == 1 else None for s in allowed or (None,) * 3]
@@ -533,14 +534,6 @@ def _allowed_from_filter(compat: list[SrsgParams]):
         frozenset(p.b for p in compat if p.b is not None),
         frozenset(p.c for p in compat if p.c is not None),
     )
-
-
-def _relabel(rows, perm) -> tuple[int, ...]:
-    """Bitmask rows with vertex i renamed perm[i]."""
-    out = [0] * len(rows)
-    for i, row in enumerate(rows):
-        out[perm[i]] = sum(1 << perm[j] for j in range(len(rows)) if (row >> j) & 1)
-    return tuple(out)
 
 
 def _search_order(g: UGraph) -> tuple[list[int], tuple[int, ...]]:

@@ -82,6 +82,14 @@ def rook(m):
     )
 
 
+def shrikhande():
+    """The Cayley graph on Z4 x Z4 with connection set +-(1,0), +-(0,1), +-(1,1)."""
+    steps = ((1, 0), (0, 1), (1, 1))
+    return ugraph_from_edges(
+        16, [(4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4) for x in range(4) for y in range(4) for dx, dy in steps]
+    )
+
+
 def cube(d):
     """d-dimensional hypercube Q_d: vertices 0..2^d-1, adjacent when one bit apart."""
     n = 1 << d

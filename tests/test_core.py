@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 
 from conftest import brute_square, signed_graphs
 from srsg.core import (
+    _twin_classes,
     SignedGraph,
     UGraph,
     from_signed_edges,
@@ -188,3 +191,37 @@ def test_balanced_has_no_unbalanced_triangles(g):
     if is_balanced(g):
         c = triangle_census(g)
         assert c.counts[1] == 0 and c.counts[3] == 0
+
+
+def blown_up_signings():
+    """Seeded random signed graphs with twins of every kind: each vertex of
+    a random base signing is replaced by a class of copies, joined to one
+    another by no edge, all positive or all negative edges."""
+    rng = random.Random(21)
+    for _ in range(200):
+        k = rng.randint(1, 5)
+        base = {(a, b): rng.choice((0, 1, -1)) for a in range(k) for b in range(a + 1, k)}
+        inner = [rng.choice((0, 1, -1)) for _ in range(k)]
+        n = rng.randint(1, 10)
+        of = [rng.randrange(k) for _ in range(n)]
+        edges = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                a, b = sorted((of[u], of[v]))
+                s = inner[a] if a == b else base[(a, b)]
+                if s:
+                    edges.append((u, v, s))
+        yield from_signed_edges(n, edges)
+
+
+def test_twin_classes_are_the_transposition_automorphisms():
+    # u, v are twins iff every other vertex sees them with the same sign
+    for g in blown_up_signings():
+        twins = {
+            (u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if all(g.sign(u, x) == g.sign(v, x) for x in range(g.n) if x not in (u, v))
+        }
+        classes = _twin_classes(g.pos, g.neg)
+        assert all(cls == sorted(cls) and len(cls) > 1 for cls in classes)
+        assert sum(len(cls) for cls in classes) == len({v for cls in classes for v in cls})
+        assert {(u, v) for cls in classes for i, u in enumerate(cls) for v in cls[i + 1:]} == twins

@@ -9,20 +9,24 @@ import pytest
 from hypothesis import given, settings
 
 import srsg.iso as iso
-from conftest import cube, kmm, petersen, relabel, rook, signed_graphs
+from conftest import FIXTURES, cube, kmm, petersen, relabel, rook, shrikhande, signed_graphs
 from srsg.catalog import build, build_underlying, list_names
 from srsg.core import all_positive, from_signed_edges, negation, ugraph_from_edges
 from srsg.iso import (
     _canonical_search,
     _initial_cells,
     _refine,
+    _witness,
     are_isomorphic,
     automorphism_count,
     canonical_form,
+    canonical_labeling,
     canonical_representative,
     decode_canonical,
     fingerprint,
 )
+from srsg.regularity import extract_params
+from srsg.sgio import read_graph6_file
 
 
 def apply_perm(g, perm):
@@ -241,6 +245,19 @@ def test_search_group_order_matches_vf2_signed():
             assert canonical_form(apply_perm(g, perm)) == enc, (k, seed)
 
 
+def count_leaves(monkeypatch):
+    """Patch iso._encode to count the leaves searches reach from now on."""
+    leaves = [0]
+    encode = iso._encode
+
+    def counted(*args):
+        leaves[0] += 1
+        return encode(*args)
+
+    monkeypatch.setattr(iso, "_encode", counted)
+    return leaves
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("u,m", [(rook(7), 7), (kmm(12), 12)], ids=["rook7", "K12,12"])
 def test_automorphism_leaves_jump_back(monkeypatch, u, m, seed):
@@ -249,18 +266,69 @@ def test_automorphism_leaves_jump_back(monkeypatch, u, m, seed):
     host reaches at most n leaves under any labelling (without the jump,
     rook 7x7 reaches 337 to 6,908 leaves under these labellings and
     K12,12 134)."""
-    leaves = 0
-    encode = iso._encode
-
-    def counted(*args):
-        nonlocal leaves
-        leaves += 1
-        return encode(*args)
-
-    monkeypatch.setattr(iso, "_encode", counted)
+    leaves = count_leaves(monkeypatch)
     g = all_positive(relabel(u, seed))
     assert _canonical_search(g)[3] == 2 * factorial(m) ** 2
-    assert 0 < leaves <= g.n
+    assert 0 < leaves[0] <= g.n
+
+
+def test_kmm_twins_leave_two_leaves(monkeypatch):
+    """Each side of K_{m,m} is a twin class, so the twin transpositions
+    seeded at the root join it at once: the search reaches the first leaf
+    and the one the side swap gives (K32,32 reached 64 without them)."""
+    leaves = count_leaves(monkeypatch)
+    for m in range(1, 33):
+        for seed in (0, 1):
+            u = kmm(m) if seed == 0 else relabel(kmm(m), seed)
+            leaves[0] = 0
+            assert _canonical_search(all_positive(u))[3] == 2 * factorial(m) ** 2
+            assert 0 < leaves[0] <= 2, (m, seed)
+
+
+def iso_witness_inputs():
+    """Every catalog entry, every target, K_{m,m} (m <= 12), rook m x m
+    (m <= 7) and unions of cycles of two lengths, whose search reaches a
+    leaf of larger encoding first (C5+C10 in its own labelling)."""
+    for name in list_names():
+        yield build(name).graph
+    targets = os.path.join(FIXTURES, "targets")
+    for fname in sorted(os.listdir(targets)):
+        for u in read_graph6_file(os.path.join(targets, fname)):
+            yield all_positive(u)
+    for m in range(1, 13):
+        yield all_positive(kmm(m))
+    for m in range(2, 8):
+        yield all_positive(rook(m))
+    for k in range(3, 7):
+        yield all_positive(cycles(k, 2 * k))
+
+
+def test_iso_witness_is_the_full_searches_witness():
+    """are_isomorphic searches h only until a leaf matches g's canonical
+    form; that leaf is the one h's full search returns, so the witness maps
+    g's canonical labelling onto h's."""
+    rng = random.Random(18)
+    count = 0
+    for g in iso_witness_inputs():
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = apply_perm(g, perm)
+            ok, w = are_isomorphic(g, h)
+            assert ok
+            assert w == _witness(canonical_labeling(g)[1], canonical_labeling(h)[1])
+            count += 1
+    assert count > 60
+
+
+def test_rook4_and_shrikhande_are_not_isomorphic():
+    """Both are srg(16,6,2,2) with six triangles at each vertex, so neither
+    fast path decides them and h's search runs to its end with no match."""
+    a, b = all_positive(rook(4)), all_positive(shrikhande())
+    assert fingerprint(a) == fingerprint(b)
+    assert extract_params(a) == extract_params(b) is not None
+    assert are_isomorphic(a, b) == (False, None)
+    assert are_isomorphic(b, a) == (False, None)
 
 
 def test_search_generators_are_automorphisms():
@@ -342,6 +410,15 @@ def full_refine(pos, neg, cells):
     return cells
 
 
+def to_masks(cells):
+    return [sum(1 << v for v in cell) for cell in cells]
+
+
+def to_lists(cells):
+    """Bitmask cells as ascending vertex lists, the list partition's form."""
+    return [[v for v in range(m.bit_length()) if (m >> v) & 1] for m in cells]
+
+
 def refine_inputs():
     """Seeded random signed graphs with n <= 24, sparse to dense, then
     symmetric hosts whose equitable partitions keep large cells."""
@@ -365,7 +442,8 @@ def test_refine_matches_full_recompute_from_any_partition():
             labels = [rng.randrange(1 + g.n // 3) for _ in range(g.n)]
             cells = [[v for v in range(g.n) if labels[v] == k] for k in sorted(set(labels))]
             rng.shuffle(cells)
-            assert _refine(g.pos, g.neg, cells, range(len(cells))) == full_refine(g.pos, g.neg, cells)
+            got = _refine(g.pos, g.neg, to_masks(cells), range(len(cells)))
+            assert to_lists(got) == full_refine(g.pos, g.neg, cells)
 
 
 def test_refine_matches_full_recompute_after_individualising():
@@ -373,14 +451,14 @@ def test_refine_matches_full_recompute_after_individualising():
     # singleton fresh; the partitions are the root's and its children's
     children = 0
     for g in refine_inputs():
-        root = full_refine(g.pos, g.neg, _initial_cells(g))
+        root = full_refine(g.pos, g.neg, to_lists(_initial_cells(g)))
         todo = [(root, 0)]
         while todo:
             cells, depth = todo.pop()
             for target, cell in enumerate(cells):
                 for v in cell if len(cell) > 1 else ():
                     child = cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1 :]
-                    got = _refine(g.pos, g.neg, child, (target,))
+                    got = to_lists(_refine(g.pos, g.neg, to_masks(child), (target,)))
                     assert got == full_refine(g.pos, g.neg, child)
                     children += 1
                     if depth == 0:
@@ -403,8 +481,8 @@ real = iso._canonical_search
 calls = []
 
 
-def wrong_second_order(x):
-    enc, order, gens, group_order = real(x)
+def wrong_second_order(x, *args):
+    enc, order, gens, group_order = real(x, *args)
     calls.append(x)
     if len(calls) == 2:
         order = order[1:] + order[:1]

@@ -36,6 +36,20 @@ def test_dfs_ladder_counts_the_tree_search_walks():
         assert (row["nodes"], row["leaves"]) == (stats.nodes, stats.leaves), row
 
 
+def test_canon_ladder_repeats_and_counts():
+    """scripts/canon_ladder.py reports one line per ladder graph, with the
+    same counts at every --repeat: the twin transpositions take K32,32 in
+    125 nodes and 2 leaves, and rook m x m keeps its node counts."""
+    out = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "canon_ladder.py"), "--limit", "20", "--repeat", "2"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    rows = {row["graph"]: row for row in map(json.loads, out.splitlines())}
+    assert len(rows) == 12 and not any("timeout" in row for row in rows.values())
+    assert (rows["K32,32"]["nodes"], rows["K32,32"]["leaves"]) == (125, 2)
+    assert [rows[f"rook{m}"]["nodes"] for m in range(4, 9)] == [15, 21, 28, 36, 45]
+
+
 def test_bench_writes_spread_counters_and_deltas(tmp_path):
     """scripts/bench.py at a tiny size, run in a copy of the checkout, since
     perfbench writes its results beside itself: the keys of the bench file,

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURES, brute_extract, brute_square, cube, kmm, petersen, relabel
+from conftest import FIXTURES, brute_extract, brute_square, cube, kmm, petersen, relabel, shrikhande
 from srsg.catalog import build, build_underlying
 from srsg.core import SignedGraph, all_positive, negation, sign_with, ugraph_from_edges
 from srsg.errors import DegreeMismatch, DisconnectedInput
@@ -655,14 +655,6 @@ def test_search_independent_of_input_labelling(label, rho):
         other = search_srsg(h, SearchConfig(rho=rho, dedupe="none"))
         assert _outcome(other)[2] == _outcome(none)[2], seed
         assert sorted(x.canonical for x in other.hits) == sorted(x.canonical for x in none.hits), seed
-
-
-def shrikhande():
-    """The Cayley graph on Z4 x Z4 with connection set +-(1,0), +-(0,1), +-(1,1)."""
-    steps = ((1, 0), (0, 1), (1, 1))
-    return ugraph_from_edges(
-        16, [(4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4) for x in range(4) for y in range(4) for dx, dy in steps]
-    )
 
 
 S16_ROW = (SrsgParams(16, 6, 2, 2, -2),)
