@@ -93,7 +93,6 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .core import SignedGraph, UGraph, _bits, _relabel, _triangle_profiles, _twin_classes, all_positive
-from .regularity import extract_params
 
 
 def _vertex_invariants(g: SignedGraph) -> list[tuple]:
@@ -399,8 +398,8 @@ def canonical_representative(g: SignedGraph) -> SignedGraph:
 def are_isomorphic(g: SignedGraph, h: SignedGraph):
     """Decide sign-preserving isomorphism; on success also return a witness.
 
-    Fast paths: unequal fingerprints or unequal strong-regularity parameters
-    decide non-isomorphism without canonicalizing.  Otherwise g is
+    Fast path: unequal fingerprints decide non-isomorphism without
+    canonicalizing.  Otherwise g is
     canonicalised and h searched only until a leaf matches g's canonical
     form (module docstring).  The witness w maps vertices of g to vertices
     of h and is verified, signs included, by relabelling g's rows with it
@@ -410,8 +409,6 @@ def are_isomorphic(g: SignedGraph, h: SignedGraph):
         return (False, None)
     inv_g, inv_h = _vertex_invariants(g), _vertex_invariants(h)
     if sorted(inv_g) != sorted(inv_h):
-        return (False, None)
-    if extract_params(g) != extract_params(h):
         return (False, None)
     enc_g, order_g, _, _ = _canonical_search(g, inv_g)
     enc_h, order_h, _, _ = _canonical_search(h, inv_h, enc_g)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EmptyRange, VacuousQuery
-from .regularity import SrsgParams, negative_degree
+from .regularity import SrsgParams, _eq3_terms, negative_degree
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,12 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
     buckets: dict[int, list[FeasibleSet]] = {n: [] for n in ns}
     family_appends = [(n, buckets[n].append) for n in family_ns]
     families: list[FeasibleSet] = []
+    # eq. (3) with c moved to one side, 2c(n-r-1) == twice; the rest does not
+    # involve n, and twice is even, as r - rho and so r + rho are
+    (ka, kb, _), rhs = _eq3_terms(r + 1, r, rho)
     for a in a_range:
         for b in b_range:
-            # eq3_doubled with c moved to one side: 2c(n-r-1) == twice
-            twice = 2 * rho * rho + (b - a) * rho - (a + b) * r - 2 * r
+            twice = rhs - ka * a - kb * b
             if twice == 0:
                 # n = r+1: the c term vanishes, c is vacuous (complete graph)
                 if complete:
@@ -144,8 +146,6 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
                 families.append(new(FeasibleSet, (None, r, a, b, 0, False)))
                 for n, append in family_appends:
                     append(new(FeasibleSet, (n, r, a, b, 0, False)))
-                continue
-            if twice % 2:
                 continue
             # c = half/d for d = n-r-1: d divides half, and |c| <= r needs d >= |half|/r
             half = twice // 2

@@ -124,9 +124,17 @@ def _defined(x: int | None) -> int:
     return 0 if x is None else x
 
 
-def _sign_matrix(g: SignedGraph) -> list[list[int]]:
-    """The sign matrix A, entry by entry from SignedGraph.sign."""
-    return [[g.sign(i, j) for j in range(g.n)] for i in range(g.n)]
+def _combination_vanishes(g: SignedGraph, k2: int, kA: int, kG: int, kJ: int, kI: int) -> bool:
+    """Whether k2*A^2 + kA*A + kG*AG + kJ*J + kI*I is 0 entry by entry, for the
+    sign matrix A and the 0/1 adjacency AG, both read from the pos/neg rows."""
+    plus, minus = kJ + kG + kA, kJ + kG - kA
+    for i, row in enumerate(square_entries(g)):
+        p, q = g.pos[i], g.neg[i]
+        for j, x in enumerate(row):
+            t = plus if (p >> j) & 1 else minus if (q >> j) & 1 else kJ
+            if k2 * x + t + (kI if i == j else 0):
+                return False
+    return True
 
 
 def verify_identity_eq2(g: SignedGraph, p: SrsgParams) -> bool:
@@ -137,25 +145,22 @@ def verify_identity_eq2(g: SignedGraph, p: SrsgParams) -> bool:
     integral; None entries are substituted by 0 (their coefficient only
     multiplies an empty entry class, so the substitution is inert).
     """
-    n = g.n
     a, b, c, r = _defined(p.a), _defined(p.b), _defined(p.c), p.r
-    sq = square_entries(g)
-    A = _sign_matrix(g)
-    for i in range(n):
-        for j in range(n):
-            s = A[i][j]
-            ag = 1 if s != 0 else 0
-            lhs = 2 * sq[i][j] + (b - a) * s
-            rhs = (a + b - 2 * c) * ag + 2 * c + (2 * (r - c) if i == j else 0)
-            if lhs != rhs:
-                return False
-    return True
+    return _combination_vanishes(g, 2, b - a, 2 * c - a - b, -2 * c, 2 * (c - r))
+
+
+def _eq3_terms(n: int, r: int, rho: int) -> tuple[tuple[int, int, int], int]:
+    """The net-regular parameter identity, eq. (3), doubled so that every term
+    is an integer: ((r+rho, r-rho, 2(n-1-r)), 2(rho^2-r)), the coefficients of
+    (a, b, c) and the right side.  Halved: the numbers of positive, negative and
+    non-neighbours of each vertex, and its off-diagonal row sum of A^2."""
+    return (r + rho, r - rho, 2 * (n - 1 - r)), 2 * (rho * rho - r)
 
 
 def eq3_doubled(n: int, r: int, rho: int, a: int, b: int, c: int) -> bool:
-    """The net-regular parameter identity, in doubled integer form:
-    2*rho^2 + (b-a)*rho == (a+b)*r + 2*c*(n-r-1) + 2*r."""
-    return 2 * rho * rho + (b - a) * rho == (a + b) * r + 2 * c * (n - r - 1) + 2 * r
+    """The net-regular parameter identity, eq. (3), in the doubled integer form of _eq3_terms."""
+    (ka, kb, kc), rhs = _eq3_terms(n, r, rho)
+    return ka * a + kb * b + kc * c == rhs
 
 
 def eq3_holds(p: SrsgParams, rho: int) -> bool:
@@ -168,8 +173,9 @@ def eq3_holds(p: SrsgParams, rho: int) -> bool:
 
 
 def srg_relation_eq1(n: int, r: int, e: int, f: int) -> bool:
-    """The classical strongly-regular-graph parameter relation r(r-e-1) = (n-r-1)f."""
-    return r * (r - e - 1) == (n - r - 1) * f
+    """The classical strongly-regular-graph parameter relation r(r-e-1) = (n-r-1)f:
+    eq. (3) at rho = r, a = e, c = f, where b's coefficient r - rho is 0."""
+    return eq3_doubled(n, r, r, e, 0, f)
 
 
 def neg_walk_parity_ok(g: SignedGraph) -> tuple[bool, list[tuple[int, int]]]:
@@ -192,14 +198,7 @@ def quadratic_check(g: SignedGraph, s: int, p: int) -> bool:
 
     Holding is equivalent to the spectrum lying in the roots of x^2+sx+p.
     """
-    n = g.n
-    sq = square_entries(g)
-    A = _sign_matrix(g)
-    for i in range(n):
-        for j in range(n):
-            if sq[i][j] + s * A[i][j] + (p if i == j else 0) != 0:
-                return False
-    return True
+    return _combination_vanishes(g, 1, s, 0, 0, p)
 
 
 CHAR_POLY_MAX_N = 32

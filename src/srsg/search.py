@@ -27,7 +27,7 @@ order are those of the DFS without them:
 - the identity tie: on an r-regular host every vertex of a leaf has r - k
   positive and k negative neighbours and n - 1 - r non-neighbours, so an
   accepted leaf's entries a, b, c satisfy a(r - k) + bk + c(n - 1 - r) =
-  rho^2 - r, the row sum of the off-diagonal entries of A^2 (eq3_doubled,
+  rho^2 - r, the row sum of the off-diagonal entries of A^2 (eq. (3),
   halved).  Once every class with a nonzero coefficient but one is
   known, the last one is derived (a subtree where it is not an integer, or
   not admitted, holds no accepted leaf), and later pairs of its class are
@@ -120,7 +120,7 @@ from itertools import combinations
 from .core import SignedGraph, UGraph, _relabel, _twin_classes, all_positive, negation
 from .errors import DegreeMismatch, DisconnectedInput
 from .iso import canonical_form, canonical_labeling, decode_canonical
-from .regularity import SrsgClass, SrsgParams, class_of, eq3_holds, extract_params, negative_degree
+from .regularity import SrsgClass, SrsgParams, _eq3_terms, class_of, eq3_holds, extract_params, negative_degree
 
 # not called here, but perfbench's traced runs wrap it among this module's names
 from .regularity import classify  # noqa: F401
@@ -285,11 +285,11 @@ def _search_raw(
     ahead_on = lookahead and allowed is not None
     r = nbr[0].bit_count() if n else 0
     tie_on = ahead_on and all(row.bit_count() == r for row in nbr)
-    # the identity tie: coef[c] pairs of class c at each vertex of an
-    # r-regular host, and the row sum of the off-diagonal entries
-    coef = (r - k, k, n - 1 - r)
+    # the identity tie: eq. (3) at net degree r - 2k, doubled; coef[c] is
+    # twice the number of pairs of class c at each vertex of an r-regular
+    # host, and doubling leaves the quotient and the remainder test alone
+    coef, tie_sum = _eq3_terms(n, r, r - 2 * k)
     tie_classes = [c for c in range(3) if coef[c]]
-    tie_sum = (r - 2 * k) ** 2 - r
     # ahead[u]: built at the first forward check after block u
     ahead: list[list[tuple] | None] = [None] * n
 

@@ -4,7 +4,8 @@ Runs the desk-scale searches (targeted underlying graphs plus the order
 8/9/10 fixture catalogs) at net-degrees 4, 2 and 0, labels every class
 found against the built-in catalog (negations included), and compares with
 the expected class lists.  The result is a plain dict, a pure function of
-the fixtures directory.
+the fixtures directory and the catalog: the order 8/9/10 hosts are read from
+the fixtures, the eight targeted hosts come from catalog.build_underlying.
 
 The expected lists state what this desk-scale slice establishes, and they
 differ from the abstract's counts (three, six and four classes at

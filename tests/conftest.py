@@ -5,8 +5,12 @@ import pytest
 from hypothesis import strategies as st
 
 from srsg.core import SignedGraph, from_signed_edges, ugraph_from_edges
+from srsg.search import SearchConfig, search_catalog
+from srsg.sgio import read_graph6_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+# the six degree-6 sweep searches: (hosts, rho)
+SWEEP = (("order10", 0), ("order10", 2), ("order10", 4), ("order9", 0), ("order9", 2), ("K8,8", 4))
 
 
 @st.composite
@@ -110,3 +114,13 @@ def relabel(u, seed):
     perm = list(range(u.n))
     random.Random(seed).shuffle(perm)
     return ugraph_from_edges(u.n, [(perm[a], perm[b]) for a, b in u.edges()])
+
+
+def sweep_stats(jobs=1):
+    """search_catalog's stats for each of the six sweep searches, in order."""
+    hosts = {
+        name: [(f"{name}[{i}]", g) for i, g in enumerate(read_graph6_file(os.path.join(FIXTURES, f"6reg_{name}.g6")))]
+        for name in ("order10", "order9")
+    }
+    hosts["K8,8"] = [("K8,8", kmm(8))]
+    return [search_catalog(hosts[name], SearchConfig(rho=rho, jobs=jobs)).stats for name, rho in SWEEP]

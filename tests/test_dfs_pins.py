@@ -5,10 +5,13 @@ nodes, prunes and leaves in the same order, and the same task prefixes for
 the parallel split.  For every host, net-degree and pruning mode one digest
 is pinned: sha256 of the repr of three (counters, items) pairs, namely the
 full search, the search under a node budget of 1,000 and the stop_depth=3
-prefix list.  The "twins" mode pins the twin-reduced tree the iso modes of
-`search_srsg` walk (pair pruning by learned entries, twins=True), on the
-hosts that have two vertices with equal host rows once each ignores the
-other.  To regenerate the table from a trusted checkout, run
+prefix list.  The "twins" mode pins the twin-reduced DFS (pair pruning by
+learned entries, twins=True) on the hosts that have two vertices with equal
+host rows once each ignores the other.  Every pin runs the DFS on the host
+as given and without the look-ahead; the iso modes of `search_srsg` walk
+it in the host's search order and with the look-ahead, and
+`test_sweep_counters_are_pinned` pins the counters of that tree on the six
+sweep searches.  To regenerate the table from a trusted checkout, run
 `pin_digests()` with that checkout's `src` on the path.
 """
 
@@ -17,7 +20,7 @@ import os
 
 import pytest
 
-from conftest import FIXTURES, brute_square, kmm
+from conftest import FIXTURES, SWEEP, brute_square, kmm, sweep_stats
 from srsg.core import SignedGraph
 from srsg.search import _search_raw
 from srsg.sgio import read_graph6_file
@@ -387,6 +390,26 @@ def test_dfs_trees_match_pins():
     assert list(got) == list(PINS)
     changed = [label for label in PINS if got[label] != PINS[label]]
     assert not changed, f"DFS tree drifted for {changed}"
+
+
+# (nodes, leaves, pruned_degree, pruned_pair, raw_hits) of each SWEEP search
+SWEEP_COUNTERS = (
+    (7017, 0, 0, 5947, 0),
+    (4262, 12, 54, 3439, 12),
+    (717, 0, 80, 484, 0),
+    (0, 0, 0, 0, 0),
+    (701, 2, 26, 526, 2),
+    (4, 0, 0, 2, 0),
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_counters_are_pinned(jobs):
+    """The tree search_srsg walks, in each host's search order and with the
+    look-ahead, has the same counters at every worker count; order9 at
+    rho=0 needs no DFS, as n * k is odd."""
+    got = [(s.nodes, s.leaves, s.pruned_degree, s.pruned_pair, s.raw_hits) for s in sweep_stats(jobs)]
+    assert dict(zip(SWEEP, got)) == dict(zip(SWEEP, SWEEP_COUNTERS))
 
 
 def _entries_by_class(n, pm, nm):

@@ -25,7 +25,7 @@ from srsg.iso import (
     decode_canonical,
     fingerprint,
 )
-from srsg.regularity import extract_params
+from srsg.regularity import SrsgParams, extract_params
 from srsg.sgio import read_graph6_file
 
 
@@ -322,13 +322,29 @@ def test_iso_witness_is_the_full_searches_witness():
 
 
 def test_rook4_and_shrikhande_are_not_isomorphic():
-    """Both are srg(16,6,2,2) with six triangles at each vertex, so neither
-    fast path decides them and h's search runs to its end with no match."""
+    """Both are srg(16,6,2,2) with six triangles at each vertex, so the
+    fingerprint does not decide them and h's search runs to its end with no
+    match."""
     a, b = all_positive(rook(4)), all_positive(shrikhande())
     assert fingerprint(a) == fingerprint(b)
     assert extract_params(a) == extract_params(b) is not None
     assert are_isomorphic(a, b) == (False, None)
     assert are_isomorphic(b, a) == (False, None)
+
+
+def test_petersen_and_pentagonal_prism_are_not_isomorphic():
+    """Both are cubic on 10 vertices with no triangle, so their fingerprints
+    agree, while only the Petersen graph is strongly regular: the searches
+    alone decide the pair, in agreement with networkx VF2."""
+    nx = pytest.importorskip("networkx")
+    prism = ugraph_from_edges(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                              + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    a, b = all_positive(petersen()), all_positive(prism)
+    assert fingerprint(a) == fingerprint(b)
+    assert (extract_params(a), extract_params(b)) == (SrsgParams(10, 3, 0, None, 1), None)
+    assert are_isomorphic(a, b) == (False, None)
+    assert are_isomorphic(b, a) == (False, None)
+    assert not nx.is_isomorphic(*(nx.Graph(list(g.edges())) for g in (petersen(), prism)))
 
 
 def test_search_generators_are_automorphisms():

@@ -4,8 +4,9 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import FIXTURES, signed_graphs
+from conftest import FIXTURES, brute_square, signed_graphs
 from srsg.catalog import build, list_names
 from srsg.core import all_positive, from_signed_edges, negation
 from srsg.errors import SizeExceeded
@@ -14,6 +15,7 @@ from srsg.regularity import (
     SrsgParams,
     char_poly,
     classify,
+    eq3_doubled,
     eq3_holds,
     extract_params,
     neg_walk_parity_ok,
@@ -92,6 +94,94 @@ def test_srg_relation_examples():
     assert srg_relation_eq1(15, 6, 1, 3)
     assert not srg_relation_eq1(8, 6, 3, 4)
     assert srg_relation_eq1(10, 3, 0, 1)
+
+
+def test_eq3_and_eq1_match_the_written_out_formulas():
+    """eq3_doubled, eq3_holds and srg_relation_eq1 against the identities
+    written out here, over a box that includes odd r - rho (no signing has
+    such a net degree, but the answers are kept) and vacuous entries."""
+    odd_true = 0
+    for n in range(1, 11):
+        for r in range(7):
+            for rho in range(-7, 8):
+                for a in range(-3, 4):
+                    for b in range(-3, 4):
+                        for c in range(-3, 4):
+                            want = 2 * rho * rho + (b - a) * rho == (a + b) * r + 2 * c * (n - r - 1) + 2 * r
+                            assert eq3_doubled(n, r, rho, a, b, c) == want, (n, r, rho, a, b, c)
+                            odd_true += want and (r - rho) % 2
+                        want = 2 * rho * rho + (b - a) * rho == (a + b) * r + 2 * r
+                        assert eq3_holds(SrsgParams(n, r, a, b, None), rho) == want, (n, r, rho, a, b)
+    assert odd_true > 0
+    for n in range(21):
+        for r in range(11):
+            for e in range(-3, 11):
+                for f in range(-3, 11):
+                    assert srg_relation_eq1(n, r, e, f) == (r * (r - e - 1) == (n - r - 1) * f), (n, r, e, f)
+
+
+def dense_eq2(g, p):
+    """(diagonal, off-diagonal): where 2A^2 + (b-a)A == (a+b-2c)AG + 2cJ +
+    2(r-c)I holds throughout, with A^2 from the dense oracle."""
+    a, b, c = (0 if x is None else x for x in (p.a, p.b, p.c))
+    sq = brute_square(g)
+    holds = [True, True]
+    for i in range(g.n):
+        for j in range(g.n):
+            s = g.sign(i, j) if i != j else 0
+            lhs = 2 * sq[i][j] + (b - a) * s
+            rhs = (a + b - 2 * c) * abs(s) + 2 * c + (2 * (p.r - c) if i == j else 0)
+            if lhs != rhs:
+                holds[i != j] = False
+    return tuple(holds)
+
+
+def dense_quadratic(g, s, p, sq=None):
+    """(diagonal, off-diagonal): where A^2 + sA + pI == 0 holds throughout,
+    with A^2 from the dense oracle."""
+    sq = sq or brute_square(g)
+    holds = [True, True]
+    for i in range(g.n):
+        for j in range(g.n):
+            if sq[i][j] + s * (g.sign(i, j) if i != j else 0) + (p if i == j else 0):
+                holds[i != j] = False
+    return tuple(holds)
+
+
+entries = st.one_of(st.none(), st.integers(-3, 3))
+
+
+@given(signed_graphs(max_n=8), st.integers(0, 7), entries, entries, entries)
+def test_identity_eq2_matches_dense_oracle(g, r, a, b, c):
+    p = SrsgParams(g.n, r, a, b, c)
+    assert verify_identity_eq2(g, p) == all(dense_eq2(g, p))
+
+
+@given(signed_graphs(max_n=8), st.integers(-3, 3), st.integers(-8, 8))
+def test_quadratic_check_matches_dense_oracle(g, s, p):
+    assert quadratic_check(g, s, p) == all(dense_quadratic(g, s, p))
+
+
+def test_identity_checks_hold_and_fail_on_and_off_the_diagonal():
+    """Every catalog signing against the dense oracle: eq. (2) holds at its
+    parameters, fails on the diagonal alone with r + 1 and off it alone with
+    c + 1; the quadratic scan over K4 and the catalog meets all four cases."""
+    kinds = set()
+    for g, p in [(e.graph, e.expected_params) for e in map(build, list_names())]:
+        cases = [(p, (True, True)), (SrsgParams(p.n, p.r + 1, p.a, p.b, p.c), (False, True))]
+        if p.c is not None:
+            cases.append((SrsgParams(p.n, p.r, p.a, p.b, p.c + 1), (True, False)))
+        for q, where in cases:
+            assert dense_eq2(g, q) == where, (q, where)
+            assert verify_identity_eq2(g, q) == all(where), q
+    for g in [complete_graph(4)] + [build(name).graph for name in list_names()]:
+        sq = brute_square(g)
+        for s in range(-3, 4):
+            for p in range(-9, 10):
+                where = dense_quadratic(g, s, p, sq)
+                kinds.add(where)
+                assert quadratic_check(g, s, p) == all(where), (g.n, s, p)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_neg_walk_parity():

@@ -4,23 +4,10 @@ import shutil
 import subprocess
 import sys
 
-from conftest import FIXTURES, kmm
-from srsg.search import SearchConfig, search_catalog
-from srsg.sgio import read_graph6_file
+from conftest import SWEEP, sweep_stats
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
-SWEEP = (("order10", 0), ("order10", 2), ("order10", 4), ("order9", 0), ("order9", 2), ("K8,8", 4))
-
-
-def _sweep_stats():
-    """search_catalog's stats for each of the six sweep searches, in order."""
-    hosts = {
-        name: [(f"{name}[{i}]", g) for i, g in enumerate(read_graph6_file(os.path.join(FIXTURES, f"6reg_{name}.g6")))]
-        for name in ("order10", "order9")
-    }
-    hosts["K8,8"] = [("K8,8", kmm(8))]
-    return [search_catalog(hosts[name], SearchConfig(rho=rho)).stats for name, rho in SWEEP]
 
 
 def test_dfs_ladder_counts_the_tree_search_walks():
@@ -32,7 +19,7 @@ def test_dfs_ladder_counts_the_tree_search_walks():
     ).stdout
     rows = [json.loads(line) for line in out.splitlines()]
     assert [(row["hosts"], row["rho"]) for row in rows] == list(SWEEP)
-    for row, stats in zip(rows, _sweep_stats()):
+    for row, stats in zip(rows, sweep_stats()):
         assert (row["nodes"], row["leaves"]) == (stats.nodes, stats.leaves), row
 
 
@@ -78,7 +65,7 @@ def test_bench_writes_spread_counters_and_deltas(tmp_path):
     assert set(wl["end_to_end"]) == {"wall_s", "cpu_s", "setup_s", "peak_rss_mb"}
     for s in wl["end_to_end"].values():
         assert s["q1"] == s["median"] == s["q3"]  # one seed
-    stats = _sweep_stats()
+    stats = sweep_stats()
     nodes = sum(s.nodes for s in stats)
     assert wl["counters"]["search.nodes"] == nodes
     assert wl["counters"]["search.leaves"] == sum(s.leaves for s in stats)
