@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     p.add_argument("--rho", type=int, required=True)
     p.add_argument(
         "--params",
-        nargs="*",
+        nargs="+",
         default=None,
         metavar="n,r,a,b,c",
         help="keep only hits with one of these parameter sets; '?', '*' or None "

@@ -315,30 +315,50 @@ def negation(g: SignedGraph) -> SignedGraph:
     return SignedGraph(g.n, g.neg, g.pos)
 
 
+def _walk_split(common: int, neg_u: int, neg_v: int) -> tuple[int, int]:
+    """(p, q) of a pair with these common neighbours and negative rows; see _pair_walks."""
+    q = ((neg_u ^ neg_v) & common).bit_count()
+    return (common.bit_count() - q, q)
+
+
+def _pair_walks(g: SignedGraph):
+    """For each pair u < v, (u, v, code, p, q): code is 0, 1 or 2 when uv is
+    positive, negative or absent (the order of a, b, c), and p and q count
+    the positive and negative 2-walks between u and v.
+
+    A 2-walk u-w-v runs through a common neighbour w in C = adj[u] & adj[v],
+    and its sign sigma(uw)sigma(wv) is -1 exactly when w is in neg[u] ^ neg[v].
+    So q = |(neg[u] ^ neg[v]) & C|, p = |C| - q, and (A^2)[u][v] = |C| - 2q.
+    """
+    pos, neg = g.pos, g.neg
+    adj = [p | q for p, q in zip(pos, neg)]
+    for u in range(g.n):
+        pu, nu, au = pos[u], neg[u], adj[u]
+        for v in range(u + 1, g.n):
+            code = 0 if (pu >> v) & 1 else 1 if (nu >> v) & 1 else 2
+            yield (u, v, code, *_walk_split(au & adj[v], nu, neg[v]))
+
+
 def two_walk_counts(g: SignedGraph, u: int, v: int) -> tuple[int, int]:
     """Counts of positive and negative walks of length 2 between u != v.
 
     pos + neg equals the number of common neighbours; pos - neg is the
-    (u, v) entry of the squared sign matrix.
+    (u, v) entry of the squared sign matrix (see _pair_walks).
     """
     _check_vertex(u, g.n)
     _check_vertex(v, g.n)
     if u == v:
         raise ValueError("two_walk_counts requires two distinct vertices")
-    p = (g.pos[u] & g.pos[v]).bit_count() + (g.neg[u] & g.neg[v]).bit_count()
-    q = (g.pos[u] & g.neg[v]).bit_count() + (g.neg[u] & g.pos[v]).bit_count()
-    return (p, q)
+    return _walk_split(g.adj_row(u) & g.adj_row(v), g.neg[u], g.neg[v])
 
 
 def square_entries(g: SignedGraph) -> list[list[int]]:
     """The exact integer matrix A^2 of the sign matrix A."""
-    n = g.n
-    out = [[0] * n for _ in range(n)]
-    for u in range(n):
-        out[u][u] = g.degree(u)
-        for v in range(u + 1, n):
-            p, q = two_walk_counts(g, u, v)
-            out[u][v] = out[v][u] = p - q
+    out = [[0] * g.n for _ in range(g.n)]
+    for u, d in enumerate(g.degrees()):
+        out[u][u] = d
+    for u, v, _, p, q in _pair_walks(g):
+        out[u][v] = out[v][u] = p - q
     return out
 
 

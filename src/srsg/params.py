@@ -20,6 +20,7 @@ rows (the argument is in the feasible_param_sets docstring).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,19 +85,20 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
     Rows come in (n, a, b, c) order with the n-free family rows last.
     Every concrete row satisfies regularity.eq3_holds exactly.
 
-    That order needs no sort of the rows.  The admitted n are listed once,
-    in increasing order, with one bucket each; each row is appended to the
-    bucket of its n (family rows to a list of their own) and the buckets
-    are joined in that order.  Within a bucket the rows follow the scan,
+    That order needs no sort of the rows.  Each row is appended to the
+    bucket of its n, made at its first row (family rows go to a list of
+    their own), and the buckets are joined in increasing n.  Within a
+    bucket the rows follow the scan,
     which takes a and b in ascending order, and each (n, a, b) gives at
     most one row: the n = r+1 bucket holds only complete rows, as the c
     loop starts at n = r+2; when twice == 0 the family branch adds one
     c = 0 row per n and skips the c loop; otherwise c = twice / (2(n-r-1))
     is unique.  So no two rows of a bucket tie on (a, b), and the order is
     the sorted one.  The c loop visits only d = n-r-1 in
-    |twice/2| / r <= d <= |twice/2|, so its cost does not grow with n_max,
-    and its admitted divisors are listed once per value of twice/2, which
-    many (a, b) share.
+    |twice/2| / r <= d <= |twice/2|, and its admitted divisors are listed
+    once per value of twice/2, which many (a, b) share.  So the cost grows
+    with n_max only through the rows of a c = 0 family, one per admitted n,
+    and the admitted n are listed only when such a family exists.
     """
     r, rho = q.r, q.rho
     if negative_degree(r, rho) is None:
@@ -116,21 +118,18 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
     if q.fix_b is not None and abs(q.fix_b) > r - 1:
         b_range = []
 
-    # the admitted n, listed once; n = r+1 can only come first
-    ns = [
-        n for n in range(n_min, n_max + 1)
-        if not (q.even_n and n % 2) and not (q.div_n is not None and n % q.div_n)
-    ]
-    complete = bool(ns) and ns[0] == r + 1
-    family_ns = ns[1:] if complete else ns
+    def admitted(n):
+        return n >= n_min and not (q.even_n and n % 2) and not (q.div_n is not None and n % q.div_n)
+
+    complete = admitted(r + 1)
     # per half, the d = n-r-1 with n admitted that divide half with |c| <= r
     divisors: dict[int, list[int]] = {}
 
     # rows are plain tuples in field order; tuple.__new__ skips the keyword constructor
     new = tuple.__new__
-    # one bucket per admitted n, in increasing n
-    buckets: dict[int, list[FeasibleSet]] = {n: [] for n in ns}
-    family_appends = [(n, buckets[n].append) for n in family_ns]
+    # one bucket per n that has a row
+    buckets: defaultdict[int, list[FeasibleSet]] = defaultdict(list)
+    family_appends = None
     families: list[FeasibleSet] = []
     # eq. (3) with c moved to one side, 2c(n-r-1) == twice; the rest does not
     # involve n, and twice is even, as r - rho and so r + rho are
@@ -144,6 +143,11 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
                     buckets[r + 1].append(new(FeasibleSet, (r + 1, r, a, b, None, True)))
                 # c = 0: n drops out of the identity, so this is an n-free family
                 families.append(new(FeasibleSet, (None, r, a, b, 0, False)))
+                if family_appends is None:
+                    family_appends = [
+                        (n, buckets[n].append)
+                        for n in range(max(n_min, r + 2), n_max + 1) if admitted(n)
+                    ]
                 for n, append in family_appends:
                     append(new(FeasibleSet, (n, r, a, b, 0, False)))
                 continue
@@ -153,11 +157,11 @@ def feasible_param_sets(q: ParamQuery) -> list[FeasibleSet]:
             if ds is None:
                 ds = divisors[half] = [
                     d for d in range((abs(half) + r - 1) // r, min(abs(half), n_max - r - 1) + 1)
-                    if not half % d and d + r + 1 in buckets
+                    if not half % d and admitted(d + r + 1)
                 ]
             for d in ds:
                 buckets[d + r + 1].append(new(FeasibleSet, (d + r + 1, r, a, b, half // d, False)))
-    rows = [row for bucket in buckets.values() for row in bucket]
+    rows = [row for n in sorted(buckets) for row in buckets[n]]
     rows += families
     return rows
 

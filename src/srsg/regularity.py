@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import add, sub
 
-from .core import SignedGraph, _bits, square_entries, two_walk_counts
+from .core import SignedGraph, _bits, _pair_walks
 from .errors import SizeExceeded
 
 
@@ -54,35 +54,20 @@ def extract_params(g: SignedGraph) -> SrsgParams | None:
     None is returned when g is edgeless, homogeneous complete, not regular,
     or when some entry class of the squared sign matrix is non-constant.
     """
-    n = g.n
     degs = g.degrees()
     r = degs[0]
-    if any(d != r for d in degs):
-        return None
-    if r == 0:
+    if r == 0 or any(d != r for d in degs):
         return None
     if g.is_complete() and g.is_homogeneous():
         return None
-    a = b = c = None
-    seen_a = seen_b = seen_c = False
-    for u in range(n):
-        pu, qu = g.pos[u], g.neg[u]
-        for v in range(u + 1, n):
-            p, q = two_walk_counts(g, u, v)
-            entry = p - q
-            if (pu >> v) & 1:
-                if seen_a and entry != a:
-                    return None
-                a, seen_a = entry, True
-            elif (qu >> v) & 1:
-                if seen_b and entry != b:
-                    return None
-                b, seen_b = entry, True
-            else:
-                if seen_c and entry != c:
-                    return None
-                c, seen_c = entry, True
-    return SrsgParams(n, r, a, b, c)
+    entries: list[int | None] = [None, None, None]
+    for _, _, code, p, q in _pair_walks(g):
+        e = entries[code]
+        if e is None:
+            entries[code] = p - q
+        elif e != p - q:
+            return None
+    return SrsgParams(g.n, r, *entries)
 
 
 def classify(g: SignedGraph) -> tuple[SrsgClass, SrsgParams | None]:
@@ -126,15 +111,12 @@ def _defined(x: int | None) -> int:
 
 def _combination_vanishes(g: SignedGraph, k2: int, kA: int, kG: int, kJ: int, kI: int) -> bool:
     """Whether k2*A^2 + kA*A + kG*AG + kJ*J + kI*I is 0 entry by entry, for the
-    sign matrix A and the 0/1 adjacency AG, both read from the pos/neg rows."""
-    plus, minus = kJ + kG + kA, kJ + kG - kA
-    for i, row in enumerate(square_entries(g)):
-        p, q = g.pos[i], g.neg[i]
-        for j, x in enumerate(row):
-            t = plus if (p >> j) & 1 else minus if (q >> j) & 1 else kJ
-            if k2 * x + t + (kI if i == j else 0):
-                return False
-    return True
+    sign matrix A and the 0/1 adjacency AG.  On the diagonal A^2 is the degree
+    and A, AG are 0; all five are symmetric, so each pair u < v is checked once."""
+    if any(k2 * d + kJ + kI for d in g.degrees()):
+        return False
+    off = (kJ + kG + kA, kJ + kG - kA, kJ)
+    return not any(k2 * (p - q) + off[code] for _, _, code, p, q in _pair_walks(g))
 
 
 def verify_identity_eq2(g: SignedGraph, p: SrsgParams) -> bool:
@@ -185,11 +167,7 @@ def neg_walk_parity_ok(g: SignedGraph) -> tuple[bool, list[tuple[int, int]]]:
     net-regular strongly regular signed graphs in C1, C4 or C5 this always
     holds.
     """
-    violations = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if two_walk_counts(g, u, v)[1] % 2:
-                violations.append((u, v))
+    violations = [(u, v) for u, v, _, _, q in _pair_walks(g) if q % 2]
     return (not violations, violations)
 
 

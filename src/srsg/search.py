@@ -16,9 +16,9 @@ unable to reach it.
 
 The DFS keeps the negative rows only.  An edge of a decided block that is
 not negative is positive, so a complete vertex's positive row is its host
-row minus its negative row, and the entry of a completed pair t < u is
-|C| - 2 * popcount((neg[t] ^ neg[u]) & C) over its common neighbours C:
-a term sigma(tw)sigma(uw) is -1 exactly when one of tw, uw is negative.
+row minus its negative row, and a completed pair t < u has the entry
+|C| - 2 * popcount((neg[t] ^ neg[u]) & C) over its common neighbours C, by
+the rule that core._pair_walks derives.
 
 search_srsg's DFS, filtered or not, also looks ahead, with two prunes that
 each cut only subtrees holding no accepted leaf, so the leaves and their
@@ -250,11 +250,8 @@ def _search_raw(
     sets bit u in negm[w] and bumps negc[w] for w in S only, sets the mask
     of S in negm[u], and is undone by XOR of the same bits.  Every other
     edge of the block is positive, which needs no record: the positive row
-    of a complete vertex i is nbr[i] & ~negm[i].  The squared-matrix entry
-    of a completed pair t < u follows from the negative rows too: (A^2)[t][u]
-    sums sigma(tw)sigma(uw) over the common neighbours w in
-    C = nbr[t] & nbr[u], and a product is -1 exactly when one of tw, uw is
-    negative, so the entry is |C| - 2 * popcount((negm[t] ^ negm[u]) & C).
+    of a complete vertex i is nbr[i] & ~negm[i], and the squared-matrix
+    entry of a completed pair is read from negm as the module docstring says.
     """
     if counters is None:
         counters = [0, 0, 0, 0]

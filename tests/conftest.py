@@ -44,6 +44,12 @@ def brute_square(g: SignedGraph):
     return [[sum(A[i][k] * A[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
+def brute_two_walks(g: SignedGraph, u: int, v: int):
+    """Independent 2-walk oracle: (positive, negative) walks u-w-v counted from g.sign."""
+    signs = [g.sign(u, w) * g.sign(w, v) for w in range(g.n)]
+    return (signs.count(1), signs.count(-1))
+
+
 def brute_extract(g: SignedGraph):
     """Independent parameter extraction straight from the definition."""
     n = g.n

@@ -190,6 +190,15 @@ def test_search_cli_malformed_params(capsys, fixtures_dir):
     assert obj["type"] == "ParseError" and "8,6,x,1,2" in obj["message"]
 
 
+def test_search_cli_empty_params_is_usage_error(capsys, fixtures_dir):
+    # an empty --params would name no row to keep, not a search without a filter
+    g8 = os.path.join(fixtures_dir, "targets", "g8.g6")
+    with pytest.raises(SystemExit) as ei:
+        main(["search", "--underlying", g8, "--rho", "0", "--params"])
+    assert ei.value.code == 2
+    assert "--params" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import brute_square, signed_graphs
+from conftest import brute_square, brute_two_walks, signed_graphs
 from srsg.core import (
     _twin_classes,
     SignedGraph,
@@ -128,6 +128,9 @@ def test_two_walks_agree_with_square(g):
             p, q = two_walk_counts(g, u, v)
             assert p - q == sq[u][v]
             assert p + q == (g.adj_row(u) & g.adj_row(v)).bit_count()
+            oracle = brute_two_walks(g, u, v)
+            assert (p, q) == oracle
+            assert sq[u][v] == sq[v][u] == oracle[0] - oracle[1]
 
 
 @given(signed_graphs())

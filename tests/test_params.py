@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -164,10 +165,17 @@ def test_rows_are_immutable_hashable_tuples():
 
 def test_rows_with_c_nonzero_stop_below_a_large_n_max():
     # b = 1 at rho = 4 has no c = 0 family, so every row has |c| >= 1 and
-    # n - r - 1 <= |twice/2|: a larger n_max adds no row
+    # n - r - 1 <= |twice/2|: a larger n_max adds no row, and no memory
     small = feasible_param_sets(ParamQuery(r=6, rho=4, fix_b=1, n_max=60))
     assert small and not any(q.n_free for q in small)
-    assert feasible_param_sets(ParamQuery(r=6, rho=4, fix_b=1, n_max=10**6)) == small
+    tracemalloc.start()
+    try:
+        large = feasible_param_sets(ParamQuery(r=6, rho=4, fix_b=1, n_max=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert large == small
+    assert peak < 2**20
 
 
 # sha256 of repr(feasible_param_sets(q)); perfbench hashes the same repr

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from conftest import brute_extract, signed_graphs
+from conftest import brute_extract, brute_two_walks, signed_graphs
 from srsg.core import negation, square_entries, triangle_census, two_walk_counts
 from srsg.params import negation_dual
 from srsg.regularity import (
@@ -70,6 +70,8 @@ def test_parity_counts_match_two_walks(g):
            if two_walk_counts(g, u, v)[1] % 2}
     assert set(violations) == bad
     assert ok == (not bad)
+    oracle = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if brute_two_walks(g, u, v)[1] % 2]
+    assert violations == oracle
 
 
 @given(signed_graphs())

@@ -745,7 +745,8 @@ def _alive(pid):
     try:
         with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
             return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):
+        # the read fails with ESRCH when the process is reaped after the open
         return False
 
 
