@@ -47,11 +47,11 @@ order are those of the DFS without them:
 
 search_srsg does not search the host in the labelling it is given.  It
 relabels the host into a greedy order computed from its canonical form (see
-_search_order), so the tree, and every counter, is the same for every
-labelling of the host.  A relabelling is an isomorphism of hosts: it maps
-the host's signings one to one onto the relabelled host's, each to an
-isomorphic signing with the same parameters, so the set of classes found
-is unchanged.  Each leaf is mapped back to the input labels before it is
+_search_order, which computes it once per host per process), so the tree,
+and every counter, is the same for every labelling of the host.  A
+relabelling is an isomorphism of hosts: it maps the host's signings one to
+one onto the relabelled host's, each to an isomorphic signing with the
+same parameters, so the set of classes found is unchanged.  Each leaf is mapped back to the input labels before it is
 verified, so the hits of dedupe "none" are signings of the host as given;
 the iso modes report decoded canonical forms, which no labelling changes.
 A search that needs no DFS (no negative degree fits the net degree, or
@@ -72,8 +72,10 @@ most node_budget nodes, whatever the worker count.
 The worker pool is started at the first call with jobs > 1 and serves every
 later search of the process with the same jobs; another jobs value or a
 forked child gets a new pool, and no worker sees a later change to this
-module.  At a normal exit concurrent.futures joins the workers; a worker
-whose parent is gone exits by itself, whatever the start method.
+module.  A call sends its hosts or task prefixes in about two chunks per
+worker, not one round trip each (see _pool_map).  At a normal exit
+concurrent.futures joins the workers; a worker whose parent is gone exits
+by itself, whatever the start method.
 
 Under the iso modes the DFS walks a smaller tree, one block choice per set
 of choices that a swap of interchangeable vertices maps onto each other.
@@ -109,6 +111,8 @@ tree that was walked.
 
 from __future__ import annotations
 
+import functools
+import math
 import multiprocessing.connection
 import os
 import threading
@@ -495,8 +499,11 @@ _pool = None  # ((pid, jobs), the ProcessPoolExecutor that process made)
 
 def _pool_map(fn, items, jobs):
     """[fn(x) for x in items]: in this process at jobs <= 1, otherwise in the
-    process's pool of jobs workers (see the module docstring).  Results keep
-    the order of items.  A broken pool is dropped and its error raised."""
+    process's pool of jobs workers (see the module docstring).  The items go
+    out in chunks of ceil(len(items) / (2 * jobs)), so each worker takes
+    about two chunks rather than one round trip per item.  Results keep the
+    order of items, and the first error a task raises is raised here.  A
+    broken pool is dropped and its error raised."""
     global _pool
     if jobs <= 1:
         return [fn(x) for x in items]
@@ -506,7 +513,7 @@ def _pool_map(fn, items, jobs):
             _pool[1].shutdown()
         _pool = (pid, jobs), ProcessPoolExecutor(jobs, initializer=_exit_with_parent)
     try:
-        return list(_pool[1].map(fn, items))
+        return list(_pool[1].map(fn, items, chunksize=max(1, math.ceil(len(items) / (2 * jobs)))))
     except BrokenProcessPool:
         _pool = None
         raise
@@ -533,7 +540,8 @@ def _allowed_from_filter(compat: list[SrsgParams]):
     )
 
 
-def _search_order(g: UGraph) -> tuple[list[int], tuple[int, ...]]:
+@functools.lru_cache
+def _search_order(g: UGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The vertex order search_srsg searches g in (order[i] is the vertex at
     position i), and g's rows relabelled into it.
 
@@ -544,6 +552,14 @@ def _search_order(g: UGraph) -> tuple[list[int], tuple[int, ...]]:
     pair prune cuts early.  The order is computed from the canonical form
     alone, so the relabelled rows, and every counter of the search, are the
     same for every labelling of g.
+
+    A host searched at several net degrees, or in several catalog calls,
+    gets its order once per process: the answer is cached by g, a frozen
+    UGraph equal to another with the same rows, so equal rows share an
+    entry and a relabelled host gets its own.  The cache keeps the 128
+    hosts used last (lru_cache's default bound); each pool worker keeps its
+    own, and a worker forked later starts from the parent's entries.  Both
+    parts of the answer are tuples, so no caller can change a cached one.
     """
     _, canon = canonical_labeling(all_positive(g))
     order, rest, taken = canon[:1], canon[1:], 1 << canon[0]
@@ -555,7 +571,7 @@ def _search_order(g: UGraph) -> tuple[list[int], tuple[int, ...]]:
     position = [0] * g.n
     for i, v in enumerate(order):
         position[v] = i
-    return order, _relabel(g.nbr, position)
+    return tuple(order), _relabel(g.nbr, position)
 
 
 def _no_dfs_note(n: int, k: int | None) -> str:

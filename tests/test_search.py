@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FIXTURES, brute_extract, brute_square, cube, kmm, petersen, relabel, shrikhande
 from srsg.catalog import build, build_underlying
-from srsg.core import SignedGraph, all_positive, negation, sign_with, ugraph_from_edges
+from srsg.core import SignedGraph, UGraph, all_positive, negation, sign_with, ugraph_from_edges
 from srsg.errors import DegreeMismatch, DisconnectedInput
 from srsg.iso import canonical_form, decode_canonical
 from srsg.regularity import SrsgClass, SrsgParams, extract_params
@@ -29,6 +29,7 @@ from srsg.search import (
     search_srsg,
 )
 from srsg.sgio import read_graph6_file
+from srsg.verify import run_verification
 
 # _search_raw's per-class sets with no filter: learn every class's entry
 LEARN = (None, None, None)
@@ -515,6 +516,10 @@ HOSTS = dict(_fixture_and_target_hosts())
 TWIN_TEST_HOSTS = {**HOSTS, **{f"K{m},{m}": kmm(m) for m in (3, 4, 5)}}
 
 
+def _catalog(fname):
+    return [(f"{fname}[{i}]", g) for i, g in enumerate(read_graph6_file(os.path.join(FIXTURES, fname)))]
+
+
 def _classes_of_every_signing(g, rho):
     """{mode: {canonical form: (params, class)}} expected of the iso modes,
     from the hits of dedupe "none", which walks the full tree."""
@@ -657,6 +662,53 @@ def test_search_independent_of_input_labelling(label, rho):
         assert sorted(x.canonical for x in other.hits) == sorted(x.canonical for x in none.hits), seed
 
 
+def test_search_order_once_per_host(monkeypatch, fixtures_dir):
+    """Each host's search order is computed once per process: the 21
+    order-10 hosts searched at three net degrees take 21 labellings, and
+    verify's searches of 34 distinct hosts take 34 (77 when every search
+    computed its own).  Counted at jobs=1, at the name search.py calls."""
+    calls = []
+    inner = srsg.search.canonical_labeling
+
+    def counted(g):
+        calls.append(g)
+        return inner(g)
+    monkeypatch.setattr(srsg.search, "canonical_labeling", counted)
+    graphs = _catalog("6reg_order10.g6")
+    assert len(graphs) == 21
+    _search_order.cache_clear()
+    for rho in (0, 2, 4):
+        search_catalog(graphs, SearchConfig(rho=rho))
+    assert len(calls) == 21
+    _search_order.cache_clear()
+    calls.clear()
+    run_verification(fixtures_dir, 1)
+    assert len(calls) == 34
+
+
+@pytest.mark.parametrize("label", sorted({label for label, _ in ORDER_INVARIANCE_CASES}))
+def test_cached_search_order_is_computed_order(label):
+    """The cached order of a host and of five relabellings equals the one
+    computed afresh, and the cached answer is immutable."""
+    g = HOSTS[label]
+    for h in [g] + [relabel(g, seed) for seed in range(1, 6)]:
+        order, rows = _search_order(h)
+        assert (order, rows) == _search_order.__wrapped__(h), label
+        assert isinstance(order, tuple) and isinstance(rows, tuple)
+
+
+def test_equal_hosts_share_a_cached_order():
+    g = HOSTS["s16u.g6"]
+    twin = UGraph(g.n, tuple(list(g.nbr)))
+    _search_order.cache_clear()
+    first = _search_order(g)
+    assert _search_order(twin) is first
+    info = _search_order.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert _search_order(relabel(g, 1)) is not first
+    assert _search_order.cache_info().currsize == 2
+
+
 S16_ROW = (SrsgParams(16, 6, 2, 2, -2),)
 
 
@@ -750,15 +802,11 @@ def _alive(pid):
         return False
 
 
-def _order9_catalog():
-    return [(f"o9[{i}]", g) for i, g in enumerate(read_graph6_file(os.path.join(FIXTURES, "6reg_order9.g6")))]
-
-
 def test_pool_serves_every_call():
     first = _pool_pids(2)
     assert len(first) == 2 and os.getpid() not in first
     assert set(_pool_map(_worker_pid, [0.05] * 4, 2)) <= first
-    graphs = _order9_catalog()
+    graphs = _catalog("6reg_order9.g6")
     rep = search_catalog(graphs, SearchConfig(rho=2, jobs=2))
     assert _outcome(rep) == _outcome(search_catalog(graphs, SearchConfig(rho=2)))
     assert _pool_pids(2) == first
@@ -774,7 +822,7 @@ def test_pool_replaced_when_jobs_change():
 
 
 def test_pool_with_a_killed_worker_fails_one_call():
-    graphs = _order9_catalog()
+    graphs = _catalog("6reg_order9.g6")
     want = _outcome(search_catalog(graphs, SearchConfig(rho=2)))
     victim = min(_pool_pids(2))
     os.kill(victim, signal.SIGKILL)
@@ -791,10 +839,22 @@ def test_pool_with_a_killed_worker_fails_one_call():
     assert _outcome(search_catalog(graphs, SearchConfig(rho=2, jobs=2))) == want
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_pool_map_keeps_order_in_chunks(jobs):
+    """Items go out in chunks of ceil(len / (2 * jobs)); every length,
+    with a ragged last chunk or none at all, comes back in order."""
+    for size in range(14):
+        items = [-x for x in range(size)]
+        assert _pool_map(abs, items, jobs) == [abs(x) for x in items], size
+
+
 def test_pool_survives_an_error_in_a_task():
-    graphs = _order9_catalog()
+    """The irregular host shares its chunk (6 of the 21 hosts at jobs=2)
+    with good ones; its error reaches the caller, and the same workers
+    serve the next call."""
+    graphs = _catalog("6reg_order10.g6")
     bad = graphs[:2] + [("path", ugraph_from_edges(3, [(0, 1), (1, 2)]))] + graphs[3:]
-    assert len(bad) == 4
+    assert len(bad) == 21
     with pytest.raises(DegreeMismatch):
         search_catalog(bad, SearchConfig(rho=2))
     before = _pool_pids(2)
