@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 
 from . import catalog as cat
 from .core import is_balanced, triangle_census
-from .errors import ParseError, SignedGraphError
+from .errors import EmptyInput, ParseError, SignedGraphError
 from .iso import are_isomorphic, canonical_form
 from .params import FeasibleSet, ParamQuery, feasible_param_sets
 from .regularity import SrsgParams, char_poly, classify
@@ -118,6 +118,8 @@ def _cmd_search(args) -> int:
     for path in args.underlying:
         for i, g in enumerate(read_graph6_file(path)):
             graphs.append((f"{path}[{i}]", g))
+    if not graphs:
+        raise EmptyInput(f"no graph6 record in {', '.join(args.underlying)}")
     filt = tuple(_parse_param_tuple(t) for t in args.params) if args.params else None
     cfg = SearchConfig(
         rho=args.rho,
@@ -199,6 +201,12 @@ def _cmd_verify(args) -> int:
     return 0 if result["pass"] else 1
 
 
+_JOBS_HELP = (
+    "worker processes: a catalog's hosts are spread over them, and each host "
+    "is searched in one process; the output is the same at any value"
+)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="srsg",
@@ -245,7 +253,7 @@ def main(argv=None) -> int:
         "choice per set of interchangeable vertices), so their nodes, leaves "
         "and raw_hits count that tree",
     )
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.add_argument(
         "--budget",
         type=_int_at_least(0),
@@ -277,7 +285,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--fixtures", required=True)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.set_defaults(fn=_cmd_verify)
 
     args = ap.parse_args(argv)

@@ -47,6 +47,10 @@ class EmptyRange(SignedGraphError):
     pass
 
 
+class EmptyInput(SignedGraphError):
+    """Input files that hold no graph where a command needs at least one."""
+
+
 def location(line: int | None, filename: str | None) -> str:
     # the "<file>:line <k>: " prefix of a text-format fault, parts known
     where = ""

@@ -59,23 +59,19 @@ n * k is odd, when no k-regular subgraph exists) is answered with an
 empty exhaustive report and a note.
 
 Reports are deterministic: fixed edge order, canonical representatives,
-sorted output, and identical results for any worker count.  With jobs > 1
-the top blocks are split into task prefixes; each task searches the
-subtree below its prefix, and the tasks' leaves are concatenated in prefix
-order, which is the order of the single DFS.  A node budget bounds the
-whole search, not each task: every task runs under the full budget, and
-when the nodes of the split and of all tasks together exceed it, the
-report is that of the single DFS stopped at node budget + 1, exactly as at
-jobs = 1.  So a report is exhaustive exactly when the whole tree has at
-most node_budget nodes, whatever the worker count.
+sorted output, and identical results for any worker count.  Each host's
+tree is walked by one DFS in one process; jobs only spreads a catalog's
+hosts over worker processes.  Each host's DFS stops at node budget + 1, so
+a report is exhaustive exactly when the tree has at most node_budget
+nodes, at any jobs.
 
-The worker pool is started at the first call with jobs > 1 and serves every
-later search of the process with the same jobs; another jobs value or a
-forked child gets a new pool, and no worker sees a later change to this
-module.  A call sends its hosts or task prefixes in about two chunks per
-worker, not one round trip each (see _pool_map).  At a normal exit
-concurrent.futures joins the workers; a worker whose parent is gone exits
-by itself, whatever the start method.
+The worker pool is started at the first catalog call with jobs > 1 and at
+least two hosts, and serves every later call of the process with the same
+jobs; another jobs value or a forked child gets a new pool, and no worker
+sees a later change to this module.  A call sends its hosts in about two
+chunks per worker, not one round trip each (see _pool_map).  At a normal
+exit concurrent.futures joins the workers; a worker whose parent is gone
+exits by itself, whatever the start method.
 
 Under the iso modes the DFS walks a smaller tree, one block choice per set
 of choices that a swap of interchangeable vertices maps onto each other.
@@ -166,7 +162,8 @@ class SearchConfig:
     counters count the tree walked.
     node_budget caps the nodes of that tree; on overrun the report is
     flagged non-exhaustive instead of raising.
-    jobs: worker processes.
+    jobs: worker processes a catalog search spreads its hosts over; each
+    host's tree is walked in one process, so a single host ignores it.
     """
 
     rho: int
@@ -208,9 +205,7 @@ class _BudgetStop(Exception):
     pass
 
 
-def _search_raw(
-    nbr, n, k, allowed=None, budget=None, counters=None, prefix=(), stop_depth=None, twins=False, lookahead=False
-):
+def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, twins=False, lookahead=False):
     """Block DFS over signings whose negative subgraph is k-regular.
 
     A generator: yields each leaf lazily, in DFS order, as (pos_rows,
@@ -227,10 +222,6 @@ def _search_raw(
     adds to.  With a budget the DFS stops when it reaches node budget + 1,
     so it was cut short exactly when the nodes it counted exceed budget.
 
-    prefix: block choices replayed before the DFS starts (parallel tasks).
-    stop_depth: yield each extendable prefix (the block choices of blocks
-    below stop_depth) instead of recursing past it.
-
     twins: try one block choice per orbit of twin swaps (see the module
     docstring).  The twin class tid[w] of a vertex is computed once.  At
     block u the later neighbours avail[u] fall into cells keyed by
@@ -245,9 +236,8 @@ def _search_raw(
     lookahead: with allowed not None, add the identity tie (on a regular
     host) and the forward check of the module docstring.  Both prunes count
     in pruned_pair.  A value the tie derives goes on the trail of its node,
-    so backtracking forgets it, and a replayed prefix derives it again.  The
-    leaves are those of lookahead=False, in the same order; only the tree
-    shrinks.  search_srsg, its task split and its tasks always look ahead;
+    so backtracking forgets it.  The leaves are those of lookahead=False, in
+    the same order; only the tree shrinks.  search_srsg always looks ahead;
     False keeps the tree the DFS pins pin.
 
     The state is the negative rows alone.  A block choice S for vertex u
@@ -282,7 +272,6 @@ def _search_raw(
     twin_block = [len({tid[w] for w in av}) < len(av) for av in avail]
     # learn[c]: the value of class c in every accepted leaf below, once known
     learn = [next(iter(s)) if s is not None and len(s) == 1 else None for s in allowed or (None,) * 3]
-    chosen: list[tuple[int, ...]] = []
     ahead_on = lookahead and allowed is not None
     r = nbr[0].bit_count() if n else 0
     tie_on = ahead_on and all(row.bit_count() == r for row in nbr)
@@ -401,21 +390,7 @@ def _search_raw(
             last[key] = w
         return mates
 
-    def apply_block(u, S):
-        """Record block choice S at u and return the mask of S."""
-        ub = 1 << u
-        sm = 0
-        for w in S:
-            sm |= bit[w]
-            negm[w] |= ub
-            negc[w] += 1
-        negm[u] |= sm
-        return sm
-
     def rec(u):
-        if u == stop_depth:
-            yield tuple(chosen)
-            return
         if u == n:
             counters[_LEAVES] += 1
             yield tuple(nbr[i] & ~negm[i] for i in range(n)), tuple(negm)
@@ -435,7 +410,12 @@ def _search_raw(
             counters[_NODES] += 1
             if budget is not None and counters[_NODES] > budget:
                 raise _BudgetStop
-            sm = apply_block(u, S)
+            sm = 0
+            for w in S:
+                sm |= bit[w]
+                negm[w] |= ub
+                negc[w] += 1
+            negm[u] |= sm
             ok = True
             for w, floor in floor_u:
                 if not floor <= negc[w] <= k:
@@ -448,9 +428,7 @@ def _search_raw(
                 ok = False
                 counters[_PPAIR] += 1
             if ok:
-                chosen.append(S)
                 yield from rec(u + 1)
-                chosen.pop()
             for c in trail:
                 learn[c] = None
             for w in S:
@@ -458,26 +436,10 @@ def _search_raw(
                 negc[w] -= 1
             negm[u] ^= sm
 
-    # replay a task prefix; its choices were generated by this same DFS, so
-    # they must pass their own checks again (and relearn the entries)
-    for u, S in enumerate(prefix):
-        apply_block(u, S)
-        if allowed is not None and not block_ok(u, []):
-            raise RuntimeError("task prefix failed replay")
-        chosen.append(S)
-
     try:
-        yield from rec(len(prefix))
+        yield from rec(0)
     except _BudgetStop:
         pass
-
-
-def _task_worker(payload):
-    """Leaves and counters of the subtree below one task prefix."""
-    nbr, n, k, allowed, budget, prefix, twins = payload
-    counters = [0, 0, 0, 0]
-    raw = list(_search_raw(nbr, n, k, allowed, budget, counters, prefix, twins=twins, lookahead=True))
-    return raw, counters
 
 
 def _exit_with_parent() -> None:
@@ -498,14 +460,14 @@ _pool = None  # ((pid, jobs), the ProcessPoolExecutor that process made)
 
 
 def _pool_map(fn, items, jobs):
-    """[fn(x) for x in items]: in this process at jobs <= 1, otherwise in the
-    process's pool of jobs workers (see the module docstring).  The items go
-    out in chunks of ceil(len(items) / (2 * jobs)), so each worker takes
-    about two chunks rather than one round trip per item.  Results keep the
-    order of items, and the first error a task raises is raised here.  A
-    broken pool is dropped and its error raised."""
+    """[fn(x) for x in items]: in this process at jobs <= 1 or with at most
+    one item, otherwise in the process's pool of jobs workers (see the module
+    docstring).  The items go out in chunks of ceil(len(items) / (2 * jobs)),
+    so each worker takes about two chunks rather than one round trip per
+    item.  Results keep the order of items, and the first error a task
+    raises is raised here.  A broken pool is dropped and its error raised."""
     global _pool
-    if jobs <= 1:
+    if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     pid = os.getpid()
     if _pool is None or _pool[0] != (pid, jobs):
@@ -584,24 +546,6 @@ def _no_dfs_note(n: int, k: int | None) -> str:
     return ""
 
 
-def _split_tasks(nbr, n, k, allowed, jobs, counters, twins):
-    """Deterministic top-of-tree task prefixes; aims for a few per worker.
-
-    Deepens the prefixes one block at a time until there are at least
-    4 * jobs of them, none are left, or the next block is the last one.
-    The nodes and prunes of the blocks above the prefixes (the part of the
-    search the parent process explores itself) are added to counters.
-    """
-    prefixes: list[tuple] = [()]
-    for depth in range(1, n):
-        prefixes = [
-            q for p in prefixes for q in _search_raw(nbr, n, k, allowed, None, counters, p, depth, twins, True)
-        ]
-        if len(prefixes) >= 4 * jobs or not prefixes:
-            break
-    return prefixes
-
-
 def _report_order(hits: list[Hit], mode: str) -> list[Hit]:
     """Hits sorted for a report; under the iso modes, one per canonical form.
     A host's iso hits are decoded canonical forms, so the hits of one class
@@ -678,15 +622,7 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
     # one signing per class suffices under the iso modes: walk the twin-reduced tree
     twins = cfg.dedupe != "none"
     counters = [0, 0, 0, 0]
-    prefixes = [()] if cfg.jobs <= 1 else _split_tasks(nbr, n, k, allowed, cfg.jobs, counters, twins)
-    tasks = _pool_map(_task_worker, [(nbr, n, k, allowed, budget, p, twins) for p in prefixes], cfg.jobs)
-    raw = [leaf for leaves, _ in tasks for leaf in leaves]
-    for _, tcounters in tasks:
-        counters = [a + b for a, b in zip(counters, tcounters)]
-    if budget is not None and counters[_NODES] > budget and prefixes != [()]:
-        # the split search overran the budget: report what the single DFS
-        # finds within it, as jobs=1 does
-        raw, counters = _task_worker((nbr, n, k, allowed, budget, (), twins))
+    raw = list(_search_raw(nbr, n, k, allowed, budget, counters, twins=twins, lookahead=True))
     stats.nodes, stats.leaves, stats.pruned_degree, stats.pruned_pair = counters
 
     # leaf verification: recompute parameters exactly and apply the filter,
@@ -706,15 +642,13 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
 def search_catalog(graphs: list[tuple[str, UGraph]], cfg: SearchConfig) -> SearchReport:
     """Search every (name, graph) entry and merge the per-host hits.
 
-    When several graphs are given and jobs > 1, parallelism is spent across
-    graphs (one worker each, deterministic merge); a single graph gets
-    branch-level parallelism instead.  stats.wall_time is the elapsed time
-    of the whole call.
+    The hosts are spread over cfg.jobs worker processes (see _pool_map), each
+    host searched whole by one of them, and merged in input order; one host,
+    or jobs = 1, is searched in this process.  stats.wall_time is the elapsed
+    time of the whole call.
     """
     t0 = time.perf_counter()
-    across = cfg.jobs > 1 and len(graphs) >= 2
-    inner_cfg = replace(cfg, jobs=1) if across else cfg
-    reports = _pool_map(_host_worker, [(g, inner_cfg) for _, g in graphs], cfg.jobs if across else 1)
+    reports = _pool_map(_host_worker, [(g, cfg) for _, g in graphs], cfg.jobs)
 
     stats = SearchStats()
     per_graph: list[dict] = []

@@ -136,6 +136,18 @@ def test_search_cli_missing_file(capsys):
     assert "error" in json.loads(err.splitlines()[-1])
 
 
+@pytest.mark.parametrize("text", ["", "\n\n  \n"])
+def test_search_cli_no_graph_is_data_error(tmp_path, capsys, text):
+    """A file with no graph6 record searches nothing; that is no exhaustive
+    search, but a data error."""
+    empty = tmp_path / "empty.g6"
+    empty.write_text(text)
+    rc, out, err = run(capsys, ["search", "--underlying", str(empty), "--rho", "0"])
+    assert rc == 1 and out == ""
+    obj = json.loads(err.splitlines()[-1])["error"]
+    assert obj["type"] == "EmptyInput" and str(empty) in obj["message"]
+
+
 def test_search_cli_malformed_graph6(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_text("C~\nC\n")  # second record is truncated

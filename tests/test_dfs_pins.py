@@ -1,11 +1,10 @@
-"""Pinned DFS trees: counters, leaves and task prefixes of `_search_raw`.
+"""Pinned DFS trees: counters and leaves of `_search_raw`.
 
 The signing DFS must keep its tree when its inner loop changes: the same
-nodes, prunes and leaves in the same order, and the same task prefixes for
-the parallel split.  For every host, net-degree and pruning mode one digest
-is pinned: sha256 of the repr of three (counters, items) pairs, namely the
-full search, the search under a node budget of 1,000 and the stop_depth=3
-prefix list.  The "twins" mode pins the twin-reduced DFS (pair pruning by
+nodes, prunes and leaves in the same order.  For every host, net-degree and
+pruning mode one digest is pinned: sha256 of the repr of two (counters,
+leaves) pairs, namely the full search and the search under a node budget
+of 1,000.  The "twins" mode pins the twin-reduced DFS (pair pruning by
 learned entries, twins=True) on the hosts that have two vertices with equal
 host rows once each ignores the other.  Every pin runs the DFS on the host
 as given and without the look-ahead; the iso modes of `search_srsg` walk
@@ -36,7 +35,6 @@ FILTER = (frozenset({0, 1, 2}), frozenset({0, 1, 2}), frozenset({-2, -1}))
 # no filter: learn each class's entry from its first completed pair
 LEARN = (None, None, None)
 BUDGET = 1000
-STOP_DEPTH = 3
 
 
 def pin_hosts():
@@ -72,9 +70,9 @@ def pin_cases():
                 yield f"{name}/rho{rho}/{mode}", u.nbr, u.n, (r - rho) // 2, allowed, twins
 
 
-def _run(nbr, n, k, allowed, twins, budget=None, stop_depth=None):
+def _run(nbr, n, k, allowed, twins, budget=None):
     counters = [0, 0, 0, 0]
-    items = list(_search_raw(nbr, n, k, allowed, budget, counters, (), stop_depth, twins))
+    items = list(_search_raw(nbr, n, k, allowed, budget, counters, twins=twins))
     return counters, items
 
 
@@ -84,304 +82,303 @@ def pin_digests():
         runs = [
             _run(nbr, n, k, allowed, twins),
             _run(nbr, n, k, allowed, twins, budget=BUDGET),
-            _run(nbr, n, k, allowed, twins, stop_depth=STOP_DEPTH),
         ]
         out[label] = hashlib.sha256(repr(runs).encode()).hexdigest()
     return out
 
 
 PINS = {
-    "6reg_order8.g6#0/rho0/learn": "b2d4df98f686c177797ee6059a85e955c8fdf0affd7175baccdaf391002b2cf2",
-    "6reg_order8.g6#0/rho0/filter": "028fa1b74815965b4974832803257dad836d3e2ffe9ac24d9a866fd1ffc55377",
-    "6reg_order8.g6#0/rho0/none": "07fed66a329e050ef4ba2ca43e660e2f1e051ac643b72b26822c149ce0a3e2f8",
-    "6reg_order8.g6#0/rho0/twins": "aaaa31126e309fff560632edd0df58bd32702a1be0feb4a2011b9d55b7dfd0d5",
-    "6reg_order8.g6#0/rho2/learn": "bff9739be467f1219f72abf53bb9d8485f2c59f47d4b5a877203944e3beb61cc",
-    "6reg_order8.g6#0/rho2/filter": "e3b42300e4390441efb16a02f43ae329fab849b4afe4c5676281619fa64f913d",
-    "6reg_order8.g6#0/rho2/none": "29dd0deb7c7c31ecf7e3fd6781ac3e436caae51835f2ef2d94f20e0e2701f5dd",
-    "6reg_order8.g6#0/rho2/twins": "913b6f8525bac09428918a5092dfedee44f1bf0effb4cdc47ca6c3dda5e36be2",
-    "6reg_order8.g6#0/rho4/learn": "c3a20011321a49ce3dde4efe80f1a659dc52922a36cc5cc2d8e745966fbf44c3",
-    "6reg_order8.g6#0/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order8.g6#0/rho4/none": "3a7e13af499e92d61ff8dd028528b947628b7f90850f936609672b193d10205a",
-    "6reg_order8.g6#0/rho4/twins": "85f85d6cc1ca82822d793a899142c9515b99e535eedd8b80814ab52600565024",
-    "6reg_order9.g6#0/rho0/learn": "8ce11fa81c68f5f65aa8fc384da27e9b595a671190aa96c8eebf1f8d05deae66",
-    "6reg_order9.g6#0/rho0/filter": "3f70aa30f39f65c8a8db8b6fb3501aa48dda4b5e0be5828ab10308da3da04335",
-    "6reg_order9.g6#0/rho0/none": "d751fbf3ef45b74af20b7b4061866d4a46d054b94f965a6542b91dfa696fdcac",
-    "6reg_order9.g6#0/rho0/twins": "a308a855bd5a949989d20eb793a82973d06df41cc31ccf46d0ac302bedce16cd",
-    "6reg_order9.g6#0/rho2/learn": "be705ff74d021d8b3c43e40deca6f4e712eb4021e2a3a558e02a412744411402",
-    "6reg_order9.g6#0/rho2/filter": "b2d966cf058b39f056591cbef68206bef6ee42c83556ae2745ceed09a40655b0",
-    "6reg_order9.g6#0/rho2/none": "4ae991aedb6b1c1adddb67f09abb8e593bf4a1980e072056eb7a877ad6ef86e1",
-    "6reg_order9.g6#0/rho2/twins": "35a32e1da056f9309d9dcb46ce8b27697fddf7556f7b43161c869006ab82908d",
-    "6reg_order9.g6#0/rho4/learn": "dbe4624c6b333b849edcbfd0e209da2d191293c9fc3ffed7e2deebb0dc2177a5",
-    "6reg_order9.g6#0/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order9.g6#0/rho4/none": "56bb06ff692e08cc55d4780ea77243d3f4af7d415bef0f6bc8945237ac615bed",
-    "6reg_order9.g6#0/rho4/twins": "d68a8fb49cedef50e19ded49bb03edeeb9a9e6d3bf87ea638be3368191d9732b",
-    "6reg_order9.g6#1/rho0/learn": "7c8f10fee3b6323ffe06b41e08023e3fd58e9b0f01a96dd5dcbdd9f872e3ebd3",
-    "6reg_order9.g6#1/rho0/filter": "916fd0686718b3330accc9664de4c15dd8cb463fb374b21da0cf2e4ee7680a2c",
-    "6reg_order9.g6#1/rho0/none": "20d9148a360502b6a3a14948c78285e13e10317b3fc3d903e8d656cfe399af98",
-    "6reg_order9.g6#1/rho0/twins": "7c8f10fee3b6323ffe06b41e08023e3fd58e9b0f01a96dd5dcbdd9f872e3ebd3",
-    "6reg_order9.g6#1/rho2/learn": "39b310e38adb004f633e0ee0224c4b0a43d2ccad1fc67384abc1e87bc27bca7e",
-    "6reg_order9.g6#1/rho2/filter": "b2d966cf058b39f056591cbef68206bef6ee42c83556ae2745ceed09a40655b0",
-    "6reg_order9.g6#1/rho2/none": "dcc0cd608f72528378289c7fd174512af87680f53517dc33026e774b3fd20f04",
-    "6reg_order9.g6#1/rho2/twins": "39b310e38adb004f633e0ee0224c4b0a43d2ccad1fc67384abc1e87bc27bca7e",
-    "6reg_order9.g6#1/rho4/learn": "cb3e7c7caed701e04720790a6990ab63311e2afb8faf5d756456b7d48c5ce5ca",
-    "6reg_order9.g6#1/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order9.g6#1/rho4/none": "bcece28effb253d311c9524d365f9a044fb19d4483f3a46c199addd48e95d2f3",
-    "6reg_order9.g6#1/rho4/twins": "cb3e7c7caed701e04720790a6990ab63311e2afb8faf5d756456b7d48c5ce5ca",
-    "6reg_order9.g6#2/rho0/learn": "8b7c4fe0d8a096bfda7d2978239391cb51e894a1154dc486d1b136e2c4687ea3",
-    "6reg_order9.g6#2/rho0/filter": "1a466dfa8220222f3bef84a93c5899c65837ceac019bdb3dbd0ba2840ff7d1d5",
-    "6reg_order9.g6#2/rho0/none": "bc2dcd4ea1c7cbf945fc9e62a38cd53669eb2894693dc88e5b53fe03107e8620",
-    "6reg_order9.g6#2/rho0/twins": "8b7c4fe0d8a096bfda7d2978239391cb51e894a1154dc486d1b136e2c4687ea3",
-    "6reg_order9.g6#2/rho2/learn": "507f5a9c859d78887263f8a7e1e62188c1708fb5de14ffba7e8bff15ee5d1c4c",
-    "6reg_order9.g6#2/rho2/filter": "50908c7cf25ba8c5ebc0e083658704a0ff7ddcda9663bb7d5f5783f21933f747",
-    "6reg_order9.g6#2/rho2/none": "c49ff09ddcb945768603b5754b572bf893104d7833acc5f6a36ef4f533115a69",
-    "6reg_order9.g6#2/rho2/twins": "507f5a9c859d78887263f8a7e1e62188c1708fb5de14ffba7e8bff15ee5d1c4c",
-    "6reg_order9.g6#2/rho4/learn": "5df1def05196f05ee33d8c5c7cdd4c1b2e8e4a235b1f01429b1436d3e1f0b6cf",
-    "6reg_order9.g6#2/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
-    "6reg_order9.g6#2/rho4/none": "d4eb5c119f5e79a0307ca293165501eebc58f635dbca875d6667b47581cec9be",
-    "6reg_order9.g6#2/rho4/twins": "5df1def05196f05ee33d8c5c7cdd4c1b2e8e4a235b1f01429b1436d3e1f0b6cf",
-    "6reg_order9.g6#3/rho0/learn": "ff6b7644404a62841749727d70c7894e7089158e47499137a83bf5a206bbc545",
-    "6reg_order9.g6#3/rho0/filter": "a7a87294af1dc908b57be9137bded7ea80e60009a9476cf853f3883d0757b5c4",
-    "6reg_order9.g6#3/rho0/none": "3ce0c683a9ea165aa8e4581f8f9ee0444b48723c21d391f497e8d966560e6fcc",
-    "6reg_order9.g6#3/rho2/learn": "cb0d675e0052ef4f34cb0deba881ef3c0b73529944d26bd2f4452225a9a3b397",
-    "6reg_order9.g6#3/rho2/filter": "390576e65a1307e389e2e6a8d3fc020b4910e360efc7ef18a17dbcf91d5b342d",
-    "6reg_order9.g6#3/rho2/none": "f8ebccdd7bdee72a15cc6a04b0502f70bb976197051f6f7ed014c666875bd644",
-    "6reg_order9.g6#3/rho4/learn": "a48364b032565569a2efb6524560b983724ed9b5ae6be80a4f6163d0f9c09924",
-    "6reg_order9.g6#3/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
-    "6reg_order9.g6#3/rho4/none": "ddbaa5117a80c76e8a36b920f7a1d4f70b59cf1cb13d18d3055d3f999a91b67a",
-    "6reg_order10.g6#0/rho0/learn": "9f002c1eabcfcff782ed11761eaa4f6bf41b7951538389cc56137e0e3772a8c9",
-    "6reg_order10.g6#0/rho0/filter": "c78357d1f02b500444c2d81fe7e7bee0ffb5c498f4a0dac2fecdb52294184f91",
-    "6reg_order10.g6#0/rho0/twins": "9f002c1eabcfcff782ed11761eaa4f6bf41b7951538389cc56137e0e3772a8c9",
-    "6reg_order10.g6#0/rho2/learn": "54eebfd5fede01d6e575809ad1bb490753c07220640c19bbf0c95d5c0c59ff72",
-    "6reg_order10.g6#0/rho2/filter": "4c7947f14e140cbca9286b774c2758a070be8f1811eae530c876398e5449087b",
-    "6reg_order10.g6#0/rho2/twins": "54eebfd5fede01d6e575809ad1bb490753c07220640c19bbf0c95d5c0c59ff72",
-    "6reg_order10.g6#0/rho4/learn": "d0c0172d757b98f314c470bc43802d08de72fdf4d8e286860e2bd76c6a9d15c1",
-    "6reg_order10.g6#0/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order10.g6#0/rho4/twins": "d0c0172d757b98f314c470bc43802d08de72fdf4d8e286860e2bd76c6a9d15c1",
-    "6reg_order10.g6#1/rho0/learn": "9f002c1eabcfcff782ed11761eaa4f6bf41b7951538389cc56137e0e3772a8c9",
-    "6reg_order10.g6#1/rho0/filter": "c78357d1f02b500444c2d81fe7e7bee0ffb5c498f4a0dac2fecdb52294184f91",
-    "6reg_order10.g6#1/rho0/twins": "819386a84e62b694321fb80510091241dd29ca3e64216a946c43aba15e7a90ee",
-    "6reg_order10.g6#1/rho2/learn": "54eebfd5fede01d6e575809ad1bb490753c07220640c19bbf0c95d5c0c59ff72",
-    "6reg_order10.g6#1/rho2/filter": "4c7947f14e140cbca9286b774c2758a070be8f1811eae530c876398e5449087b",
-    "6reg_order10.g6#1/rho2/twins": "32c55e46436b59e71384f1a4329d6099c2324dc3bd4aae8e99c28afedeaa3f8f",
-    "6reg_order10.g6#1/rho4/learn": "5e8dd54ad12d5fc5f1a4a0ebe6e839c2e708564a4bff5ac8ff70a667a6825927",
-    "6reg_order10.g6#1/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order10.g6#1/rho4/twins": "80c22b41de94a377ea9fd63a12f7cd9b7854b5ee1e40284b46689e5bf153e138",
-    "6reg_order10.g6#2/rho0/learn": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
-    "6reg_order10.g6#2/rho0/filter": "b5cbadf907a1319b884c4108656c69a439c9da62eb94451211cd524f4c834737",
-    "6reg_order10.g6#2/rho0/twins": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
-    "6reg_order10.g6#2/rho2/learn": "ee29f2c744480dfd9a2a60e9a2b171e93c383577c61019d832af70ed1d832b93",
-    "6reg_order10.g6#2/rho2/filter": "879e740428ed63da28621a0fa919b8d44048bfbac21d1aa91e284d2fc6f8e563",
-    "6reg_order10.g6#2/rho2/twins": "ee29f2c744480dfd9a2a60e9a2b171e93c383577c61019d832af70ed1d832b93",
-    "6reg_order10.g6#2/rho4/learn": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
-    "6reg_order10.g6#2/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order10.g6#2/rho4/twins": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
-    "6reg_order10.g6#3/rho0/learn": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
-    "6reg_order10.g6#3/rho0/filter": "b5cbadf907a1319b884c4108656c69a439c9da62eb94451211cd524f4c834737",
-    "6reg_order10.g6#3/rho0/twins": "ffc79a13583a271e47e3bf621fab9d6b3e61d07240c7fb1aa2c6491be9f8537d",
-    "6reg_order10.g6#3/rho2/learn": "ee29f2c744480dfd9a2a60e9a2b171e93c383577c61019d832af70ed1d832b93",
-    "6reg_order10.g6#3/rho2/filter": "879e740428ed63da28621a0fa919b8d44048bfbac21d1aa91e284d2fc6f8e563",
-    "6reg_order10.g6#3/rho2/twins": "3cac567af3cc156d390a78212fe59d314813cd0b90ceea91961066646b43dc9b",
-    "6reg_order10.g6#3/rho4/learn": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
-    "6reg_order10.g6#3/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order10.g6#3/rho4/twins": "bbe8eb414aaf2b1795597318071565a0b57aaae5a2d568b01318a3e083f0ed68",
-    "6reg_order10.g6#4/rho0/learn": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
-    "6reg_order10.g6#4/rho0/filter": "b5cbadf907a1319b884c4108656c69a439c9da62eb94451211cd524f4c834737",
-    "6reg_order10.g6#4/rho0/twins": "0fd23e391e7851f46bd51facb8e3bfaec019301aad80b454d193d417fb7ed1e1",
-    "6reg_order10.g6#4/rho2/learn": "d5bfe6313ff3d62f7614991cb05404e69f1085562d7ea65936fb9d160c6dbdf6",
-    "6reg_order10.g6#4/rho2/filter": "879e740428ed63da28621a0fa919b8d44048bfbac21d1aa91e284d2fc6f8e563",
-    "6reg_order10.g6#4/rho2/twins": "d5bfe6313ff3d62f7614991cb05404e69f1085562d7ea65936fb9d160c6dbdf6",
-    "6reg_order10.g6#4/rho4/learn": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
-    "6reg_order10.g6#4/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order10.g6#4/rho4/twins": "f9f1619157d03ff52c0f1ea4b05096c0ca2a920f7ddba7dfdc49a8bd04e5f8bb",
-    "6reg_order10.g6#5/rho0/learn": "10e8a65b084032778f345f23647bca007e590df7c987d818e0d18e715dcb35b2",
-    "6reg_order10.g6#5/rho0/filter": "d1d22323b2c1baec48318fa2961626fff7c3d56984fb48d5529863fe3fb4fc58",
-    "6reg_order10.g6#5/rho0/twins": "d232f9658c83c80f503cb75e9c582593217afd5becbaf5b32627beae5ae618a2",
-    "6reg_order10.g6#5/rho2/learn": "43742ab23fa22438076e01a53424078ac2cb9423a295f851de22f4ec5125e789",
-    "6reg_order10.g6#5/rho2/filter": "170237e93afb0b5a2d3c8670b1ebbf3bacafd21ab00e5e13e7f7a17efa92377d",
-    "6reg_order10.g6#5/rho2/twins": "7ecb2ab3ef0e5d610c15be28a49b4f996c89ee003484e72b3f8027e77e87b493",
-    "6reg_order10.g6#5/rho4/learn": "e57132d9f27d04d9aa789336934de98242d68e06d1385e1ede7002fc3282a19d",
-    "6reg_order10.g6#5/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
-    "6reg_order10.g6#5/rho4/twins": "842b6d85c40aa2976e4816c709c7d00571595e001263da12fa6aa2875df99df3",
-    "6reg_order10.g6#6/rho0/learn": "71763ca0f690c6ae5ecae107882748af1d2ca29099c1d2e3fd2439cf4df073fe",
-    "6reg_order10.g6#6/rho0/filter": "4d738a0c2f9a044cd2bfa106b34ffeb06be3c9f5065a09f8bd156b0740a1bf90",
-    "6reg_order10.g6#6/rho2/learn": "ffddb64fe69f96eba2dde92830769003b81927e66e918871938060a963c37e26",
-    "6reg_order10.g6#6/rho2/filter": "170237e93afb0b5a2d3c8670b1ebbf3bacafd21ab00e5e13e7f7a17efa92377d",
-    "6reg_order10.g6#6/rho4/learn": "1361737b8a67e51954150695f351761e037bb9a3182d9cc11680baa214c3f366",
-    "6reg_order10.g6#6/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
-    "6reg_order10.g6#7/rho0/learn": "71763ca0f690c6ae5ecae107882748af1d2ca29099c1d2e3fd2439cf4df073fe",
-    "6reg_order10.g6#7/rho0/filter": "4d738a0c2f9a044cd2bfa106b34ffeb06be3c9f5065a09f8bd156b0740a1bf90",
-    "6reg_order10.g6#7/rho2/learn": "ffddb64fe69f96eba2dde92830769003b81927e66e918871938060a963c37e26",
-    "6reg_order10.g6#7/rho2/filter": "170237e93afb0b5a2d3c8670b1ebbf3bacafd21ab00e5e13e7f7a17efa92377d",
-    "6reg_order10.g6#7/rho4/learn": "1361737b8a67e51954150695f351761e037bb9a3182d9cc11680baa214c3f366",
-    "6reg_order10.g6#7/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
-    "6reg_order10.g6#8/rho0/learn": "9af5ccd4a5449d4863f4e0b3f3e1f3598b041aa6089eeefaca14579f3296795c",
-    "6reg_order10.g6#8/rho0/filter": "06a37df9a8860863788d2bf1c59891a41418e57dd14135a1841cee1678718c35",
-    "6reg_order10.g6#8/rho2/learn": "2e31aba23355d2bf96a66968de48e0ab6b37e2036454ae727c8f7002b474fcd4",
-    "6reg_order10.g6#8/rho2/filter": "b97af983c7991d6e55ed6ea958036d64c6c76e1785cc17673e7d96f03afe1b0b",
-    "6reg_order10.g6#8/rho4/learn": "bbe8e253e07d9a0c595e2217a522f1efd469b80eed209c5fc99db1790b0d0557",
-    "6reg_order10.g6#8/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
-    "6reg_order10.g6#9/rho0/learn": "23d81bff578de95b580b283e81753b6032e58039db1af4720cf79ef9565483b6",
-    "6reg_order10.g6#9/rho0/filter": "e69351e35d28015cca87b78b04d4d6e0820b25be6d6a920ce45856d7b6f4c38f",
-    "6reg_order10.g6#9/rho2/learn": "73d24a839105fcbde0575a4469bd0286456a43018c499402de4f6020163beb23",
-    "6reg_order10.g6#9/rho2/filter": "2dd47ab9aa4f3e8c8e1e445831f4defbaf4cb9922f1f1feefff566cb84153cf4",
-    "6reg_order10.g6#9/rho4/learn": "53253802ffce2eaf247dd388be8497440026e66b9733aff3e32a60964da289de",
-    "6reg_order10.g6#9/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
-    "6reg_order10.g6#10/rho0/learn": "23d81bff578de95b580b283e81753b6032e58039db1af4720cf79ef9565483b6",
-    "6reg_order10.g6#10/rho0/filter": "e69351e35d28015cca87b78b04d4d6e0820b25be6d6a920ce45856d7b6f4c38f",
-    "6reg_order10.g6#10/rho2/learn": "73d24a839105fcbde0575a4469bd0286456a43018c499402de4f6020163beb23",
-    "6reg_order10.g6#10/rho2/filter": "2dd47ab9aa4f3e8c8e1e445831f4defbaf4cb9922f1f1feefff566cb84153cf4",
-    "6reg_order10.g6#10/rho4/learn": "53253802ffce2eaf247dd388be8497440026e66b9733aff3e32a60964da289de",
-    "6reg_order10.g6#10/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
-    "6reg_order10.g6#11/rho0/learn": "47611a505c20e76611876e43cdda178c062fa8d51a3f40737330cea52b331f47",
-    "6reg_order10.g6#11/rho0/filter": "1d15b46e786ab7ea8a703a3d8d12339382eb9290de793e83ae5178fec0f343e2",
-    "6reg_order10.g6#11/rho0/twins": "0d813d53fe01cfa3c883d1acdbd8a28cef4a40978fcd429e7822bc442863912b",
-    "6reg_order10.g6#11/rho2/learn": "78b644c7146971e648cea5a13923a99deb8c0ff52f873aeb57d849818a099eb7",
-    "6reg_order10.g6#11/rho2/filter": "5fe8ff5c42861b6981e8b3b8ea6889861201af82ae3acb10548957eddc0b687b",
-    "6reg_order10.g6#11/rho2/twins": "62f9b19c878b8c55a049f3eccbb2f9758629dd0397449fa94d3ed052624d0d25",
-    "6reg_order10.g6#11/rho4/learn": "3b593c98b99c7b1a5192a54a7508cead25ef64814e00d60598792cb67cbbd704",
-    "6reg_order10.g6#11/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
-    "6reg_order10.g6#11/rho4/twins": "879165075547af3d5063089b7ebeb0bccf2f97500c87cc07125559c048cd6d0d",
-    "6reg_order10.g6#12/rho0/learn": "c10a92925db451d6f18603408ec3b8e61ffb078fd6071bca33e8d797226c04d3",
-    "6reg_order10.g6#12/rho0/filter": "3050a88a5d110e5b91c2649243d86ff12f57419b30d1a43f46d9e06ed84f50aa",
-    "6reg_order10.g6#12/rho2/learn": "aef0d1ba3f71f651faf072e788dcb665cf7247c5eee23cf48c571089caaed289",
-    "6reg_order10.g6#12/rho2/filter": "b176749aab90ce632221644ec49f632485b4c3f86e463f70456aed21a4c0e975",
-    "6reg_order10.g6#12/rho4/learn": "cad0649c6ae6a87d53514262ab2e76bca0b289429345517d4de81a8738af9911",
-    "6reg_order10.g6#12/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
-    "6reg_order10.g6#13/rho0/learn": "c10a92925db451d6f18603408ec3b8e61ffb078fd6071bca33e8d797226c04d3",
-    "6reg_order10.g6#13/rho0/filter": "3050a88a5d110e5b91c2649243d86ff12f57419b30d1a43f46d9e06ed84f50aa",
-    "6reg_order10.g6#13/rho2/learn": "aef0d1ba3f71f651faf072e788dcb665cf7247c5eee23cf48c571089caaed289",
-    "6reg_order10.g6#13/rho2/filter": "b176749aab90ce632221644ec49f632485b4c3f86e463f70456aed21a4c0e975",
-    "6reg_order10.g6#13/rho4/learn": "cad0649c6ae6a87d53514262ab2e76bca0b289429345517d4de81a8738af9911",
-    "6reg_order10.g6#13/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
-    "6reg_order10.g6#14/rho0/learn": "c10a92925db451d6f18603408ec3b8e61ffb078fd6071bca33e8d797226c04d3",
-    "6reg_order10.g6#14/rho0/filter": "3050a88a5d110e5b91c2649243d86ff12f57419b30d1a43f46d9e06ed84f50aa",
-    "6reg_order10.g6#14/rho2/learn": "aef0d1ba3f71f651faf072e788dcb665cf7247c5eee23cf48c571089caaed289",
-    "6reg_order10.g6#14/rho2/filter": "b176749aab90ce632221644ec49f632485b4c3f86e463f70456aed21a4c0e975",
-    "6reg_order10.g6#14/rho4/learn": "cad0649c6ae6a87d53514262ab2e76bca0b289429345517d4de81a8738af9911",
-    "6reg_order10.g6#14/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
-    "6reg_order10.g6#15/rho0/learn": "5cb63b479126652cc0ee49b2bffb7772dc5cb9d6486b9e9aba7bc3dfa51004f9",
-    "6reg_order10.g6#15/rho0/filter": "6d6e1b81b51f653ea485a4b0ef6e84280633e1dda73e678dd95b9e2cc97bba54",
-    "6reg_order10.g6#15/rho2/learn": "cb45580334e4dc6f1b0ffe5c846b9638afcc4cad7c9c5aa4d71c6dc6f7a4699f",
-    "6reg_order10.g6#15/rho2/filter": "fff207942e1bdc52bd0507b50f428404cc3bd94ffeaf192a092c8f38c21a6009",
-    "6reg_order10.g6#15/rho4/learn": "61a4a7c91326ca502e9bdab0b4f7c02c5673f613172a8c471c5747b0f1592bb2",
-    "6reg_order10.g6#15/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
-    "6reg_order10.g6#16/rho0/learn": "2caa21283c9a2a9179b37492d8e0343243e298b393dac5da093b6779deb774ff",
-    "6reg_order10.g6#16/rho0/filter": "5c144bcd6b4bfb7be1f211016e081bbed36e9140a82c0fd0fcec02116d168bdd",
-    "6reg_order10.g6#16/rho2/learn": "1ee209e715726286191dd3b7c6058993c6463680e50bc835f4ec2b5e860afb13",
-    "6reg_order10.g6#16/rho2/filter": "8c3ca85f206006bb5dc71c4b658456b641f2b2e755de069c05fad959b49bb197",
-    "6reg_order10.g6#16/rho4/learn": "81a2dd5b6b9cd15ccfc9216cc88899d1e0e3529ebb2c9d761d42306d2431ff70",
-    "6reg_order10.g6#16/rho4/filter": "ca95650844d43f53b3883c18d1117b6e8d2f4173357e44bcb8b0eb476d27d9d3",
-    "6reg_order10.g6#17/rho0/learn": "23d81bff578de95b580b283e81753b6032e58039db1af4720cf79ef9565483b6",
-    "6reg_order10.g6#17/rho0/filter": "08e6bc34f2c9fafba7012d9f089d8a777e40ab3ce571d86342599ed0d492bd13",
-    "6reg_order10.g6#17/rho2/learn": "73d24a839105fcbde0575a4469bd0286456a43018c499402de4f6020163beb23",
-    "6reg_order10.g6#17/rho2/filter": "eb609e7328fb48f8ff0cafce40bf0df8d1312c38c2783f4404738d406501c8cd",
-    "6reg_order10.g6#17/rho4/learn": "a6942346234e5dad0fab52feed3a424a216c365344c974e8a917c71509b3e2ac",
-    "6reg_order10.g6#17/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
-    "6reg_order10.g6#18/rho0/learn": "3052c76da4d63ff08a0416daf7b6ee935736ff82042704ef6e74f84d09d6387d",
-    "6reg_order10.g6#18/rho0/filter": "d22c73825a8bdb0caef3affd782e4aaef2d696dcf1892245b7158667a13b3978",
-    "6reg_order10.g6#18/rho0/twins": "6fdfdd52d4ef04bb4950fac478361a09bb42d84e319fc409bc35307e7b48831d",
-    "6reg_order10.g6#18/rho2/learn": "179d13558ef4c040b85363e62d87fea9dc6943f96e4734c7c4fbf6c3d1a440f9",
-    "6reg_order10.g6#18/rho2/filter": "583721922d56ad9449c995e9e4e8935df39fd33c076536ffa4eb0a92093a3e36",
-    "6reg_order10.g6#18/rho2/twins": "f0dc155a1c76ff0a13a2069a7da6311616f841d6eb5e9f17a65e3b3b03a74d8e",
-    "6reg_order10.g6#18/rho4/learn": "408ba42a3b5f79c40894d9d507a597877da6c9b387dcae160435284873203351",
-    "6reg_order10.g6#18/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order10.g6#18/rho4/twins": "8797d4f27c73aa9466b7411901cbddcfb67658aabb4f752cb248b3e1fdf5262b",
-    "6reg_order10.g6#19/rho0/learn": "3052c76da4d63ff08a0416daf7b6ee935736ff82042704ef6e74f84d09d6387d",
-    "6reg_order10.g6#19/rho0/filter": "d22c73825a8bdb0caef3affd782e4aaef2d696dcf1892245b7158667a13b3978",
-    "6reg_order10.g6#19/rho0/twins": "3c98daa5961249dbf1106c33b7e9143840ae3bf4f882c25254febe9671548898",
-    "6reg_order10.g6#19/rho2/learn": "179d13558ef4c040b85363e62d87fea9dc6943f96e4734c7c4fbf6c3d1a440f9",
-    "6reg_order10.g6#19/rho2/filter": "583721922d56ad9449c995e9e4e8935df39fd33c076536ffa4eb0a92093a3e36",
-    "6reg_order10.g6#19/rho2/twins": "534acfe7d3aa40c2eb240a46b5d36b3872d7cf673da5d1bc0c29ea458c5fe54e",
-    "6reg_order10.g6#19/rho4/learn": "408ba42a3b5f79c40894d9d507a597877da6c9b387dcae160435284873203351",
-    "6reg_order10.g6#19/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "6reg_order10.g6#19/rho4/twins": "90ae9b4c8e8e437d05c196935082b939f466eb7958d8bc798b70657428a26d34",
-    "6reg_order10.g6#20/rho0/learn": "e80d9ad6d6c0c57a2ea6570750c67b8412f5df655445aa942c0c29e4c7d21c3a",
-    "6reg_order10.g6#20/rho0/filter": "712c4e753a0cdea07c31a4e35b57c1c192e864aaa2ec162d17a8c50ed35c01a8",
-    "6reg_order10.g6#20/rho2/learn": "0173c4b40920753cafd2d78df946bc01c230d7529836bdfbdeafc22b208670bf",
-    "6reg_order10.g6#20/rho2/filter": "36ccaa055b965d63a93e1ef568fc2a8721ef5e19484f30e9a191408bb6eb6494",
-    "6reg_order10.g6#20/rho4/learn": "31a6ddb0e38b0f31e00022dd238dd10beaf5a92152e202bf227dab932f19406b",
-    "6reg_order10.g6#20/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
-    "g8/rho0/learn": "8aba302db48ce4060c29b4feb578b7f0238396060f27fd6d06c2a56ce7a52ebf",
-    "g8/rho0/filter": "34975b832b78719abc88aa284a546626eaa0f9801f2d6386b9b4c4217e7508a8",
-    "g8/rho0/none": "caf0c2f46129de003a625b101cca0b2058b2dae6761f7b8890f521cb1a331d87",
-    "g8/rho0/twins": "d09b6dbfd271e06b895e0aed39421c73ce1634e12d1dde9c88372d5451ec6755",
-    "g8/rho2/learn": "4267593758f00e4a579fc84b3de4f8bb42e4ecdfec36e7596402d2c7262102d8",
-    "g8/rho2/filter": "d2716a61c5605174202cd6a226cf5daf8ee9f535f7b005b2580bc28f243964c2",
-    "g8/rho2/none": "64df487ed7162de65d794c7c608510822f3387a1895ea04ee9633f95e8532dce",
-    "g8/rho2/twins": "59c902bbb6d5880996b7dd56ec8408779b7c9e41311c7928de0d3fa83befd4f8",
-    "g8/rho4/learn": "79cdde8d8876cf1e485ec7f89749c5c8cd676d9563d763b076b9b70dfc5de612",
-    "g8/rho4/filter": "25ace95aedf3bd8ab38befc58e13a430946fc2f3d1461c9ad543382cc609c6e5",
-    "g8/rho4/none": "5159f7a9e16f8880ef6ca184083c3d467c415951c71681feeeb04a1d6ff7f26e",
-    "g8/rho4/twins": "7d95d065488bce1a2137a6840e272026cadf735c65336314a2b0d15754b2054d",
-    "g9/rho0/learn": "69d1b5ca28a844e05ac28917ae3be64baf339b17ffb7f53c61bd9e0d82dee919",
-    "g9/rho0/filter": "8e3104f04f2b79234e15587723d4e15e86274e1f72518557665d15bddbc330cd",
-    "g9/rho0/none": "b6742a04b41aba7c3c4332e61f38f356720e76b512a0c40f36db4723b6e1d10c",
-    "g9/rho2/learn": "6369b6fa409f9d88dafb388be39f8652b03ee634085c526b1b97f186b52448c0",
-    "g9/rho2/filter": "c4b4011ef0d2f1ea7f4038b81405d03fb1355bc0039a3dd01531511d3bc1a951",
-    "g9/rho2/none": "6a8adcee3c792c71b1c61e171efe5fa9a0dfe068896561a78f83f87a953f63ef",
-    "g9/rho4/learn": "3c4038837d805e4bbac13b7e7fdff3af4bd862796c51419e534494c5de676a56",
-    "g9/rho4/filter": "8da21368b3f0a43eceaa4b4437578c25c0e6a81128966c26f72bd54b115b4347",
-    "g9/rho4/none": "2b1b9deb660820d7c94a36c0529bbf8e29c1162c87090c0b5896296e4b382884",
-    "gq22/rho0/learn": "4e848f8b92645808d9ff17c42ad723849c6ad65250e1b2e3f81145373e8a128a",
-    "gq22/rho0/filter": "520f79f0ba7718dc46208244330626b0134aded893eb67f0e9f3c27324729b1d",
-    "gq22/rho2/learn": "104af373ac7417e1f7e3024bdb15ac3fe52b6ea17219723bc089785f8f88bd42",
-    "gq22/rho2/filter": "188652bd748fee299174f1b7bab548620c80f34b0db1b89fbe167d8595418589",
-    "gq22/rho4/learn": "7e6e4f5c187701f4918712a86bd4f0457aa635b91734aeda72fcbd5c2d736f29",
-    "gq22/rho4/filter": "8129c0412d536c2f3bcf2cb30b15202d7dd367ac29d48ba4814074effa3283d2",
-    "k333/rho0/learn": "8ce11fa81c68f5f65aa8fc384da27e9b595a671190aa96c8eebf1f8d05deae66",
-    "k333/rho0/filter": "3f70aa30f39f65c8a8db8b6fb3501aa48dda4b5e0be5828ab10308da3da04335",
-    "k333/rho0/none": "d751fbf3ef45b74af20b7b4061866d4a46d054b94f965a6542b91dfa696fdcac",
-    "k333/rho0/twins": "a308a855bd5a949989d20eb793a82973d06df41cc31ccf46d0ac302bedce16cd",
-    "k333/rho2/learn": "be705ff74d021d8b3c43e40deca6f4e712eb4021e2a3a558e02a412744411402",
-    "k333/rho2/filter": "b2d966cf058b39f056591cbef68206bef6ee42c83556ae2745ceed09a40655b0",
-    "k333/rho2/none": "4ae991aedb6b1c1adddb67f09abb8e593bf4a1980e072056eb7a877ad6ef86e1",
-    "k333/rho2/twins": "35a32e1da056f9309d9dcb46ce8b27697fddf7556f7b43161c869006ab82908d",
-    "k333/rho4/learn": "dbe4624c6b333b849edcbfd0e209da2d191293c9fc3ffed7e2deebb0dc2177a5",
-    "k333/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "k333/rho4/none": "56bb06ff692e08cc55d4780ea77243d3f4af7d415bef0f6bc8945237ac615bed",
-    "k333/rho4/twins": "d68a8fb49cedef50e19ded49bb03edeeb9a9e6d3bf87ea638be3368191d9732b",
-    "k66/rho0/learn": "6bc61b2325b6020bfc78c738d0933218f80ea57d7756b2e89e6fcaf3d94874ed",
-    "k66/rho0/filter": "967a8872591a1e4778671b7e4240a30d0af6699d3b29b51a253adb85e5ed1d23",
-    "k66/rho0/twins": "e0b65253e37fe025cde386b83c20676e4590da50a52dc07b5ab531560bc7a44f",
-    "k66/rho2/learn": "dda26687ceea4ef251e6360bc8b0e3ae1b13d688b20b99bc7dfddaeac9795d76",
-    "k66/rho2/filter": "c9aee5c7379706dcdef5825ed2c229863ae1b996754328307125fa1bf0d5963e",
-    "k66/rho2/twins": "9c0a777425bb75d8414411c5eeddfe32eee747c0a4237106a04cbb3b8408ce7f",
-    "k66/rho4/learn": "19e3e5a56564596a569ed928b044583867b00d23987eba969cf9404fb43a43d8",
-    "k66/rho4/filter": "e7fdaaccc4fe1d73ce1ab903a1462ea995481bda15bf13c1886b067d40e99dcc",
-    "k66/rho4/twins": "ca0859fd2f1041fc1eaa910c099fe2b935022c443345ed648a204d2a16272cbd",
-    "paley13/rho0/learn": "955c9a844c15bb7d85c3586efa488905bbc0d6a4cf53276525a0b2deb34998f8",
-    "paley13/rho0/filter": "9d6cce8d1097f87853baf522575850587fa2b1f53d326f5403b750c9a53028c7",
-    "paley13/rho2/learn": "51582475aaee4498b056012366d9822458017e03389f3c79e90c4f68f7a692bc",
-    "paley13/rho2/filter": "abece401fb6e3f4c614bf73620f02ab528147660e00f0a698361c421710aa1b5",
-    "paley13/rho4/learn": "17592b0d66429ff7ce3ff8de344588ed72366ac2922776403fa0552f2686aa56",
-    "paley13/rho4/filter": "5415ec70361b5c5bebd0c82b2b2018b3a9ef463e6d07f368fa764457abc54eb5",
-    "s16u/rho0/learn": "4d00ef5e9460268bfab9ec67283ffdbaa0659c578139eb1b11e70da09a3472e2",
-    "s16u/rho0/filter": "9fae3b96a9ca4f34605816c94eb3f2506f773f542230f1f3053b9c1f69ce2533",
-    "s16u/rho2/learn": "a12465f9466ad0614dceff06aa1a952d914c18ce67df1967d0d76e4f08e6c45d",
-    "s16u/rho2/filter": "94de3679e7d37f3a84ac7ac098b3ca998ae545b80d4a18ed5dfd95e075d37733",
-    "s16u/rho4/learn": "4c030571a227c47b5fba2fa4679df67f6dba5b312f19ec1c2fff1b81f4683b0a",
-    "s16u/rho4/filter": "ad17650fba95f0a9465ee7911f7a0babdbe7c098305b1e73d9c88ddbf59073c2",
-    "s1_15u/rho0/learn": "c5e8ce2ecab09345dd890b948b3e852ec1e10b104a0b73243a97ee3bcbc699ea",
-    "s1_15u/rho0/filter": "88c890199dd9efec0c155bc61825574b9420fd0ca482e7c76e31b4a016380c18",
-    "s1_15u/rho2/learn": "9ece68c4e666e275a3ab12e5b7a37c97f71c8899e328c9d0693126dd19805ba8",
-    "s1_15u/rho2/filter": "3dd87c4a6515844db6e845affaa22728aede94591e39f92a0d65ccff61289ca9",
-    "s1_15u/rho4/learn": "cdcc7c40122402e405020c868e37f69218a11d80c82ec85db0cd840a82b1deba",
-    "s1_15u/rho4/filter": "fcbf0a254c20eacfda3ab87f5e2348aef2343a535f27f08a6237b06bdcd90b4d",
-    "s2_12u/rho0/learn": "fb820adbeacb3e006591fcbc6cb63e66a4c54c66a32e75631c0735fc86786523",
-    "s2_12u/rho0/filter": "ba9e9e7cb326f2f4790dedfd757e4465d76b6cda18cb7b3b6ec1e05a6c02866b",
-    "s2_12u/rho2/learn": "903f6cf0b40493011fbead78ff5d111045c522fc723f4fab26d0fdfac37f3be2",
-    "s2_12u/rho2/filter": "c6dd5f1c5b1c2f4de97a9c2ca8ccbd14a8864bcf6931a5a6cefc613294038188",
-    "s2_12u/rho4/learn": "76529c6a9dfa6e29f4b5b89151dd1fbc22e2af6b3c62c779096396d847697efd",
-    "s2_12u/rho4/filter": "10764f5263179d1b32473855971c846ae5d4a8df95f289fc51bc374d71c3dfea",
-    "s3_12u/rho0/learn": "4690d4607567951a3f5886669fb288a2d77718576eed603ebb63bf058c861446",
-    "s3_12u/rho0/filter": "51967035a6c285e43e55d74941535cb461002533c6f58fdc189976f1190304d5",
-    "s3_12u/rho2/learn": "2c2d72778a4ebd5a2013b1af9693a660852ba59c9f39ee9a4608cffc51b7c0f9",
-    "s3_12u/rho2/filter": "cf7d784361ba978837772ddc1b4c641e03c498b00747e38bf7951e003b69ab16",
-    "s3_12u/rho4/learn": "6547a18589ac7a7154ac118ceb6e0924a802f180da2dcf43a5ccad0a4abb1704",
-    "s3_12u/rho4/filter": "8d2ec8e3ba1c161658b5b42f729e96ca0f9f4077296fa9586b78bac49e3d0978",
-    "K8,8/rho4/learn": "b4171954bf1b94dce9da130ae5aebb7ceb8a8992f5512cae266dc5a6b8d82efa",
-    "K8,8/rho4/filter": "ea0bb174a764c5997097bc51723075559a1a644a7e5c31861ddf8b2665f44b40",
-    "K8,8/rho4/twins": "4c74f4e3c2ab3778b7e6c62e21c8cf5a42c0fc61762272e722fbb87da6d37692",
+    "6reg_order8.g6#0/rho0/learn": "ba16551e1409e12364406b6617cbc8b4a187e6830533b1daae0bb20e4f156ab2",
+    "6reg_order8.g6#0/rho0/filter": "936bba225b4d453a727f9f2efb6f25a3030e83a418aa55fb2fe213a72af6856e",
+    "6reg_order8.g6#0/rho0/none": "9c3e1ba05ebd60fc58af4c876485dc95d91196206f833b69c3cb33bcdbde9a93",
+    "6reg_order8.g6#0/rho0/twins": "e11ba1a00bb630688ca20ef404adbb8372867870cfe005c3cce23cf7c5648761",
+    "6reg_order8.g6#0/rho2/learn": "546f6883d427f94dfff88114c0acd9a12f09dc946871bb8d88e41827c2753157",
+    "6reg_order8.g6#0/rho2/filter": "1ab929e9701e9ecc24058c11eb6b78bf95178ec9b1702b77e0375e0472afb757",
+    "6reg_order8.g6#0/rho2/none": "622ee634998181547fd05b5366fa5acee1c73a192b2d1890954f2a866ab260b9",
+    "6reg_order8.g6#0/rho2/twins": "259cd04369f85e0ea70901e4dc9a26ead89ba6c7c5e04c4e6f052bca9d393f01",
+    "6reg_order8.g6#0/rho4/learn": "d4870ca2d90f122ce82782d7436253759a7fab9f60f1b3b48869479a633ffd5a",
+    "6reg_order8.g6#0/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order8.g6#0/rho4/none": "c26617ac4ba0d71c05dd0e1ec06baa006f4fe64fda4508385fb77ce2df04d05c",
+    "6reg_order8.g6#0/rho4/twins": "5dd52761c48d208b712aa8d0a76952624251ce9d2c092179090631ce2c7dd340",
+    "6reg_order9.g6#0/rho0/learn": "d9eef9b50b29d789260cf1e67afe3f53434309725dcecd18b92835988af92ff5",
+    "6reg_order9.g6#0/rho0/filter": "88e9c5977c0ba88b88846515d927abf42c1eb9bb1e77520d3479802acea8c489",
+    "6reg_order9.g6#0/rho0/none": "500588d922c547563a24f6673333fe58bd77b7f7593049fd87accf57d0debade",
+    "6reg_order9.g6#0/rho0/twins": "ae88ff9cae61cb2abfca8abb43f80fd77bc5a767c69a69e4e96f7874e5d9cd34",
+    "6reg_order9.g6#0/rho2/learn": "7fbf4ad4fe549230e84a2bee4ace1caed62a795129683fbf237f18679f66eb1e",
+    "6reg_order9.g6#0/rho2/filter": "b0c5fc40d063fc6861766201e398a1a43ed2cbfeabe85a931191294e20d6a52f",
+    "6reg_order9.g6#0/rho2/none": "76d76e5c4a63c169f9587a7166f97ed31f6a61e777451daecc5f39b82b31762a",
+    "6reg_order9.g6#0/rho2/twins": "d57e41cdf46af960f2c84411ab402b6d3890cd44b9c738b77cf310e1ee5954fb",
+    "6reg_order9.g6#0/rho4/learn": "5a6185821ef9072823c199eec6919bf1140a3634c3b93279d81cb7687e647044",
+    "6reg_order9.g6#0/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order9.g6#0/rho4/none": "3045ae79bcc35c52a3eb897b20ba7621680963abf0793c9947ba0d017353b31b",
+    "6reg_order9.g6#0/rho4/twins": "d5a588bfc612f7088cef287df6c1625f659d8e4f060d8536e74fd75bfd78b841",
+    "6reg_order9.g6#1/rho0/learn": "10e6737dfe335d5c7a04147805fef19e289c6d02573d157bddaf7044e937fa24",
+    "6reg_order9.g6#1/rho0/filter": "d8d9d390cdab1f5c0ee6482191ad8fc42ee28f80885dba9006d65c996b6ea555",
+    "6reg_order9.g6#1/rho0/none": "941bba43460a2bdebbe213d0b2003d40c3403d9f17461099f2e2a30bd1e9394f",
+    "6reg_order9.g6#1/rho0/twins": "10e6737dfe335d5c7a04147805fef19e289c6d02573d157bddaf7044e937fa24",
+    "6reg_order9.g6#1/rho2/learn": "d2fe81ea57c77e2b6715b12a24778324def0e0bdea2f99cc127af6861fcae715",
+    "6reg_order9.g6#1/rho2/filter": "b0c5fc40d063fc6861766201e398a1a43ed2cbfeabe85a931191294e20d6a52f",
+    "6reg_order9.g6#1/rho2/none": "df2c0d79c6369b12caa7751f4852e996b216bde0ed35f1a847663edab110a2f6",
+    "6reg_order9.g6#1/rho2/twins": "d2fe81ea57c77e2b6715b12a24778324def0e0bdea2f99cc127af6861fcae715",
+    "6reg_order9.g6#1/rho4/learn": "a3ae0c60e87031e1d1df9a25df69bafeee832eecf372b39764bd06869800797a",
+    "6reg_order9.g6#1/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order9.g6#1/rho4/none": "42817b153907c7f76f9477ead2cb88019ad255cf13713230527cbc8a636c9d22",
+    "6reg_order9.g6#1/rho4/twins": "a3ae0c60e87031e1d1df9a25df69bafeee832eecf372b39764bd06869800797a",
+    "6reg_order9.g6#2/rho0/learn": "ecacda4a99dd36faeeb243624e29ed17fec7c4282271827e57d9795acbd2d049",
+    "6reg_order9.g6#2/rho0/filter": "8c50dc3b3604ab6621d2c429ca3c4ad6f376aa8bcc32cb958ab1fb1b16dbef11",
+    "6reg_order9.g6#2/rho0/none": "f4206a3022a018a0e7800e900625604e55339e79c1403d7c0369db5ccc6dbd83",
+    "6reg_order9.g6#2/rho0/twins": "ecacda4a99dd36faeeb243624e29ed17fec7c4282271827e57d9795acbd2d049",
+    "6reg_order9.g6#2/rho2/learn": "e6bf8d54c9a76cb7468c0806825840217ebaa589c5daa9b12a237dd8171c3e2e",
+    "6reg_order9.g6#2/rho2/filter": "b79ace4f95c6c47ed15d9c6a4eabff4522659baba0361d7bbac606b3d51ed911",
+    "6reg_order9.g6#2/rho2/none": "9ecbae95c3ea5402edb6ac10881ec1ca5b7365a5a49e6cade9e4d86bf5a1bfb2",
+    "6reg_order9.g6#2/rho2/twins": "e6bf8d54c9a76cb7468c0806825840217ebaa589c5daa9b12a237dd8171c3e2e",
+    "6reg_order9.g6#2/rho4/learn": "909cfd11841428e2cbcd1b557a753e75b9ed454046a47e206bd65452d52a3ee6",
+    "6reg_order9.g6#2/rho4/filter": "203bf9ade5f8651929b823b4d2870cf7e67d9c4b024d30ba4cb872b6b1e31e4b",
+    "6reg_order9.g6#2/rho4/none": "7396341cdff6eae4e95ccb633292771b331af4d152b63dd56f9ee017d7b5859b",
+    "6reg_order9.g6#2/rho4/twins": "909cfd11841428e2cbcd1b557a753e75b9ed454046a47e206bd65452d52a3ee6",
+    "6reg_order9.g6#3/rho0/learn": "23f460892b284b32b8d6a3379d9a09b47126acdd28f805b2d84d543d0e961871",
+    "6reg_order9.g6#3/rho0/filter": "2ad4a4a2b252896a118e798a44ba25c7b9a79e9fa425dc268cb97a88d28d9efd",
+    "6reg_order9.g6#3/rho0/none": "b27027ac9c357cc4c38d7690e32c2803436028718620ee5ecea9dc3412d5fcf3",
+    "6reg_order9.g6#3/rho2/learn": "092125e73efd323233dc981eb6935fe090e1c5783e7ada6b61be6d517dec5474",
+    "6reg_order9.g6#3/rho2/filter": "a7613e019e35482370e3e66c5831f75887309a9bbb6eb3ba9d5428d49f8e27b5",
+    "6reg_order9.g6#3/rho2/none": "4d8f69634c9a7b7271be5759cfeaa7872f14b706af3faa4f61c66751dbab112e",
+    "6reg_order9.g6#3/rho4/learn": "24abbc689a6594d59ad86f37d022e7578d41d624e1c8aef467b2412cf152a821",
+    "6reg_order9.g6#3/rho4/filter": "203bf9ade5f8651929b823b4d2870cf7e67d9c4b024d30ba4cb872b6b1e31e4b",
+    "6reg_order9.g6#3/rho4/none": "11ad3713e032411935c295a2699d1c4002c1b02bbd78a9d520266844b1ed2ebc",
+    "6reg_order10.g6#0/rho0/learn": "ee227707d40f9d424c2b0278eb09dfa7936d56ac81817e2ea378989f7df22a28",
+    "6reg_order10.g6#0/rho0/filter": "15d1f6fc81ce4f18f8cab71433c9f4e467dc62f32440c1a423155d58ff64f1a5",
+    "6reg_order10.g6#0/rho0/twins": "ee227707d40f9d424c2b0278eb09dfa7936d56ac81817e2ea378989f7df22a28",
+    "6reg_order10.g6#0/rho2/learn": "a6ed07cd9e679892ebc7415f5a87be6f06d99cfc8ef86c74a78ab75ce2030c94",
+    "6reg_order10.g6#0/rho2/filter": "363f32ba1cbb6233c55dc707ebae44cd2dc6d0ec7f8e6e6d22c1dde7be107f0c",
+    "6reg_order10.g6#0/rho2/twins": "a6ed07cd9e679892ebc7415f5a87be6f06d99cfc8ef86c74a78ab75ce2030c94",
+    "6reg_order10.g6#0/rho4/learn": "0427a619a344c4fb346b83a8415d80715c799033b502f8a0764e82c746e00d28",
+    "6reg_order10.g6#0/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order10.g6#0/rho4/twins": "0427a619a344c4fb346b83a8415d80715c799033b502f8a0764e82c746e00d28",
+    "6reg_order10.g6#1/rho0/learn": "ee227707d40f9d424c2b0278eb09dfa7936d56ac81817e2ea378989f7df22a28",
+    "6reg_order10.g6#1/rho0/filter": "15d1f6fc81ce4f18f8cab71433c9f4e467dc62f32440c1a423155d58ff64f1a5",
+    "6reg_order10.g6#1/rho0/twins": "3b43f0d4e5af0b8825b6e330d47c43eef85a9be225b8224d74025eb6e05595a1",
+    "6reg_order10.g6#1/rho2/learn": "a6ed07cd9e679892ebc7415f5a87be6f06d99cfc8ef86c74a78ab75ce2030c94",
+    "6reg_order10.g6#1/rho2/filter": "363f32ba1cbb6233c55dc707ebae44cd2dc6d0ec7f8e6e6d22c1dde7be107f0c",
+    "6reg_order10.g6#1/rho2/twins": "be9268d5c056475c68374c29c6ba278caa52abb2280bc23e9bccb8b3f551620a",
+    "6reg_order10.g6#1/rho4/learn": "185c7ba0c2377c1811b8d2476f067a652ecbc1389632ad603fea76452cdb6d15",
+    "6reg_order10.g6#1/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order10.g6#1/rho4/twins": "f8c9f4e55085fdf5552ec9d220aea548c5d4799ce3438f58248c0b73863a5242",
+    "6reg_order10.g6#2/rho0/learn": "12391c2cbd2d2f4a4097234ba707fd15e3d9cfeb23689fa5cf5e2eba19b2eb50",
+    "6reg_order10.g6#2/rho0/filter": "7a85e9f4c575a1412e47bb6b1077b2623c40d08a4f03c30e3af32f71ff60af8c",
+    "6reg_order10.g6#2/rho0/twins": "12391c2cbd2d2f4a4097234ba707fd15e3d9cfeb23689fa5cf5e2eba19b2eb50",
+    "6reg_order10.g6#2/rho2/learn": "af20992ef911c711649b71bd338cb55a3c2d021daa8f2f7424ff08538ef7b694",
+    "6reg_order10.g6#2/rho2/filter": "bc2237924d37806dd6e5b67d5177d2df649538fe88d7491ec2899e526615a6db",
+    "6reg_order10.g6#2/rho2/twins": "af20992ef911c711649b71bd338cb55a3c2d021daa8f2f7424ff08538ef7b694",
+    "6reg_order10.g6#2/rho4/learn": "de7f34623865c62547cd96137e1dd887d2ab51372b343ef2586c37b2404de62b",
+    "6reg_order10.g6#2/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order10.g6#2/rho4/twins": "de7f34623865c62547cd96137e1dd887d2ab51372b343ef2586c37b2404de62b",
+    "6reg_order10.g6#3/rho0/learn": "12391c2cbd2d2f4a4097234ba707fd15e3d9cfeb23689fa5cf5e2eba19b2eb50",
+    "6reg_order10.g6#3/rho0/filter": "7a85e9f4c575a1412e47bb6b1077b2623c40d08a4f03c30e3af32f71ff60af8c",
+    "6reg_order10.g6#3/rho0/twins": "92ca84db25dd41b7db8e76d3d58b4620b0472196760c10849a081f8555c049b8",
+    "6reg_order10.g6#3/rho2/learn": "af20992ef911c711649b71bd338cb55a3c2d021daa8f2f7424ff08538ef7b694",
+    "6reg_order10.g6#3/rho2/filter": "bc2237924d37806dd6e5b67d5177d2df649538fe88d7491ec2899e526615a6db",
+    "6reg_order10.g6#3/rho2/twins": "62b213497cf19e71967cfb349f8f1bc5520af9d5835f1751d9cc920803ec03d3",
+    "6reg_order10.g6#3/rho4/learn": "de7f34623865c62547cd96137e1dd887d2ab51372b343ef2586c37b2404de62b",
+    "6reg_order10.g6#3/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order10.g6#3/rho4/twins": "bb9ba31804be329fd752efa996e82a5c125be0f10364c9c3a6b6c1b484838348",
+    "6reg_order10.g6#4/rho0/learn": "12391c2cbd2d2f4a4097234ba707fd15e3d9cfeb23689fa5cf5e2eba19b2eb50",
+    "6reg_order10.g6#4/rho0/filter": "7a85e9f4c575a1412e47bb6b1077b2623c40d08a4f03c30e3af32f71ff60af8c",
+    "6reg_order10.g6#4/rho0/twins": "12391c2cbd2d2f4a4097234ba707fd15e3d9cfeb23689fa5cf5e2eba19b2eb50",
+    "6reg_order10.g6#4/rho2/learn": "1b34c7a82f93ce6d0ec5865b0f624292b97efc55f427dd2747b415aab55a6b3f",
+    "6reg_order10.g6#4/rho2/filter": "bc2237924d37806dd6e5b67d5177d2df649538fe88d7491ec2899e526615a6db",
+    "6reg_order10.g6#4/rho2/twins": "1b34c7a82f93ce6d0ec5865b0f624292b97efc55f427dd2747b415aab55a6b3f",
+    "6reg_order10.g6#4/rho4/learn": "de7f34623865c62547cd96137e1dd887d2ab51372b343ef2586c37b2404de62b",
+    "6reg_order10.g6#4/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order10.g6#4/rho4/twins": "de7f34623865c62547cd96137e1dd887d2ab51372b343ef2586c37b2404de62b",
+    "6reg_order10.g6#5/rho0/learn": "9034ae9e52a2f15d57ee57055a97bd20c5fe4580fb11158212539f7db609f2af",
+    "6reg_order10.g6#5/rho0/filter": "adba22f78cb78f60156bbb8c73ccced4aaccdad1acad46998962fb4023f30946",
+    "6reg_order10.g6#5/rho0/twins": "691a571adb3a9dd41f55b1e203ebf62389769a79c1ca13340ade8e2d0f6884aa",
+    "6reg_order10.g6#5/rho2/learn": "00f75b3bf1861c47741039a3a793b788ba28e816c18f924be6f684befa6f702a",
+    "6reg_order10.g6#5/rho2/filter": "19161292bca29efaf9980e64beb60ad9b6ecbc55715f17141fbe57e28f06cbfc",
+    "6reg_order10.g6#5/rho2/twins": "8188559bb8b6cb78e027fddc365a783c39cffec748609e6afbbf188cdbd05705",
+    "6reg_order10.g6#5/rho4/learn": "36d84402778eaeafe2b3b6c8df6d4d2bd478a8f1ee527ee5697642307c57bf7a",
+    "6reg_order10.g6#5/rho4/filter": "203bf9ade5f8651929b823b4d2870cf7e67d9c4b024d30ba4cb872b6b1e31e4b",
+    "6reg_order10.g6#5/rho4/twins": "db5d30bb259a3360a63f6e39aa240293de2593fec07c5514291358e583fd8d93",
+    "6reg_order10.g6#6/rho0/learn": "f7ac2b8e560076649d3289966a2a7e528f00d297493d2ecc2f08a899bc983b48",
+    "6reg_order10.g6#6/rho0/filter": "e792f37b0e733fdc45f5f6621d7af9155a5c051696d240eb70fe37684cdec853",
+    "6reg_order10.g6#6/rho2/learn": "1c69f47ea66b43042b4b4b19a349213cd0405117917fb9fe79a91be712611297",
+    "6reg_order10.g6#6/rho2/filter": "19161292bca29efaf9980e64beb60ad9b6ecbc55715f17141fbe57e28f06cbfc",
+    "6reg_order10.g6#6/rho4/learn": "346db9493105d7d3207d57ace550b6b9b4940d11e9d78d1b61504d683e2d4159",
+    "6reg_order10.g6#6/rho4/filter": "203bf9ade5f8651929b823b4d2870cf7e67d9c4b024d30ba4cb872b6b1e31e4b",
+    "6reg_order10.g6#7/rho0/learn": "f7ac2b8e560076649d3289966a2a7e528f00d297493d2ecc2f08a899bc983b48",
+    "6reg_order10.g6#7/rho0/filter": "e792f37b0e733fdc45f5f6621d7af9155a5c051696d240eb70fe37684cdec853",
+    "6reg_order10.g6#7/rho2/learn": "1c69f47ea66b43042b4b4b19a349213cd0405117917fb9fe79a91be712611297",
+    "6reg_order10.g6#7/rho2/filter": "19161292bca29efaf9980e64beb60ad9b6ecbc55715f17141fbe57e28f06cbfc",
+    "6reg_order10.g6#7/rho4/learn": "346db9493105d7d3207d57ace550b6b9b4940d11e9d78d1b61504d683e2d4159",
+    "6reg_order10.g6#7/rho4/filter": "203bf9ade5f8651929b823b4d2870cf7e67d9c4b024d30ba4cb872b6b1e31e4b",
+    "6reg_order10.g6#8/rho0/learn": "935b8469761d3d645b95316a1104a5d2eea6db87ed102c24aea4f35d57a1b6fa",
+    "6reg_order10.g6#8/rho0/filter": "1f59451e1b9749be8b0bcd3ddbdb98542eb3a191bcce61a6e859623f4b77d5b1",
+    "6reg_order10.g6#8/rho2/learn": "521d906dd1209071bbd3c38625cbb436720399a77faeccb2179c096cbb58fe86",
+    "6reg_order10.g6#8/rho2/filter": "0ae70a2a0dee7f28d0b75e57d87ba158287f23077949d70a7abcec4ff58554ac",
+    "6reg_order10.g6#8/rho4/learn": "8f939feda297705390faca77f0e9305190650575b0e159d0fb10e034e591c3a1",
+    "6reg_order10.g6#8/rho4/filter": "203bf9ade5f8651929b823b4d2870cf7e67d9c4b024d30ba4cb872b6b1e31e4b",
+    "6reg_order10.g6#9/rho0/learn": "806426a053404221cf2fed3c410fdf0976d89446878627153c7d2797add16e9c",
+    "6reg_order10.g6#9/rho0/filter": "ad902214ce4b4336c912076d99363046b98e9a5859b07d339d86b224ab121e39",
+    "6reg_order10.g6#9/rho2/learn": "3a1254d51c19816a1850f36fcb0ea5fa56cdcf672be0124c755a978e9807c990",
+    "6reg_order10.g6#9/rho2/filter": "3ece2981eaaf89bcb0458000847b7081020bc45740f7159b675b4a750943428a",
+    "6reg_order10.g6#9/rho4/learn": "4e2650051f7eb1e63bdfe4a83d367d090a8565415fccdedb1f13c8d92e5f5843",
+    "6reg_order10.g6#9/rho4/filter": "6e0bcafb115367465d58891b9a78bb23d561a57289f04c8fdc942040d9fd8ca7",
+    "6reg_order10.g6#10/rho0/learn": "806426a053404221cf2fed3c410fdf0976d89446878627153c7d2797add16e9c",
+    "6reg_order10.g6#10/rho0/filter": "ad902214ce4b4336c912076d99363046b98e9a5859b07d339d86b224ab121e39",
+    "6reg_order10.g6#10/rho2/learn": "3a1254d51c19816a1850f36fcb0ea5fa56cdcf672be0124c755a978e9807c990",
+    "6reg_order10.g6#10/rho2/filter": "3ece2981eaaf89bcb0458000847b7081020bc45740f7159b675b4a750943428a",
+    "6reg_order10.g6#10/rho4/learn": "4e2650051f7eb1e63bdfe4a83d367d090a8565415fccdedb1f13c8d92e5f5843",
+    "6reg_order10.g6#10/rho4/filter": "6e0bcafb115367465d58891b9a78bb23d561a57289f04c8fdc942040d9fd8ca7",
+    "6reg_order10.g6#11/rho0/learn": "95a578854d1ac58ecca81d6b205fe16fdb462615510751c6b11fac5206228903",
+    "6reg_order10.g6#11/rho0/filter": "c8fdb1208835cfdc66b5b0f8b0500ab85cc4bb3420bbb14cd53ff2e1ea7e8322",
+    "6reg_order10.g6#11/rho0/twins": "72fcfe58dd68c891253e3aedd4d4693aa9ac406558a5a9193c4ab9ed4b0e1f62",
+    "6reg_order10.g6#11/rho2/learn": "4a9294aab8745b086af83834a36362213318c5f5f34998f21e6ffb4f4a6e4de5",
+    "6reg_order10.g6#11/rho2/filter": "4d32c94f1ddf30cbff74ae837017fec175b695212055250754719c07e22fcc4c",
+    "6reg_order10.g6#11/rho2/twins": "e0bde7cf6a9660dd930a91a6ce75e48c66faec23d52faaabc07b6eff2eb49a73",
+    "6reg_order10.g6#11/rho4/learn": "2e231facf4cf1f5e23cf54aa670bbe51981701f3301ee615a99277dae0600903",
+    "6reg_order10.g6#11/rho4/filter": "6e0bcafb115367465d58891b9a78bb23d561a57289f04c8fdc942040d9fd8ca7",
+    "6reg_order10.g6#11/rho4/twins": "e3bfbc0b66cbbf07b24914cf0da9fc3689e7256966b592bebebf365b6abd6f17",
+    "6reg_order10.g6#12/rho0/learn": "4ad1778943e238bce9e79b91dece2cdc4125386d8be30c87c3f339bc6dd0c32b",
+    "6reg_order10.g6#12/rho0/filter": "5b62ee4e2f1bf3ca3841a43794390f7ef10bc919a78125cee4728ea98ed42ab0",
+    "6reg_order10.g6#12/rho2/learn": "e675c842498e557d3f2053244c8809da5230df025744db019baee9183147f9a1",
+    "6reg_order10.g6#12/rho2/filter": "f98597be780950728a447f8b29eba8e7f73ae67b326b3b112df6868ea91c7869",
+    "6reg_order10.g6#12/rho4/learn": "a37a905afd6eeec56e94c44a7498f7d90a4d39c11caf1ea9d8aa54355875bf3e",
+    "6reg_order10.g6#12/rho4/filter": "6e0bcafb115367465d58891b9a78bb23d561a57289f04c8fdc942040d9fd8ca7",
+    "6reg_order10.g6#13/rho0/learn": "4ad1778943e238bce9e79b91dece2cdc4125386d8be30c87c3f339bc6dd0c32b",
+    "6reg_order10.g6#13/rho0/filter": "5b62ee4e2f1bf3ca3841a43794390f7ef10bc919a78125cee4728ea98ed42ab0",
+    "6reg_order10.g6#13/rho2/learn": "e675c842498e557d3f2053244c8809da5230df025744db019baee9183147f9a1",
+    "6reg_order10.g6#13/rho2/filter": "f98597be780950728a447f8b29eba8e7f73ae67b326b3b112df6868ea91c7869",
+    "6reg_order10.g6#13/rho4/learn": "a37a905afd6eeec56e94c44a7498f7d90a4d39c11caf1ea9d8aa54355875bf3e",
+    "6reg_order10.g6#13/rho4/filter": "6e0bcafb115367465d58891b9a78bb23d561a57289f04c8fdc942040d9fd8ca7",
+    "6reg_order10.g6#14/rho0/learn": "4ad1778943e238bce9e79b91dece2cdc4125386d8be30c87c3f339bc6dd0c32b",
+    "6reg_order10.g6#14/rho0/filter": "5b62ee4e2f1bf3ca3841a43794390f7ef10bc919a78125cee4728ea98ed42ab0",
+    "6reg_order10.g6#14/rho2/learn": "e675c842498e557d3f2053244c8809da5230df025744db019baee9183147f9a1",
+    "6reg_order10.g6#14/rho2/filter": "f98597be780950728a447f8b29eba8e7f73ae67b326b3b112df6868ea91c7869",
+    "6reg_order10.g6#14/rho4/learn": "a37a905afd6eeec56e94c44a7498f7d90a4d39c11caf1ea9d8aa54355875bf3e",
+    "6reg_order10.g6#14/rho4/filter": "6e0bcafb115367465d58891b9a78bb23d561a57289f04c8fdc942040d9fd8ca7",
+    "6reg_order10.g6#15/rho0/learn": "405113387790aa6aa3ef2c08752434a9194b6740b31a245a3a9dac81c96b9f88",
+    "6reg_order10.g6#15/rho0/filter": "a63a1a58f3e6f38b747b3a026135a11eaa5bbe933a5f95b203fd9308e6d67c51",
+    "6reg_order10.g6#15/rho2/learn": "6fce6ec333bff48afe732371a89a19a43b167940053588449d823c3dfe7e1162",
+    "6reg_order10.g6#15/rho2/filter": "a9f2664ff1e34f675ee0a901979e749794e057506ebd85f594547c8a55297cd6",
+    "6reg_order10.g6#15/rho4/learn": "744151fff671af8235fb55efaf1c11905d261fd2ff3accce58e3ecf004fc6cd5",
+    "6reg_order10.g6#15/rho4/filter": "6e0bcafb115367465d58891b9a78bb23d561a57289f04c8fdc942040d9fd8ca7",
+    "6reg_order10.g6#16/rho0/learn": "ef990634081e67cd144876a6467b5ad8cd79f603979c0d0065821ea3fdb050c7",
+    "6reg_order10.g6#16/rho0/filter": "62789ecf5b008956fe02f403a7c36098ea2c4b66dd7b10a61844f483b5077376",
+    "6reg_order10.g6#16/rho2/learn": "9e666f83c08ed0abb04179237ce88b78cdde59f0c4295a6d46b7e13e2963f93a",
+    "6reg_order10.g6#16/rho2/filter": "761c72c8061dc6c54a7c22e6ecc4da24fdb529feacaee4a04c1732de7cf7488b",
+    "6reg_order10.g6#16/rho4/learn": "6760de7b3d9eecb8fca76883b51411c7dea0796d920fe9f4d14b68d39398c59f",
+    "6reg_order10.g6#16/rho4/filter": "6e0bcafb115367465d58891b9a78bb23d561a57289f04c8fdc942040d9fd8ca7",
+    "6reg_order10.g6#17/rho0/learn": "806426a053404221cf2fed3c410fdf0976d89446878627153c7d2797add16e9c",
+    "6reg_order10.g6#17/rho0/filter": "1786c1dfd9f39a636e3837eec441ac91716d24de59ae20c070e6e1bc6656412e",
+    "6reg_order10.g6#17/rho2/learn": "3a1254d51c19816a1850f36fcb0ea5fa56cdcf672be0124c755a978e9807c990",
+    "6reg_order10.g6#17/rho2/filter": "c943b3028a1959347131302e90c3d47917f97db73399efabd20ca2c2038f62b7",
+    "6reg_order10.g6#17/rho4/learn": "20c5eccd5dba12ec68a279cd0b9f54168b44211ac95af3dd4bc29e75299be6da",
+    "6reg_order10.g6#17/rho4/filter": "203bf9ade5f8651929b823b4d2870cf7e67d9c4b024d30ba4cb872b6b1e31e4b",
+    "6reg_order10.g6#18/rho0/learn": "45a447f8814303e68b35604dec6a10db5064d575ff311d889b0699f5b9fa23fb",
+    "6reg_order10.g6#18/rho0/filter": "f6a717b8dda536c5d67300cd5c85c40e926d7e3e6e5b0c491e3ff243b662e947",
+    "6reg_order10.g6#18/rho0/twins": "2dff2b7029025ccd793589c81962ee00e5a5efab8bcb78b451b5f24760fb5a32",
+    "6reg_order10.g6#18/rho2/learn": "6fcca9c9f399fe64c496410649d46da2e4fc895e47afdb780354da3f685f22b1",
+    "6reg_order10.g6#18/rho2/filter": "274d8d7a93bc3403b98906a8c857ce87a43732ac8d346bdd390cd970f67375e3",
+    "6reg_order10.g6#18/rho2/twins": "73b17f424859aa8147848222238dc49577bf28081ad3a0ccbcd36a686c468333",
+    "6reg_order10.g6#18/rho4/learn": "c1ee30f369f57fe78594892c2fd0a2dfc681a09b7dbecca82e82ad0db1c84c5e",
+    "6reg_order10.g6#18/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order10.g6#18/rho4/twins": "2abffd553b7676895b2e9c9f9d3dd82d9d954eae091d4d1c562d39caeff62a46",
+    "6reg_order10.g6#19/rho0/learn": "45a447f8814303e68b35604dec6a10db5064d575ff311d889b0699f5b9fa23fb",
+    "6reg_order10.g6#19/rho0/filter": "f6a717b8dda536c5d67300cd5c85c40e926d7e3e6e5b0c491e3ff243b662e947",
+    "6reg_order10.g6#19/rho0/twins": "e9b3e564cddfa93fdbd5a6a6fdcf4ee6c96c4ee1f6e2840aafd3b5896b852832",
+    "6reg_order10.g6#19/rho2/learn": "6fcca9c9f399fe64c496410649d46da2e4fc895e47afdb780354da3f685f22b1",
+    "6reg_order10.g6#19/rho2/filter": "274d8d7a93bc3403b98906a8c857ce87a43732ac8d346bdd390cd970f67375e3",
+    "6reg_order10.g6#19/rho2/twins": "e69892d511d386a2e151ee918fd8c38098dbbaede4e443f1129f19fabaedd374",
+    "6reg_order10.g6#19/rho4/learn": "c1ee30f369f57fe78594892c2fd0a2dfc681a09b7dbecca82e82ad0db1c84c5e",
+    "6reg_order10.g6#19/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "6reg_order10.g6#19/rho4/twins": "3461fcc0148a67658145653cdd5ed405d6486bfde10a0fe25e38be4006343eae",
+    "6reg_order10.g6#20/rho0/learn": "6316afb8798b4b64c1f0cf6fcfc4179559fcbe710e78faacccfa3eabcdf5e647",
+    "6reg_order10.g6#20/rho0/filter": "9e7441967eb7133e5fd5c285c8dac981274df0395a5c063fcc7f6f10806be6c3",
+    "6reg_order10.g6#20/rho2/learn": "879bb9d6b891a4756a06f1e1bb35a3717fa44ce260116ddd2b51511014c701f8",
+    "6reg_order10.g6#20/rho2/filter": "de6772fc2c5ce4e8b0ec98fe7616930847369326e1ea0ade12c8cd26d890c9a5",
+    "6reg_order10.g6#20/rho4/learn": "08f38f37f98e76efec77c6b6d3062c95f9e59367ab66d4b9d50b466d3cf47e1b",
+    "6reg_order10.g6#20/rho4/filter": "203bf9ade5f8651929b823b4d2870cf7e67d9c4b024d30ba4cb872b6b1e31e4b",
+    "g8/rho0/learn": "c00f3bd39a4cc4b1b65a11c9cdcb520faf7f9cc9767a687ffecce37183406677",
+    "g8/rho0/filter": "88bcf651b7eca650c440ff5db9169af91a7b0ecf2761f541d26d0306be5870f5",
+    "g8/rho0/none": "9103d399aa272c6474b838766fdf77827e8dc6b23ce6efb259b1f86df75f1ae2",
+    "g8/rho0/twins": "8b8fe9d342037d61ea98f4c951582e290b37d977f5c340803face49b7ee9377d",
+    "g8/rho2/learn": "df7c12bc34dfed6b97e0f68968d48173d615faf520c6c7ab6d9d4e3d47e0eefa",
+    "g8/rho2/filter": "2273428593073281c54aefb6d96b1b9cf4b4482ed8235dae8a21bd6908bd69cc",
+    "g8/rho2/none": "c39be4942f013288cef4e72ed65e4466dbcbe00064c1c75f4133c49ceb831d08",
+    "g8/rho2/twins": "ce16661a5c401055513776a49410eb5c4cf16df2aee8c6e9eb8d52dd20050072",
+    "g8/rho4/learn": "4aef520f0842c94f466f899160879acdd253f239efe169397a91b94bad05d6ad",
+    "g8/rho4/filter": "f345370b8654c77b0735c640e4e71158fa9f5bafdbec8176f1d7b0df28eeea01",
+    "g8/rho4/none": "2c5e3fdd58aec38eec135adc1c08c03178b8fc35bd49c339a251e5fcca04b0aa",
+    "g8/rho4/twins": "4cd3ba03267c9c670333cda9a0416abd533b5f3057d9d440df8a74b0f736086e",
+    "g9/rho0/learn": "d3981a4665c3de5b225b58b463f6e739fbd60173bef46213a0b4ea7980652d5d",
+    "g9/rho0/filter": "912a228fdc0de3989a26d749961664bdec245c02d668f5946385c99dac97b7de",
+    "g9/rho0/none": "250906e94a43700ba57056a7be7fe38429b5df56df8406a2f61686144cc0ea3e",
+    "g9/rho2/learn": "80da05473b1784cd2af3f75fde30eedba70a6f8b05b5a85ca77a78bdaaa894e1",
+    "g9/rho2/filter": "a7613e019e35482370e3e66c5831f75887309a9bbb6eb3ba9d5428d49f8e27b5",
+    "g9/rho2/none": "4a9d1e4c0d35bef0e722b72189e266713c506d94057a609e098f36d7166f1b61",
+    "g9/rho4/learn": "24abbc689a6594d59ad86f37d022e7578d41d624e1c8aef467b2412cf152a821",
+    "g9/rho4/filter": "203bf9ade5f8651929b823b4d2870cf7e67d9c4b024d30ba4cb872b6b1e31e4b",
+    "g9/rho4/none": "11ad3713e032411935c295a2699d1c4002c1b02bbd78a9d520266844b1ed2ebc",
+    "gq22/rho0/learn": "b520087b5aab893ae0c0eabf292230f65aa6fbb0e1bf1cc57e11308eb83837f2",
+    "gq22/rho0/filter": "34f52028174ef12a4b104516c8ffc43a50b2864f8d6c78321ffce5d67ce9840c",
+    "gq22/rho2/learn": "9d788ee3cc5c926c8430bc4d2f604861e1ef6903f662f6b25dbf63f582444414",
+    "gq22/rho2/filter": "1d00f81e2a636bdca891aebe732f7ecaa5888d78b956d02442eab9374adf7ca9",
+    "gq22/rho4/learn": "678ccce856ac41f8f64f525a4adee7c4db806d34a8f6a7f3667e9bb451d36df4",
+    "gq22/rho4/filter": "baea9e12456a556feb984e76a8bc4c0d6567206c64728193c672de787a3e9626",
+    "k333/rho0/learn": "d9eef9b50b29d789260cf1e67afe3f53434309725dcecd18b92835988af92ff5",
+    "k333/rho0/filter": "88e9c5977c0ba88b88846515d927abf42c1eb9bb1e77520d3479802acea8c489",
+    "k333/rho0/none": "500588d922c547563a24f6673333fe58bd77b7f7593049fd87accf57d0debade",
+    "k333/rho0/twins": "ae88ff9cae61cb2abfca8abb43f80fd77bc5a767c69a69e4e96f7874e5d9cd34",
+    "k333/rho2/learn": "7fbf4ad4fe549230e84a2bee4ace1caed62a795129683fbf237f18679f66eb1e",
+    "k333/rho2/filter": "b0c5fc40d063fc6861766201e398a1a43ed2cbfeabe85a931191294e20d6a52f",
+    "k333/rho2/none": "76d76e5c4a63c169f9587a7166f97ed31f6a61e777451daecc5f39b82b31762a",
+    "k333/rho2/twins": "d57e41cdf46af960f2c84411ab402b6d3890cd44b9c738b77cf310e1ee5954fb",
+    "k333/rho4/learn": "5a6185821ef9072823c199eec6919bf1140a3634c3b93279d81cb7687e647044",
+    "k333/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "k333/rho4/none": "3045ae79bcc35c52a3eb897b20ba7621680963abf0793c9947ba0d017353b31b",
+    "k333/rho4/twins": "d5a588bfc612f7088cef287df6c1625f659d8e4f060d8536e74fd75bfd78b841",
+    "k66/rho0/learn": "d3578fa7a4c69d8019adbb31d2079ed25189dc1ba06911607613cfca9e1b63c0",
+    "k66/rho0/filter": "27bef98829ede4b85f5322e5be1fc250147c9351c8358e2d020a8847e71d29ce",
+    "k66/rho0/twins": "26371f7bc9f41fffe75294b9e0572bbca79c91c1ce4549ba3e3a1e6016617db7",
+    "k66/rho2/learn": "a6ed07cd9e679892ebc7415f5a87be6f06d99cfc8ef86c74a78ab75ce2030c94",
+    "k66/rho2/filter": "363f32ba1cbb6233c55dc707ebae44cd2dc6d0ec7f8e6e6d22c1dde7be107f0c",
+    "k66/rho2/twins": "f0cebcc7cc5c83e5b9468d6facbcd09b6585227e113095939a373698baaed37f",
+    "k66/rho4/learn": "ba4ac098a7566ef330d7ae1ff0b824edf8e7aeafc8edecc3ac269d58b4f48f38",
+    "k66/rho4/filter": "126dad25d995d014c9bfe8954d70569d0ccae9a6694e9c3cf61de1c96be93d56",
+    "k66/rho4/twins": "ded29d94aad8ed169f5442bb16b811915fda9f6374729fec142bfac9fa9ce70a",
+    "paley13/rho0/learn": "591f3016ceeacb418b662089b703987bc283e6a0c6a5b05d45e3ec14954f0401",
+    "paley13/rho0/filter": "b34189e29cbb2df2c3671c1c55075054e0efc9d62b7ccbc95a7d2a744ed9a6c4",
+    "paley13/rho2/learn": "f3d6f94652d465e21acc721310356e634f03d627dc6411b5b90ece6205ebdfe1",
+    "paley13/rho2/filter": "c9eabd87cba1e91933dac749566b247000eaf8ad13032bc1f22911dfe8bb4f3e",
+    "paley13/rho4/learn": "60448371e9f13f862a6d18bae2e43e720d66c0790717953c8c2f2767af60e496",
+    "paley13/rho4/filter": "82f622012a67fd496a259bbae42511f58167a194cf583bcd3c446566c56bba21",
+    "s16u/rho0/learn": "d9ecf6d4b41e0a95ccfdd4693696453de4d4565b5175887e5a8fb1916ef52145",
+    "s16u/rho0/filter": "775cdcffc2e24f8f95ae3d699441d7c21d7e56f0ca5dd4c9c95a39e971181bc3",
+    "s16u/rho2/learn": "1e055b4c93f2f76229196b81011f7db727150434da33da5fb347adb703e178a3",
+    "s16u/rho2/filter": "c0e2809df18f243cd48c89809bef89ed2b36940b038dd26977fd5d6b7d582721",
+    "s16u/rho4/learn": "4ad08291da53a1e595727ff0d88cf6f90a72263b6fa53ee9a95f47fe07f4205c",
+    "s16u/rho4/filter": "3b3fb4b9db448f8848bd171b693584fee921a51333bd34d0de007409b5dee0c5",
+    "s1_15u/rho0/learn": "de82fe7a1c228b27d30451039b99102daa7694d24b27bc708aa1a311f783d34b",
+    "s1_15u/rho0/filter": "c69160d3c3c9df3b3abf238a7df4527704db2a2f97bff6e9c41d1d3d00ea14ae",
+    "s1_15u/rho2/learn": "a0b3e7b0866fb5b1448f8c3c6fd88b4c708688f6e2728b53457e056488783f97",
+    "s1_15u/rho2/filter": "c92d57712506731a41bc804f9c062815e8dd81542795ff5081b94a80b8c01f78",
+    "s1_15u/rho4/learn": "55c8e82245b2cd0fff13813648c8b84c8c8d88b4b7c3a2bce4eed66a12678606",
+    "s1_15u/rho4/filter": "a336f242aac9ac2334107243100fc1902b8b0181a9d3174e9d9208ceb4727e91",
+    "s2_12u/rho0/learn": "600a743e7e3f3fd89f03b41e7da69e4732a847bde3bea5496711eef9d0cf169b",
+    "s2_12u/rho0/filter": "67ffd67960f918e8db14913103be023cc4c17a78115225ee3bd4137d395089a8",
+    "s2_12u/rho2/learn": "914400180dec92d59ad12e56a292dfaae1c7cf2b625d28ad3d624f2783fe04e2",
+    "s2_12u/rho2/filter": "9d94929dca6f66170cc714e5e1ff6cfa0e0dc8bf1fbfd686eb6ad01445e12272",
+    "s2_12u/rho4/learn": "65c92aa965fbc08c0a3c7ca75bc0196e60f885b3eac79bff9711081f50345ffc",
+    "s2_12u/rho4/filter": "f7d58a228fd52ef0ebd2bb8b2224acf389477c612dc45855aa6caac9df360e41",
+    "s3_12u/rho0/learn": "e23762debfe4a2ed144ac2a34dc0b7c12a12e1a66ab09d07cbf58432f1d2fc1a",
+    "s3_12u/rho0/filter": "4342e5baac557c314c5e2e0dd023edfcb4661b02b923ccead699e82e81402e29",
+    "s3_12u/rho2/learn": "0872fdf495b9dccdd728860f8ba6a378d3f9bdbdc7e82fe6842ce4d27e0b3ca1",
+    "s3_12u/rho2/filter": "ded29e712b659ec3ed23ad578ac4ebe147bb47c6f5ec40d8e363a22f7f50aa5c",
+    "s3_12u/rho4/learn": "eb693caeb8fe86194240b4d864e2e64ed1d60c8d772e06f0a84fbdeb0931c433",
+    "s3_12u/rho4/filter": "2c9c80a0d2ad296058428b332622a89105962ef5f474249d9b22c6f6df151337",
+    "K8,8/rho4/learn": "33ebbf12332d3f35849b6d0313e8cbe2fcdbd5dca5204da71a47ba730a07728d",
+    "K8,8/rho4/filter": "6ec8f6ffbdd80e5b8f7c67e3323cf5035e8ee3647d5be0bcffaf84c2039308dc",
+    "K8,8/rho4/twins": "8ca4341821552fb1a17bc106971c9f53a56c16fef8055bcad5131e9149d98e38",
 }
 
 

@@ -6,6 +6,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -313,6 +314,8 @@ FULL_TREES = {(5, 0, "iso"): (130, 0), (5, 0, "none"): (220, 0), (16, 2, "none")
     ],
 )
 def test_budget_report_independent_of_jobs(host, rho, budget, dedupe):
+    """A budgeted report is the DFS cut at node budget + 1; a single host is
+    walked in one process, so jobs does not change it."""
     g = _order10()[host]
     one = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe))
     two = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe, jobs=2))
@@ -323,6 +326,20 @@ def test_budget_report_independent_of_jobs(host, rho, budget, dedupe):
     assert one.stats.nodes == min(budget + 1, full.nodes)
     if host == 16 and not one.exhaustive:
         assert one.stats.leaves == 6
+
+
+def test_budgeted_catalog_independent_of_jobs():
+    """The catalog pool spreads hosts over the workers, each host's DFS cut
+    at its own budget: the 25 order-10 and order-9 hosts at rho=2 report the
+    same at jobs 1, 2 and 3, with budgets that cut some hosts and not others."""
+    graphs = _catalog("6reg_order10.g6") + _catalog("6reg_order9.g6")
+    assert len(graphs) == 25
+    cfgs = [SearchConfig(rho=2, node_budget=b, dedupe=d) for d in ("iso", "none") for b in (130, 300, 900)]
+    want = [_outcome(search_catalog(graphs, cfg)) for cfg in cfgs]
+    assert {row["exhaustive"] for _, _, _, rows in want for row in rows} == {True, False}
+    for jobs in (2, 3):
+        got = [_outcome(search_catalog(graphs, replace(cfg, jobs=jobs))) for cfg in cfgs]
+        assert got == want, jobs
 
 
 def test_counters_independent_of_jobs_order10():
@@ -800,6 +817,24 @@ def _alive(pid):
     except (FileNotFoundError, ProcessLookupError):
         # the read fails with ESRCH when the process is reaped after the open
         return False
+
+
+def test_single_host_starts_no_pool(monkeypatch):
+    """A host's tree is walked in the calling process: neither search_srsg
+    nor a one-host catalog at jobs=2 starts a pool."""
+    monkeypatch.setattr(srsg.search, "_pool", None)
+    g = _order10()[5]
+    try:
+        search_srsg(g, SearchConfig(rho=0, jobs=2))
+        search_catalog([("o10[5]", g)], SearchConfig(rho=0, jobs=2))
+        assert srsg.search._pool is None
+    finally:
+        if srsg.search._pool is not None:
+            srsg.search._pool[1].shutdown()
+
+
+def test_pool_map_runs_one_item_in_process():
+    assert _pool_map(_worker_pid, [0], 2) == [os.getpid()]
 
 
 def test_pool_serves_every_call():
