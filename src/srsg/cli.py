@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, fields
 
 from . import catalog as cat
-from .core import is_balanced, triangle_census
+from .core import is_balanced, net_degree, triangle_census
 from .errors import EmptyInput, ParseError, SignedGraphError
 from .iso import are_isomorphic, canonical_form
 from .params import FeasibleSet, ParamQuery, feasible_param_sets
@@ -53,8 +53,6 @@ def _emit(obj) -> None:
 
 def _cmd_check(args) -> int:
     g = parse_sg_file(args.file)
-    degs = g.degrees()
-    nets = g.net_degrees()
     cls, p = classify(g)
     out = {
         "n": g.n,
@@ -65,14 +63,14 @@ def _cmd_check(args) -> int:
         "triangle_census": list(triangle_census(g).counts),
         "canonical_form": canonical_form(g).hex(),
     }
-    if min(degs) == max(degs):
-        out["r"] = degs[0]
+    if g.is_regular():
+        out["r"] = g.degree(0)
     else:
-        out["degrees"] = degs
-    if min(nets) == max(nets):
-        out["rho"] = nets[0]
+        out["degrees"] = g.degrees()
+    if g.is_net_regular():
+        out["rho"] = net_degree(g, 0)
     else:
-        out["net_degrees"] = nets
+        out["net_degrees"] = g.net_degrees()
     _emit(out)
     return 0
 

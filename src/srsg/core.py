@@ -10,6 +10,7 @@ envelope is n <= 64 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DuplicateEdge, SelfLoop, SizeExceeded, VertexOutOfRange
 
@@ -85,24 +86,15 @@ def _check_rows(n: int, rows: tuple[int, ...]) -> None:
             row ^= low
 
 
-@dataclass(frozen=True)
-class UGraph:
-    """Unsigned simple graph on vertices 0..n-1; adjacency as bitmask rows."""
-
-    n: int
-    nbr: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_rows(self.n, self.nbr)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool((self.nbr[u] >> v) & 1)
+class _Rows:
+    """The row queries of a graph on vertices 0..n-1 with adjacency bitmask
+    rows adj: for a signed graph, the rows of its underlying graph."""
 
     def degree(self, v: int) -> int:
-        return self.nbr[v].bit_count()
+        return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self.nbr]
+        return [row.bit_count() for row in self.adj]
 
     def is_regular(self) -> bool:
         degs = self.degrees()
@@ -111,24 +103,34 @@ class UGraph:
     def edge_count(self) -> int:
         return sum(self.degrees()) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.nbr[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
-
     def is_complete(self) -> bool:
         full = (1 << self.n) - 1
-        return all(self.nbr[v] == full & ~(1 << v) for v in range(self.n))
+        return all(row == full & ~(1 << v) for v, row in enumerate(self.adj))
 
     def is_connected(self) -> bool:
-        return len(components(self.nbr, self.n)[0]) == self.n
+        return len(components(self.adj, self.n)[0]) == self.n
+
+
+@dataclass(frozen=True)
+class UGraph(_Rows):
+    """Unsigned simple graph on vertices 0..n-1; adjacency as bitmask rows."""
+
+    n: int
+    nbr: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "nbr", tuple(self.nbr))
+        _check_rows(self.n, self.nbr)
+
+    @property
+    def adj(self) -> tuple[int, ...]:
+        return self.nbr
+
+    def adjacent(self, u: int, v: int) -> bool:
+        return bool((self.nbr[u] >> v) & 1)
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u, row in enumerate(self.nbr) for v in _bits(row >> (u + 1) << (u + 1))]
 
 
 def components(nbr: tuple[int, ...] | list[int], n: int) -> list[list[int]]:
@@ -138,21 +140,15 @@ def components(nbr: tuple[int, ...] | list[int], n: int) -> list[list[int]]:
     for s in range(n):
         if (seen >> s) & 1:
             continue
-        comp = 1 << s
-        frontier = 1 << s
+        comp = frontier = 1 << s
         while frontier:
             nxt = 0
-            f = frontier
-            v = 0
-            while f:
-                if f & 1:
-                    nxt |= nbr[v]
-                f >>= 1
-                v += 1
+            for v in _bits(frontier):
+                nxt |= nbr[v]
             frontier = nxt & ~comp
             comp |= frontier
         seen |= comp
-        comps.append([v for v in range(n) if (comp >> v) & 1])
+        comps.append(list(_bits(comp)))
     return comps
 
 
@@ -162,7 +158,7 @@ def ugraph_from_edges(n: int, edges) -> UGraph:
 
 
 @dataclass(frozen=True)
-class SignedGraph:
+class SignedGraph(_Rows):
     """Signed simple graph: disjoint positive/negative adjacency bitmask rows."""
 
     n: int
@@ -170,12 +166,19 @@ class SignedGraph:
     neg: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "pos", tuple(self.pos))
+        object.__setattr__(self, "neg", tuple(self.neg))
         # each sign's rows form a simple graph; a pair may carry one sign only
         _check_rows(self.n, self.pos)
         _check_rows(self.n, self.neg)
         for v in range(self.n):
             if self.pos[v] & self.neg[v]:
                 raise DuplicateEdge(f"vertex {v} has a neighbour with both signs")
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """The underlying graph's rows, pos | neg, computed once per graph."""
+        return tuple(p | q for p, q in zip(self.pos, self.neg))
 
     # -- local quantities ---------------------------------------------------
 
@@ -190,10 +193,7 @@ class SignedGraph:
         return 0
 
     def adj_row(self, v: int) -> int:
-        return self.pos[v] | self.neg[v]
-
-    def degree(self, v: int) -> int:
-        return (self.pos[v] | self.neg[v]).bit_count()
+        return self.adj[v]
 
     def pos_degree(self, v: int) -> int:
         return self.pos[v].bit_count()
@@ -201,46 +201,27 @@ class SignedGraph:
     def neg_degree(self, v: int) -> int:
         return self.neg[v].bit_count()
 
-    def degrees(self) -> list[int]:
-        return [self.degree(v) for v in range(self.n)]
-
     def net_degrees(self) -> list[int]:
         return [self.pos_degree(v) - self.neg_degree(v) for v in range(self.n)]
 
-    def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
-
     def edges(self) -> list[tuple[int, int, int]]:
         """Edge list (u, v, sign) with u < v, sorted by (u, v)."""
-        out = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.pos[u] >> v) & 1:
-                    out.append((u, v, 1))
-                elif (self.neg[u] >> v) & 1:
-                    out.append((u, v, -1))
-        return out
-
-    def is_regular(self) -> bool:
-        degs = self.degrees()
-        return min(degs) == max(degs)
+        neg = self.neg
+        return [
+            (u, v, -1 if (neg[u] >> v) & 1 else 1)
+            for u, row in enumerate(self.adj)
+            for v in _bits(row >> (u + 1) << (u + 1))
+        ]
 
     def is_net_regular(self) -> bool:
         nets = self.net_degrees()
         return min(nets) == max(nets)
 
-    def is_complete(self) -> bool:
-        full = (1 << self.n) - 1
-        return all((self.pos[v] | self.neg[v]) == full & ~(1 << v) for v in range(self.n))
-
     def is_homogeneous(self) -> bool:
         return all(m == 0 for m in self.pos) or all(m == 0 for m in self.neg)
 
     def underlying(self) -> UGraph:
-        return UGraph(self.n, tuple(p | q for p, q in zip(self.pos, self.neg)))
-
-    def is_connected(self) -> bool:
-        return len(components([p | q for p, q in zip(self.pos, self.neg)], self.n)[0]) == self.n
+        return UGraph(self.n, self.adj)
 
 
 def from_signed_edges(n: int, edges) -> SignedGraph:
@@ -273,7 +254,7 @@ def from_signed_edges(n: int, edges) -> SignedGraph:
 
 def all_positive(g: UGraph) -> SignedGraph:
     """The signing of g with every edge positive."""
-    return SignedGraph(g.n, tuple(g.nbr), (0,) * g.n)
+    return SignedGraph(g.n, g.nbr, (0,) * g.n)
 
 
 def sign_with(g: UGraph, negative_edges) -> SignedGraph:
@@ -330,8 +311,7 @@ def _pair_walks(g: SignedGraph):
     and its sign sigma(uw)sigma(wv) is -1 exactly when w is in neg[u] ^ neg[v].
     So q = |(neg[u] ^ neg[v]) & C|, p = |C| - q, and (A^2)[u][v] = |C| - 2q.
     """
-    pos, neg = g.pos, g.neg
-    adj = [p | q for p, q in zip(pos, neg)]
+    pos, neg, adj = g.pos, g.neg, g.adj
     for u in range(g.n):
         pu, nu, au = pos[u], neg[u], adj[u]
         for v in range(u + 1, g.n):
@@ -349,7 +329,7 @@ def two_walk_counts(g: SignedGraph, u: int, v: int) -> tuple[int, int]:
     _check_vertex(v, g.n)
     if u == v:
         raise ValueError("two_walk_counts requires two distinct vertices")
-    return _walk_split(g.adj_row(u) & g.adj_row(v), g.neg[u], g.neg[v])
+    return _walk_split(g.adj[u] & g.adj[v], g.neg[u], g.neg[v])
 
 
 def square_entries(g: SignedGraph) -> list[list[int]]:
@@ -366,33 +346,25 @@ def is_balanced(g: SignedGraph) -> bool:
     """True iff every cycle has positive sign product.
 
     Decided by spanning-forest switching propagation: assign each vertex a
-    sign so that s(u)*s(v) matches the edge sign along a BFS forest, then
-    verify every edge.
+    sign so that s(u)*s(v) matches the edge sign along a depth-first forest,
+    checking every other edge as it is met.
     """
-    n = g.n
-    s = [0] * n
-    for root in range(n):
+    pos, neg = g.pos, g.neg
+    s = [0] * g.n
+    for root in range(g.n):
         if s[root]:
             continue
         s[root] = 1
         stack = [root]
         while stack:
             u = stack.pop()
-            row_p = g.pos[u]
-            row_n = g.neg[u]
-            for v in range(n):
-                bit = 1 << v
-                if row_p & bit:
-                    want = s[u]
-                elif row_n & bit:
-                    want = -s[u]
-                else:
-                    continue
-                if s[v] == 0:
-                    s[v] = want
-                    stack.append(v)
-                elif s[v] != want:
-                    return False
+            for row, want in ((pos[u], s[u]), (neg[u], -s[u])):
+                for v in _bits(row):
+                    if s[v] == 0:
+                        s[v] = want
+                        stack.append(v)
+                    elif s[v] != want:
+                        return False
     return True
 
 
@@ -415,8 +387,7 @@ class TriangleCensus:
 def _triangle_profiles(g: SignedGraph) -> list[list[int]]:
     """Per vertex, its triangles counted by how many of their three edges
     are negative (0..3).  Each triangle u < v < w is visited once."""
-    adj = [p | q for p, q in zip(g.pos, g.neg)]
-    neg = g.neg
+    adj, neg = g.adj, g.neg
     prof = [[0, 0, 0, 0] for _ in range(g.n)]
     for u, row in enumerate(adj):
         for v in _bits(row >> (u + 1) << (u + 1)):

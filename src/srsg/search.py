@@ -113,6 +113,7 @@ import multiprocessing.connection
 import os
 import threading
 import time
+from collections.abc import Iterable
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -639,7 +640,7 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
     return report(_dedupe_hits(found, cfg), budget is None or stats.nodes <= budget)
 
 
-def search_catalog(graphs: list[tuple[str, UGraph]], cfg: SearchConfig) -> SearchReport:
+def search_catalog(graphs: Iterable[tuple[str, UGraph]], cfg: SearchConfig) -> SearchReport:
     """Search every (name, graph) entry and merge the per-host hits.
 
     The hosts are spread over cfg.jobs worker processes (see _pool_map), each
@@ -648,6 +649,7 @@ def search_catalog(graphs: list[tuple[str, UGraph]], cfg: SearchConfig) -> Searc
     time of the whole call.
     """
     t0 = time.perf_counter()
+    graphs = list(graphs)
     reports = _pool_map(_host_worker, [(g, cfg) for _, g in graphs], cfg.jobs)
 
     stats = SearchStats()

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from srsg.core import (
     _twin_classes,
     SignedGraph,
     UGraph,
+    components,
     from_signed_edges,
     is_balanced,
     negation,
@@ -85,6 +87,67 @@ def test_direct_signed_construction_checks_rows():
     # a pair positive from 0 and negative from 1
     with pytest.raises(ValueError, match=r"asymmetric adjacency at pair \(0, 1\)"):
         SignedGraph(2, (0b10, 0b00), (0b00, 0b01))
+
+
+def test_rows_are_stored_as_tuples():
+    """A graph is the same value whatever sequence its rows came in, and a
+    later change to that sequence leaves the graph, and its validity, as built."""
+    rows = [0b010, 0b101, 0b010]
+    u, t = UGraph(3, rows), UGraph(3, tuple(rows))
+    assert u == t and hash(u) == hash(t)
+    rows[0] = 0b110  # asymmetric, had it reached the graph
+    assert u.nbr == (0b010, 0b101, 0b010) and u.edges() == [(0, 1), (1, 2)]
+    pos, neg = [0b010, 0b001, 0b000], [0b000, 0b100, 0b010]
+    g, t = SignedGraph(3, pos, neg), SignedGraph(3, tuple(pos), tuple(neg))
+    assert t.adj == (0b010, 0b101, 0b010)  # the cached rows stay out of eq, hash and repr
+    assert g == t and hash(g) == hash(t) and repr(g) == repr(t)
+    pos[1], neg[2] = 0b101, 0  # pair 1-2 in both signs, and 2 no longer sees 1
+    assert (g.pos, g.neg) == ((0b010, 0b001, 0b000), (0b000, 0b100, 0b010))
+    assert g.edges() == [(0, 1, 1), (1, 2, -1)]
+
+
+def _bfs_components(n, adjacent):
+    """Components of the graph whose edges are the pairs adjacent(u, v), by
+    breadth-first search, each sorted, ordered by least vertex."""
+    seen, comps = set(), []
+    for s in range(n):
+        if s in seen:
+            continue
+        seen.add(s)
+        queue = [s]
+        for u in queue:
+            for v in range(n):
+                if v not in seen and adjacent(u, v):
+                    seen.add(v)
+                    queue.append(v)
+        comps.append(sorted(queue))
+    return comps
+
+
+@given(signed_graphs(min_n=1))
+def test_row_queries_match_sign_oracle(g):
+    """The shared row queries, on g and on its underlying graph, against an
+    oracle read from g.sign alone; balance by a scan of all 2^n switchings."""
+    n = g.n
+    S = [[g.sign(u, v) for v in range(n)] for u in range(n)]
+    degs = [sum(1 for x in row if x) for row in S]
+    nets = [sum(row) for row in S]
+    edges = [(u, v, S[u][v]) for u in range(n) for v in range(u + 1, n) if S[u][v]]
+    comps = _bfs_components(n, lambda u, v: S[u][v] != 0)
+    ug = g.underlying()
+    for h in (g, ug):
+        assert [h.degree(v) for v in range(n)] == h.degrees() == degs
+        assert h.edge_count() == len(edges)
+        assert h.is_regular() == (len(set(degs)) == 1)
+        assert h.is_complete() == all(d == n - 1 for d in degs)
+        assert h.is_connected() == (len(comps) == 1)
+        assert components(h.adj, n) == comps
+    assert g.edges() == edges
+    assert ug.edges() == [(u, v) for u, v, _ in edges]
+    assert g.net_degrees() == nets
+    assert g.is_net_regular() == (len(set(nets)) == 1)
+    switchings = product((1, -1), repeat=n)
+    assert is_balanced(g) == any(all(sgn == s[u] * s[v] for u, v, sgn in edges) for s in switchings)
 
 
 def test_size_envelope():

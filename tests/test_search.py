@@ -238,17 +238,10 @@ def test_search_k0_reports_homogeneous_hit():
     assert search_srsg(g9, SearchConfig(rho=6)).stats.raw_hits == 0
 
 
-def test_search_trivial_hosts_with_jobs():
-    # single-vertex and tiny hosts behave identically for any worker count
-    one = ugraph_from_edges(1, [])
-    a = search_srsg(one, SearchConfig(rho=0))
-    b = search_srsg(one, SearchConfig(rho=0, jobs=2))
-    assert a.stats.raw_hits == b.stats.raw_hits == 0  # edgeless graphs are never SRSGs
-    k2 = ugraph_from_edges(2, [(0, 1)])
-    a = search_srsg(k2, SearchConfig(rho=-1))
-    b = search_srsg(k2, SearchConfig(rho=-1, jobs=2))
-    assert a.stats.raw_hits == b.stats.raw_hits  # all-negative K2 is homogeneous complete
-    assert a.stats.raw_hits == 0
+def test_search_trivial_hosts():
+    # edgeless graphs are never SRSGs, and all-negative K2 is homogeneous complete
+    assert search_srsg(ugraph_from_edges(1, []), SearchConfig(rho=0)).stats.raw_hits == 0
+    assert search_srsg(ugraph_from_edges(2, [(0, 1)]), SearchConfig(rho=-1)).stats.raw_hits == 0
 
 
 def test_search_errors():
@@ -314,12 +307,11 @@ FULL_TREES = {(5, 0, "iso"): (130, 0), (5, 0, "none"): (220, 0), (16, 2, "none")
     ],
 )
 def test_budget_report_independent_of_jobs(host, rho, budget, dedupe):
-    """A budgeted report is the DFS cut at node budget + 1; a single host is
-    walked in one process, so jobs does not change it."""
+    """A budgeted report is the DFS cut at node budget + 1.  search_srsg does
+    not read jobs (a single host is walked in the calling process, see
+    test_single_host_starts_no_pool), so the cut is the same at any jobs."""
     g = _order10()[host]
     one = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe))
-    two = search_srsg(g, SearchConfig(rho=rho, node_budget=budget, dedupe=dedupe, jobs=2))
-    assert _outcome(two) == _outcome(one)
     full = search_srsg(g, SearchConfig(rho=rho, dedupe=dedupe)).stats
     assert (full.nodes, full.leaves) == FULL_TREES[host, rho, dedupe]
     assert one.exhaustive == (budget >= full.nodes)
@@ -342,11 +334,13 @@ def test_budgeted_catalog_independent_of_jobs():
         assert got == want, jobs
 
 
-def test_counters_independent_of_jobs_order10():
-    for g in _order10():
-        one = search_srsg(g, SearchConfig(rho=0))
-        two = search_srsg(g, SearchConfig(rho=0, jobs=2))
-        assert _outcome(two) == _outcome(one)
+def test_catalog_counters_independent_of_jobs_order10():
+    """The 21 order-10 hosts at rho=0, with no budget, report the same hits,
+    counters and per-host rows at jobs 1, 2 and 3."""
+    graphs = _catalog("6reg_order10.g6")
+    want = _outcome(search_catalog(graphs, SearchConfig(rho=0)))
+    for jobs in (2, 3):
+        assert _outcome(search_catalog(graphs, SearchConfig(rho=0, jobs=jobs))) == want, jobs
 
 
 def test_catalog_wall_time_is_elapsed(monkeypatch):
@@ -372,7 +366,7 @@ def test_catalog_wall_time_is_elapsed(monkeypatch):
     assert sum(inner) <= rep.stats.wall_time <= elapsed
 
 
-def test_pair_prune_off_matches_default():
+def test_degree_only_leaves_match_pruned_search():
     """The degree-only DFS (no pair prune), each leaf checked by the
     brute-force parameter oracle, keeps exactly the pruned search's hits."""
     g8 = build_underlying("G8")
@@ -430,16 +424,12 @@ def test_search_matches_brute_scan_small_hosts(name):
         assert sorted(rows(h.graph for h in rep.hits)) == rows(filtered), rho
 
 
-def test_determinism_and_jobs():
+def test_search_is_deterministic():
     g8 = build_underlying("G8")
     a = search_srsg(g8, SearchConfig(rho=2))
     b = search_srsg(g8, SearchConfig(rho=2))
     assert [h.canonical for h in a.hits] == [h.canonical for h in b.hits]
     assert a.stats.nodes == b.stats.nodes
-    par = search_srsg(g8, SearchConfig(rho=2, jobs=2))
-    assert [h.canonical for h in par.hits] == [h.canonical for h in a.hits]
-    assert par.stats.leaves == a.stats.leaves
-    assert par.stats.raw_hits == a.stats.raw_hits
 
 
 def test_search_catalog_aggregates_and_jobs():
@@ -450,6 +440,24 @@ def test_search_catalog_aggregates_and_jobs():
     assert len(rep1.per_graph) == 4
     rep2 = search_catalog(graphs, SearchConfig(rho=2, jobs=2))
     assert [h.canonical for h in rep2.hits] == [h.canonical for h in rep1.hits]
+
+
+def test_search_catalog_takes_a_generator():
+    """The hosts are read once: a generator of the four order-9 hosts reports
+    their two hits and four rows, as the list does, not an empty search."""
+    graphs = _catalog("6reg_order9.g6")
+    want = _outcome(search_catalog(graphs, SearchConfig(rho=2)))
+    rep = search_catalog((entry for entry in graphs), SearchConfig(rho=2))
+    assert (len(rep.hits), rep.stats.nodes, len(rep.per_graph)) == (2, 701, 4)
+    assert _outcome(rep) == want
+
+
+def test_search_of_a_list_rowed_host():
+    """A host built from list rows is the tuple-built host, so it searches
+    the same (the host's search order is cached by the graph's value)."""
+    g = _order10()[5]
+    listed = UGraph(g.n, list(g.nbr))
+    assert _outcome(search_srsg(listed, SearchConfig(rho=0))) == _outcome(search_srsg(g, SearchConfig(rho=0)))
 
 
 def test_dedupe_soundness_pairwise():
@@ -550,16 +558,15 @@ def _classes_of_every_signing(g, rho):
 def test_twin_reduced_search_finds_every_class(label):
     """At every net degree, the iso modes (which walk the twin-reduced tree)
     report exactly the classes of all the signings dedupe "none" finds, with
-    their parameters; at jobs 2 too on the hosts with at least 12 vertices."""
+    their parameters."""
     g = TWIN_TEST_HOSTS[label]
     r = g.degree(0)
     for rho in range(-r, r + 1, 2):
         want = _classes_of_every_signing(g, rho)
         for mode in ("iso", "iso-neg"):
-            for jobs in (1, 2) if g.n >= 12 else (1,):
-                rep = search_srsg(g, SearchConfig(rho=rho, dedupe=mode, jobs=jobs))
-                assert rep.exhaustive
-                assert {h.canonical: (h.params, h.cls) for h in rep.hits} == want[mode], (rho, mode, jobs)
+            rep = search_srsg(g, SearchConfig(rho=rho, dedupe=mode))
+            assert rep.exhaustive
+            assert {h.canonical: (h.params, h.cls) for h in rep.hits} == want[mode], (rho, mode)
 
 
 @pytest.mark.parametrize("label", [label for label, g in TWIN_TEST_HOSTS.items() if g.n <= 12])
@@ -821,12 +828,16 @@ def _alive(pid):
 
 def test_single_host_starts_no_pool(monkeypatch):
     """A host's tree is walked in the calling process: neither search_srsg
-    nor a one-host catalog at jobs=2 starts a pool."""
+    nor a one-host catalog at jobs=2 starts a pool, and both report as at
+    jobs=1, here with a budget that cuts the tree."""
     monkeypatch.setattr(srsg.search, "_pool", None)
     g = _order10()[5]
+    cfg = SearchConfig(rho=0, node_budget=90)
     try:
-        search_srsg(g, SearchConfig(rho=0, jobs=2))
-        search_catalog([("o10[5]", g)], SearchConfig(rho=0, jobs=2))
+        want = _outcome(search_srsg(g, cfg))
+        assert _outcome(search_srsg(g, replace(cfg, jobs=2))) == want
+        assert _outcome(search_catalog([("o10[5]", g)], replace(cfg, jobs=2)))[:3] == want[:3]
+        assert not want[1]
         assert srsg.search._pool is None
     finally:
         if srsg.search._pool is not None:
