@@ -55,6 +55,8 @@ def main() -> int:
     ap.add_argument("--limit", type=int, default=120, help="seconds allowed per run")
     ap.add_argument("--repeat", type=int, default=1, help="runs per graph; seconds is their median")
     args = ap.parse_args()
+    if args.limit < 1:
+        ap.error("--limit must be at least 1")
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
 

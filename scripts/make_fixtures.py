@@ -92,7 +92,7 @@ def cubic10_classes() -> list[UGraph]:
     for h in hosts:
         # the hosts are not regular, so this calls the search's DFS core
         # directly rather than enumerate_negative_subgraphs
-        for _, neg in _search_raw(h.nbr, n, 3):
+        for _, neg in _search_raw(h.nbr, 3):
             g = UGraph(n, neg)
             key = canonical_form(all_positive(g))
             if key not in seen:

@@ -128,8 +128,6 @@ from .regularity import classify  # noqa: F401
 
 DEDUPE_MODES = ("iso", "iso-neg", "none")
 
-_NODES, _LEAVES, _PDEG, _PPAIR = range(4)
-
 
 @dataclass
 class SearchStats:
@@ -161,10 +159,10 @@ class SearchConfig:
     iso only at rho = 0.  Only "none" walks every signing; the iso modes walk
     the twin-reduced tree (see the module docstring), and the report's
     counters count the tree walked.
-    node_budget caps the nodes of that tree; on overrun the report is
-    flagged non-exhaustive instead of raising.
-    jobs: worker processes a catalog search spreads its hosts over; each
-    host's tree is walked in one process, so a single host ignores it.
+    node_budget (None or >= 0) caps the nodes of that tree; on overrun
+    the report is flagged non-exhaustive instead of raising.
+    jobs (>= 1): worker processes a catalog search spreads its hosts over;
+    each host's tree is walked in one process, so a single host ignores it.
     """
 
     rho: int
@@ -176,6 +174,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.dedupe not in DEDUPE_MODES:
             raise ValueError(f"unknown dedupe mode {self.dedupe!r}")
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError(f"node_budget must be at least 0, got {self.node_budget}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,7 @@ class _BudgetStop(Exception):
     pass
 
 
-def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, twins=False, lookahead=False):
+def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, lookahead=False):
     """Block DFS over signings whose negative subgraph is k-regular.
 
     A generator: yields each leaf lazily, in DFS order, as (pos_rows,
@@ -219,8 +221,9 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, twins=False
     cut); later pairs must have that value.  A class with one admissible
     value is known from the start, on no trail.
 
-    counters: a list [nodes, leaves, pruned_degree, pruned_pair] the DFS
-    adds to.  With a budget the DFS stops when it reaches node budget + 1,
+    stats: the SearchStats whose nodes, leaves, pruned_degree and
+    pruned_pair the DFS adds to (None: a new one); search_srsg passes its
+    report's.  With a budget the DFS stops when it reaches node budget + 1,
     so it was cut short exactly when the nodes it counted exceed budget.
 
     twins: try one block choice per orbit of twin swaps (see the module
@@ -248,8 +251,9 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, twins=False
     of a complete vertex i is nbr[i] & ~negm[i], and the squared-matrix
     entry of a completed pair is read from negm as the module docstring says.
     """
-    if counters is None:
-        counters = [0, 0, 0, 0]
+    if stats is None:
+        stats = SearchStats()
+    n = len(nbr)
     negm = [0] * n
     negc = [0] * n
     bit = [1 << w for w in range(n)]
@@ -393,13 +397,13 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, twins=False
 
     def rec(u):
         if u == n:
-            counters[_LEAVES] += 1
+            stats.leaves += 1
             yield tuple(nbr[i] & ~negm[i] for i in range(n)), tuple(negm)
             return
         av = avail[u]
         need = k - negc[u]
         if need < 0 or need > len(av):
-            counters[_PDEG] += 1
+            stats.pruned_degree += 1
             return
         floor_u = floors[u]
         ub = 1 << u
@@ -408,8 +412,8 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, twins=False
         if mates:
             choices = (S for S in choices if not any(w in S and v not in S for v, w in mates))
         for S in choices:
-            counters[_NODES] += 1
-            if budget is not None and counters[_NODES] > budget:
+            stats.nodes += 1
+            if budget is not None and stats.nodes > budget:
                 raise _BudgetStop
             sm = 0
             for w in S:
@@ -424,10 +428,10 @@ def _search_raw(nbr, n, k, allowed=None, budget=None, counters=None, twins=False
                     break
             trail: list[int] = []
             if not ok:
-                counters[_PDEG] += 1
+                stats.pruned_degree += 1
             elif allowed is not None and not block_ok(u, trail):
                 ok = False
-                counters[_PPAIR] += 1
+                stats.pruned_pair += 1
             if ok:
                 yield from rec(u + 1)
             for c in trail:
@@ -491,7 +495,7 @@ def enumerate_negative_subgraphs(g: UGraph, k: int):
     if negative_degree(r, r - 2 * k) is None:  # k is the negative degree at net degree r - 2k
         raise DegreeMismatch(f"k={k} out of range 0..{r}")
     n = g.n
-    for _, neg in _search_raw(g.nbr, n, k):
+    for _, neg in _search_raw(g.nbr, k):
         yield tuple((u, w) for u in range(n) for w in range(u + 1, n) if (neg[u] >> w) & 1)
 
 
@@ -622,9 +626,7 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
     order, nbr = _search_order(g)
     # one signing per class suffices under the iso modes: walk the twin-reduced tree
     twins = cfg.dedupe != "none"
-    counters = [0, 0, 0, 0]
-    raw = list(_search_raw(nbr, n, k, allowed, budget, counters, twins=twins, lookahead=True))
-    stats.nodes, stats.leaves, stats.pruned_degree, stats.pruned_pair = counters
+    raw = list(_search_raw(nbr, k, allowed, budget, stats, twins=twins, lookahead=True))
 
     # leaf verification: recompute parameters exactly and apply the filter,
     # whether or not pair pruning already enforced them

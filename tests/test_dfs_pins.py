@@ -21,7 +21,7 @@ import pytest
 
 from conftest import FIXTURES, SWEEP, brute_square, kmm, sweep_stats
 from srsg.core import SignedGraph
-from srsg.search import _search_raw
+from srsg.search import SearchStats, _search_raw
 from srsg.sgio import read_graph6_file
 
 TARGETS = (
@@ -54,7 +54,7 @@ def has_twins(u):
 
 
 def pin_cases():
-    """(label, nbr, n, k, allowed, twins): learning (allowed=LEARN) and
+    """(label, nbr, k, allowed, twins): learning (allowed=LEARN) and
     FILTER everywhere, degree pruning alone (allowed=None) on hosts with at
     most 9 vertices, and learning on the twin-reduced tree on hosts with
     twins."""
@@ -67,21 +67,22 @@ def pin_cases():
             modes.append(("twins", LEARN, True))
         for rho in rhos:
             for mode, allowed, twins in modes:
-                yield f"{name}/rho{rho}/{mode}", u.nbr, u.n, (r - rho) // 2, allowed, twins
+                yield f"{name}/rho{rho}/{mode}", u.nbr, (r - rho) // 2, allowed, twins
 
 
-def _run(nbr, n, k, allowed, twins, budget=None):
-    counters = [0, 0, 0, 0]
-    items = list(_search_raw(nbr, n, k, allowed, budget, counters, twins=twins))
-    return counters, items
+def _run(nbr, k, allowed, twins, budget=None):
+    """The DFS's counters, as the list the pins were taken of, and its leaves."""
+    stats = SearchStats()
+    items = list(_search_raw(nbr, k, allowed, budget, stats, twins=twins))
+    return [stats.nodes, stats.leaves, stats.pruned_degree, stats.pruned_pair], items
 
 
 def pin_digests():
     out = {}
-    for label, nbr, n, k, allowed, twins in pin_cases():
+    for label, nbr, k, allowed, twins in pin_cases():
         runs = [
-            _run(nbr, n, k, allowed, twins),
-            _run(nbr, n, k, allowed, twins, budget=BUDGET),
+            _run(nbr, k, allowed, twins),
+            _run(nbr, k, allowed, twins, budget=BUDGET),
         ]
         out[label] = hashlib.sha256(repr(runs).encode()).hexdigest()
     return out
@@ -443,7 +444,7 @@ def test_sets_keep_exactly_the_admitted_leaves(name):
     r = u.degree(0)
     for rho in range(-r, r + 1, 2):
         k = (r - rho) // 2
-        leaves = [(leaf, _entries_by_class(u.n, *leaf)) for leaf in _search_raw(u.nbr, u.n, k)]
+        leaves = [(leaf, _entries_by_class(u.n, *leaf)) for leaf in _search_raw(u.nbr, k)]
         hit = next((cl for _, cl in leaves if _admitted(cl, LEARN)), ({0}, {0}, {0}))
         filters = {
             "FILTER": FILTER,
@@ -453,13 +454,13 @@ def test_sets_keep_exactly_the_admitted_leaves(name):
             "none": LEARN,
         }
         for lookahead in (False, True):
-            learn_nodes = [0, 0, 0, 0]
-            for _ in _search_raw(u.nbr, u.n, k, LEARN, None, learn_nodes, lookahead=lookahead):
+            learn = SearchStats()
+            for _ in _search_raw(u.nbr, k, LEARN, None, learn, lookahead=lookahead):
                 pass
             for label, sets in filters.items():
-                counters = [0, 0, 0, 0]
-                got = list(_search_raw(u.nbr, u.n, k, sets, None, counters, lookahead=lookahead))
+                stats = SearchStats()
+                got = list(_search_raw(u.nbr, k, sets, None, stats, lookahead=lookahead))
                 want = [leaf for leaf, cl in leaves if _admitted(cl, sets)]
                 case = (name, rho, label, lookahead)
                 assert got == want, case
-                assert counters[0] <= learn_nodes[0], case
+                assert stats.nodes <= learn.nodes, case

@@ -4,6 +4,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from conftest import SWEEP, sweep_stats
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -12,7 +14,8 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 
 def test_dfs_ladder_counts_the_tree_search_walks():
     """Each line of scripts/dfs_ladder.py has the nodes and leaves that
-    search_catalog reports for the same sweep."""
+    search_catalog reports for the same sweep, and a positive rate exactly
+    when the search walked nodes (order9 at rho=0 needs no DFS)."""
     out = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, "dfs_ladder.py"), "--repeat", "1"],
         capture_output=True, text=True, check=True,
@@ -21,6 +24,8 @@ def test_dfs_ladder_counts_the_tree_search_walks():
     assert [(row["hosts"], row["rho"]) for row in rows] == list(SWEEP)
     for row, stats in zip(rows, sweep_stats()):
         assert (row["nodes"], row["leaves"]) == (stats.nodes, stats.leaves), row
+        assert (row["nodes_per_s"] > 0) == (row["nodes"] > 0), row
+    assert rows[3]["nodes"] == 0
 
 
 def test_canon_ladder_repeats_and_counts():
@@ -35,6 +40,18 @@ def test_canon_ladder_repeats_and_counts():
     assert len(rows) == 12 and not any("timeout" in row for row in rows.values())
     assert (rows["K32,32"]["nodes"], rows["K32,32"]["leaves"]) == (125, 2)
     assert [rows[f"rook{m}"]["nodes"] for m in range(4, 9)] == [15, 21, 28, 36, 45]
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_canon_ladder_refuses_a_limit_below_one(limit):
+    """--limit 0 would switch the per-graph alarm off and --limit -1 was
+    accepted as is; both are usage errors, as --repeat 0 is."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "canon_ladder.py"), "--limit", limit],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and not proc.stdout
+    assert "--limit must be at least 1" in proc.stderr
 
 
 def test_bench_writes_spread_counters_and_deltas(tmp_path):

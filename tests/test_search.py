@@ -22,6 +22,7 @@ from srsg.regularity import negative_degree
 from srsg.search import (
     DEDUPE_MODES,
     SearchConfig,
+    SearchStats,
     _pool_map,
     _search_order,
     _search_raw,
@@ -144,6 +145,18 @@ def test_dedupe_mode_validated_by_config():
         search_catalog([], SearchConfig(rho=0, dedupe="iso_neg"))
     cfg = SearchConfig(rho=0, dedupe="iso-neg")
     assert len(search_catalog([("G8", g8), ("G8 again", g8)], cfg).hits) == 1
+
+
+def test_budget_and_jobs_validated_by_config():
+    """A negative node_budget, which stopped the DFS at its first node, and a
+    jobs below 1, which searched a catalog in process, are refused when the
+    config is built, as the CLI refuses them; a budget of 0 is valid."""
+    for kw in ({"node_budget": -1}, {"jobs": 0}, {"jobs": -3}):
+        with pytest.raises(ValueError):
+            SearchConfig(rho=2, **kw)
+    g = read_graph6_file(os.path.join(FIXTURES, "6reg_order9.g6"))[0]
+    rep = search_srsg(g, SearchConfig(rho=2, node_budget=0))
+    assert not rep.exhaustive and rep.stats.nodes == 1
 
 
 @pytest.mark.parametrize("mode", ["none", "iso", "iso-neg"])
@@ -577,15 +590,58 @@ def test_twin_reduced_leaves_are_a_subsequence(label):
     r = g.degree(0)
     for rho in range(-r, r + 1, 2):
         k = negative_degree(r, rho)
-        full = iter(_search_raw(g.nbr, g.n, k, LEARN))
-        reduced = list(_search_raw(g.nbr, g.n, k, LEARN, twins=True))
+        full = iter(_search_raw(g.nbr, k, LEARN))
+        reduced = list(_search_raw(g.nbr, k, LEARN, twins=True))
         assert all(leaf in full for leaf in reduced), rho
 
 
+def test_dfs_adds_to_the_record_it_is_given():
+    """_search_raw adds its counters to the SearchStats it is passed and
+    resets none: two runs into one record count twice what one run counts.
+    With no record passed it runs into one of its own."""
+    g = build_underlying("G8")
+    k = negative_degree(g.degree(0), 0)
+    once, twice = SearchStats(), SearchStats()
+    leaves = list(_search_raw(g.nbr, k, LEARN, None, once))
+    for _ in range(2):
+        assert list(_search_raw(g.nbr, k, LEARN, None, twice)) == leaves
+    assert once.nodes and once.leaves and once.pruned_degree and once.pruned_pair
+    assert twice == SearchStats(2 * once.nodes, 2 * once.leaves, 0, 2 * once.pruned_degree, 2 * once.pruned_pair)
+    assert list(_search_raw(g.nbr, k, LEARN)) == leaves
+
+
+def test_search_reports_the_record_its_dfs_wrote(monkeypatch):
+    """search_srsg passes its report's SearchStats to the DFS and copies no
+    counter: the record the DFS wrote, captured through the module's
+    _search_raw, is the report's, with the counters of a fresh run of the
+    DFS on the same arguments, and leaf verification adds raw_hits."""
+    dfs = srsg.search._search_raw
+    calls = []
+
+    def spy(nbr, k, allowed, budget, stats, **kw):
+        calls.append(((nbr, k, allowed, budget), stats, kw))
+        return dfs(nbr, k, allowed, budget, stats, **kw)
+
+    monkeypatch.setattr(srsg.search, "_search_raw", spy)
+    g = _order10()[16]
+    for cfg in (SearchConfig(rho=2), SearchConfig(rho=2, dedupe="none"),
+                SearchConfig(rho=2, dedupe="none", node_budget=400)):
+        rep = search_srsg(g, cfg)
+        ((args, stats, kw),) = calls
+        calls.clear()
+        assert rep.stats is stats
+        fresh = SearchStats()
+        list(dfs(*args, fresh, **kw))
+        assert stats == replace(fresh, raw_hits=stats.raw_hits, wall_time=stats.wall_time), cfg
+        assert stats.raw_hits > 0, cfg
+        if cfg.dedupe == "none":
+            assert stats.raw_hits == len(rep.hits), cfg
+
+
 def _leaves_and_nodes(g, k, twins, lookahead):
-    counters = [0, 0, 0, 0]
-    leaves = list(_search_raw(g.nbr, g.n, k, LEARN, None, counters, twins=twins, lookahead=lookahead))
-    return leaves, counters[0]
+    stats = SearchStats()
+    leaves = list(_search_raw(g.nbr, k, LEARN, None, stats, twins=twins, lookahead=lookahead))
+    return leaves, stats.nodes
 
 
 def _assert_lookahead_keeps_leaves(g, rhos, label):
@@ -634,7 +690,7 @@ def _verified_leaves(g, rho):
     g's own labelling with no twin cells: none of the search order's or the
     twin cells' code."""
     k = negative_degree(g.degree(0), rho)
-    leaves = (SignedGraph(g.n, pm, nm) for pm, nm in _search_raw(g.nbr, g.n, k, LEARN))
+    leaves = (SignedGraph(g.n, pm, nm) for pm, nm in _search_raw(g.nbr, k, LEARN))
     return [sg for sg in leaves if extract_params(sg) is not None]
 
 
@@ -790,7 +846,7 @@ def test_parity_answers_without_dfs(label):
         rep = search_srsg(g, SearchConfig(rho=rho))
         assert rep.exhaustive and not rep.hits and rep.stats.nodes == 0
         assert rep.per_graph[0]["note"].startswith("parity"), rho
-        assert not any(True for _ in _search_raw(g.nbr, g.n, k, LEARN)), rho
+        assert not any(True for _ in _search_raw(g.nbr, k, LEARN)), rho
 
 
 # -- the worker pool ----------------------------------------------------------
