@@ -94,10 +94,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--trace-seconds", type=float, default=15.0)
     args = ap.parse_args(argv)
+    if args.seconds is not None and args.seconds <= 0:
+        ap.error("--seconds must be positive")
+    if args.trace_seconds <= 0:
+        ap.error("--trace-seconds must be positive")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     counted = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
 

@@ -90,10 +90,12 @@ problems").  This is exact for a search that keeps one signing per class:
   entries are constant on each entry class, equal to the values known so
   far and admitted by the filter's sets; the look-ahead changes none
   of that, as a value the tie derives is the one every such leaf has and
-  a cut subtree holds none of them; an automorphism that fixes the state
-  keeps all of that, so the swap maps the accepted leaves below a
-  choice S one to one onto those below swap(S), each to an isomorphic
-  signing;
+  a cut subtree holds none of them; under the degree-only DFS (allowed
+  None, as scripts/make_fixtures.py walks K_n for its k-factors) they are
+  exactly the completions whose negative subgraph is k-regular; an
+  automorphism that fixes the state keeps all of that, so the swap maps
+  the accepted leaves below a choice S one to one onto those below
+  swap(S), each to an isomorphic signing;
 - every orbit of the cell permutations on block choices holds exactly one
   prefix-form choice, so by induction from the leaves the reduced tree
   finds a signing of every class the full tree finds;
@@ -234,8 +236,11 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     towards every decided vertex.  A choice S is accepted only when S meets
     each cell in a prefix of the cell in avail order; a rejected choice is
     not a node and is not counted.  Only blocks whose avail holds two
-    vertices of one twin class look at cells at all.  Off, the full tree is
-    walked and every signing is yielded.
+    vertices of one twin class look at cells at all.  The argument holds
+    with allowed None too, where a leaf is accepted exactly when its
+    negative subgraph is k-regular: on K_n, whose vertices are all twins,
+    the reduced tree still yields a k-factor of every isomorphism class.
+    Off, the full tree is walked and every signing is yielded.
 
     lookahead: with allowed not None, add the identity tie (on a regular
     host) and the forward check of the module docstring.  Both prunes count

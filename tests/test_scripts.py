@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,54 @@ from conftest import SWEEP, sweep_stats
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
+FIXTURES = os.path.join(ROOT, "fixtures")
+
+
+def _tree(top):
+    """{path relative to top: bytes} for every file below top."""
+    return {str(path.relative_to(top)): path.read_bytes() for path in pathlib.Path(top).rglob("*") if path.is_file()}
+
+
+def test_make_fixtures_regenerates_the_fixtures_byte_for_byte(tmp_path, monkeypatch):
+    """scripts/make_fixtures.py, run into an empty directory, writes the same
+    set of files as fixtures/ holds, each with the same bytes; one changed
+    byte in a copy of fixtures/ is told apart."""
+    spec = importlib.util.spec_from_file_location("make_fixtures", os.path.join(SCRIPTS, "make_fixtures.py"))
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "FIXTURES", str(tmp_path / "out"))
+    make_fixtures.main()
+    assert _tree(tmp_path / "out") == _tree(FIXTURES)
+    mutant = tmp_path / "mutant"
+    shutil.copytree(FIXTURES, mutant)
+    data = bytearray((mutant / "6reg_order10.g6").read_bytes())
+    data[1] ^= 1
+    (mutant / "6reg_order10.g6").write_bytes(bytes(data))
+    assert _tree(mutant) != _tree(FIXTURES)
+
+
+def test_make_fixtures_checks_every_batch_under_python_o_before_writing(tmp_path):
+    """Under python -O, where asserts vanish, an order-10 batch one class
+    short stops the script with exit 1 and a message naming the file and
+    both counts, before any file, order 8's included, is written."""
+    out = tmp_path / "out"
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('make_fixtures', sys.argv[1])\n"
+        "m = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(m)\n"
+        "six_regular = m.six_regular\n"
+        "m.six_regular = lambda n: six_regular(n)[:-1] if n == 10 else six_regular(n)\n"
+        "m.FIXTURES = sys.argv[2]\n"
+        "m.main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, os.path.join(SCRIPTS, "make_fixtures.py"), str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and not proc.stdout
+    assert "6reg_order10.g6 would hold 20 graphs, expected 21" in proc.stderr
+    assert not out.exists()
 
 
 def test_dfs_ladder_counts_the_tree_search_walks():
@@ -52,6 +102,27 @@ def test_canon_ladder_refuses_a_limit_below_one(limit):
     )
     assert proc.returncode == 2 and not proc.stdout
     assert "--limit must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--seconds", "--trace-seconds"])
+def test_bench_refuses_a_duration_of_zero(tmp_path, flag):
+    """--seconds 0 once fell back to the 50 s default and --trace-seconds 0
+    was refused by perfbench only after every untraced run; both are usage
+    errors now, refused before any perfbench run.  The bench script runs in
+    a copy whose perfbench/run.py only leaves a mark."""
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    shutil.copy(os.path.join(SCRIPTS, "bench.py"), tmp_path / "scripts")
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
+    mark = tmp_path / "ran"
+    (tmp_path / "perfbench" / "run.py").write_text(f"open({str(mark)!r}, 'w').close()\n")
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "bench.py"), "--out", str(tmp_path / "BENCH_1.json"), flag, "0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and not proc.stdout
+    assert f"{flag} must be positive" in proc.stderr
+    assert not mark.exists() and not (tmp_path / "BENCH_1.json").exists()
 
 
 def test_bench_writes_spread_counters_and_deltas(tmp_path):

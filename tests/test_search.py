@@ -582,17 +582,70 @@ def test_twin_reduced_search_finds_every_class(label):
             assert {h.canonical: (h.params, h.cls) for h in rep.hits} == want[mode], (rho, mode)
 
 
-@pytest.mark.parametrize("label", [label for label, g in TWIN_TEST_HOSTS.items() if g.n <= 12])
+SUBSEQUENCE_HOSTS = {
+    **{label: g for label, g in TWIN_TEST_HOSTS.items() if g.n <= 12},
+    "K6": complete_ugraph(6),
+    "K7": complete_ugraph(7),
+}
+
+
+@pytest.mark.parametrize("label", SUBSEQUENCE_HOSTS)
 def test_twin_reduced_leaves_are_a_subsequence(label):
     """The twin cells only remove children: the reduced tree's leaves are
-    some of the full tree's, in the same order."""
-    g = TWIN_TEST_HOSTS[label]
+    some of the full tree's, in the same order, under the class filter and
+    with degree pruning only (allowed=None, as scripts/make_fixtures.py
+    walks K_n).  The degree-only full trees of the fixture and target hosts
+    on 10 or 12 vertices hold up to 1.8 million nodes, about 30 s in all, so
+    those hosts run under the filter only; the complete and complete
+    bipartite hosts (labels "K...") run both ways."""
+    g = SUBSEQUENCE_HOSTS[label]
     r = g.degree(0)
+    filters = (LEARN, None) if g.n <= 9 or label.startswith("K") else (LEARN,)
     for rho in range(-r, r + 1, 2):
         k = negative_degree(r, rho)
-        full = iter(_search_raw(g.nbr, k, LEARN))
-        reduced = list(_search_raw(g.nbr, k, LEARN, twins=True))
-        assert all(leaf in full for leaf in reduced), rho
+        for allowed in filters:
+            full = iter(_search_raw(g.nbr, k, allowed))
+            reduced = list(_search_raw(g.nbr, k, allowed, twins=True))
+            assert all(leaf in full for leaf in reduced), (rho, allowed)
+
+
+# (n, k): the number of k-regular graphs of order n up to isomorphism,
+# connected or not: partitions of n into parts >= 3 for k = 2, OEIS A005638
+# for k = 3, the published quartic counts for k = 4, one perfect matching
+KN_FACTOR_CLASSES = {
+    (6, 2): 2, (7, 2): 2, (8, 2): 3, (9, 2): 4, (8, 1): 1, (6, 3): 2,
+    (8, 3): 6, (10, 3): 21, (7, 4): 2, (8, 4): 6, (9, 4): 16,
+}
+
+
+def _kn_factor_classes(n, k):
+    """{canonical form: negative subgraph} over the leaves of the
+    twin-reduced, degree-only DFS on K_n at negative degree k; every leaf's
+    negative rows are checked to be k-regular."""
+    classes = {}
+    for _, neg in _search_raw(complete_ugraph(n).nbr, k, twins=True):
+        g = UGraph(n, neg)
+        assert g.is_regular() and g.degree(0) == k
+        classes.setdefault(canonical_form(all_positive(g)), g)
+    return classes
+
+
+@pytest.mark.parametrize(("n", "k"), KN_FACTOR_CLASSES)
+def test_twin_reduced_dfs_on_complete_hosts_reaches_every_regular_class(n, k):
+    """On K_n every two vertices are twins, so the degree-only DFS walks
+    one block choice per cell prefix; its leaves still hold a k-factor of
+    every isomorphism class (the search module's docstring), as the
+    published counts say."""
+    assert len(_kn_factor_classes(n, k)) == KN_FACTOR_CLASSES[(n, k)]
+
+
+def test_cubic_classes_of_order_10_are_pairwise_non_isomorphic():
+    """networkx VF2, which shares no code with canonical_form, finds no two
+    of the 21 order-10 cubic representatives isomorphic."""
+    nx = pytest.importorskip("networkx")
+    reps = [nx.Graph(g.edges()) for g in _kn_factor_classes(10, 3).values()]
+    assert len(reps) == 21
+    assert not any(nx.is_isomorphic(a, b) for a, b in combinations(reps, 2))
 
 
 def test_dfs_adds_to_the_record_it_is_given():
