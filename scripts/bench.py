@@ -6,7 +6,10 @@ for `--seconds`; the file holds every run's end-to-end metrics and, per
 metric, the median and quartiles over the seeds.  One `--trace 1` run per
 workload, at the first seed, gives the exact counters: the per-layer
 metrics that BENCHMARK.json counts in unit "count" (search nodes, leaves,
-prunes, canonical-form and extract_params calls, ...).  The file also
+prunes, canonical-form and extract_params calls, ...), and its other
+per-layer metrics (layer seconds, rates and ratios such as
+search.parallel_speedup), from that one run and so as noisy as the host
+is; only the medians and the counters get deltas.  The file also
 records nproc and the Python version.  The deltas of every median and
 counter against the newest earlier BENCH_*.json in the same directory (the
 one with the largest number below <n>) are stored and printed.
@@ -103,6 +106,7 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     counted = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
+    layered = [m["name"] for m in bench["per_layer"] if m["unit"] != "count"]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
 
     result = {
@@ -127,6 +131,7 @@ def main(argv=None) -> int:
             "end_to_end": {name: {"unit": unit, **spread([r["metrics"][name] for r in runs])}
                            for name, unit in units.items()},
             "counters": {name: traced["metrics"][name]["value"] for name in counted},
+            "layers": {name: traced["metrics"][name]["value"] for name in layered},
             "traced_correct": traced["correct"],
         }
 
@@ -145,6 +150,7 @@ def main(argv=None) -> int:
             print(f"{wl} {name}: median {s['median']:.4g} {s['unit']} (quartiles {s['q1']:.4g}-{s['q3']:.4g})")
         for name, v in entry["counters"].items():
             print(f"{wl} {name}: {v}")
+        print(f"{wl} search.parallel_speedup (one traced run): {entry['layers']['search.parallel_speedup']:.3g}")
     for wl, changes in result["deltas"].items():
         for name, d in changes.items():
             change = "n/a" if d["change"] is None else f"{100 * d['change']:+.1f}%"

@@ -33,15 +33,24 @@ order are those of the DFS without them:
   not admitted, holds no accepted leaf), and later pairs of its class are
   checked against it.  A host that is not regular has no such identity,
   and the tie is off there;
-- the forward check: after block u, take a pair (t, v) with t <= u < v
-  whose class value e is learned.  Its entry sums sigma(tw)sigma(vw) over
-  the common neighbours w; the terms of w <= u are decided, and for w > u
-  sigma(tw) is known and sigma(vw) open.  Vertex v takes exactly
-  k - negc[v] more negative edges among its open edges, and that bounds
-  the open part to an interval of one parity.  Every completion of the
-  state has the pair's entry in that interval, so when e is not in it no
-  leaf below is accepted.  Only the pairs whose interval block u can move
-  are checked: (u, v) for every v > u, and (t, v) for t < u and v a later
+- the forward check: after block u, take a pair (t, v) with t <= u < v.
+  Its class is known, as sigma(tv) is decided.  Its entry sums
+  sigma(tw)sigma(vw) over the common neighbours w; the terms of w <= u are
+  decided, and for w > u sigma(tw) is known and sigma(vw) open.  Vertex v
+  takes exactly k - negc[v] more negative edges among its open edges, and
+  that bounds the entry to a span |C| + 2[lo - d, hi - d], whose values
+  all have the parity of |C|.  Every completion of the state has the
+  pair's entry in its span.  When the class value e is learned and not in the
+  span, no leaf below is accepted.  When it is not learned, every accepted
+  leaf below gives all pairs of the class one entry, which lies in each of
+  their spans: so when the spans of the class's pairs do not meet, or two
+  of them differ in parity, none is accepted.  On a regular host an
+  accepted leaf also meets the identity below, with each learned class at
+  its value and each unlearned one somewhere in its span; when the least
+  and largest sums over the spans miss the identity's right side, no leaf
+  is accepted.  A class none of whose pairs is checked bounds nothing, and
+  that test is skipped.  Only the pairs whose span block u can move are
+  checked: (u, v) for every v > u, and (t, v) for t < u and v a later
   neighbour of u.  A pair whose class value is learned after its last
   check waits for the next block that moves it, which only delays a cut.
 
@@ -210,6 +219,34 @@ class _BudgetStop(Exception):
     pass
 
 
+@functools.lru_cache
+def _dfs_tables(nbr: tuple[int, ...]):
+    """The tables of _search_raw that k does not change, built once per host
+    rows per process (cached as _search_order is): (avail, pairs, tid,
+    twin_block, ahead).  Only ahead is mutable; each of its rows is filled
+    in at most once, by the first forward check after its block."""
+    n = len(nbr)
+    # avail[u]: the later neighbours of u, whose edges block u decides
+    avail = tuple(tuple(w for w in range(u + 1, n) if (nbr[u] >> w) & 1) for u in range(n))
+    # pairs[u]: for each t < u, (t, common neighbours, their number, the
+    # entry class when tu is not negative: 0 adjacent, 2 non-adjacent)
+    pairs = tuple(
+        tuple((t, nbr[t] & nbr[u], (nbr[t] & nbr[u]).bit_count(), 0 if (nbr[u] >> t) & 1 else 2) for t in range(u))
+        for u in range(n)
+    )
+    # tid[w]: the least vertex whose host row equals w's once each ignores
+    # the other, w's class in the host as an all-positive signed graph
+    tid = list(range(n))
+    for cls in _twin_classes(nbr, (0,) * n):
+        for w in cls:
+            tid[w] = cls[0]
+    # twin_block[u]: whether avail[u] holds two vertices of one twin class
+    twin_block = tuple(len({tid[w] for w in av}) < len(av) for av in avail)
+    # ahead[u]: the forward check's pairs after block u, once built
+    ahead: list[list[tuple] | None] = [None] * n
+    return avail, pairs, tuple(tid), twin_block, ahead
+
+
 def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, lookahead=False):
     """Block DFS over signings whose negative subgraph is k-regular.
 
@@ -229,8 +266,10 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     so it was cut short exactly when the nodes it counted exceed budget.
 
     twins: try one block choice per orbit of twin swaps (see the module
-    docstring).  The twin class tid[w] of a vertex is computed once.  At
-    block u the later neighbours avail[u] fall into cells keyed by
+    docstring).  The twin class tid[w] of a vertex, like every table that k
+    does not change, is computed once per host per process (see
+    _dfs_tables).  At block u the later neighbours avail[u] fall into cells
+    keyed by
     (tid[w], negm[w]); for w > u, negm[w] holds exactly w's negative edges
     to 0..u-1, so with equal host rows, equal keys mean equal signed rows
     towards every decided vertex.  A choice S is accepted only when S meets
@@ -243,9 +282,9 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     Off, the full tree is walked and every signing is yielded.
 
     lookahead: with allowed not None, add the identity tie (on a regular
-    host) and the forward check of the module docstring.  Both prunes count
-    in pruned_pair.  A value the tie derives goes on the trail of its node,
-    so backtracking forgets it.  The leaves are those of lookahead=False, in
+    host) and the forward check of the module docstring, with its class
+    spans.  Both prunes count in pruned_pair.  A value the tie derives goes
+    on the trail of its node, so backtracking forgets it.  The leaves are those of lookahead=False, in
     the same order; only the tree shrinks.  search_srsg always looks ahead;
     False keeps the tree the DFS pins pin.
 
@@ -258,28 +297,15 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     """
     if stats is None:
         stats = SearchStats()
+    nbr = tuple(nbr)
     n = len(nbr)
+    avail, pairs, tid, twin_block, ahead = _dfs_tables(nbr)
     negm = [0] * n
     negc = [0] * n
     bit = [1 << w for w in range(n)]
-    avail = [[w for w in range(u + 1, n) if (nbr[u] >> w) & 1] for u in range(n)]
     # floors[u]: (w, the least negative degree w may have once block u is
     # decided), k minus the edges at w that later blocks still decide
     floors = [[(w, k - (nbr[w] >> (u + 1)).bit_count()) for w in avail[u]] for u in range(n)]
-    # pairs[u]: for each t < u, (t, common neighbours, their number, the
-    # entry class when tu is not negative: 0 adjacent, 2 non-adjacent)
-    pairs = [
-        [(t, nbr[t] & nbr[u], (nbr[t] & nbr[u]).bit_count(), 0 if (nbr[u] >> t) & 1 else 2) for t in range(u)]
-        for u in range(n)
-    ]
-    # tid[w]: the least vertex whose host row equals w's once each ignores
-    # the other, w's class in the host as an all-positive signed graph
-    tid = list(range(n))
-    if twins:
-        for cls in _twin_classes(nbr, (0,) * n):
-            for w in cls:
-                tid[w] = cls[0]
-    twin_block = [len({tid[w] for w in av}) < len(av) for av in avail]
     # learn[c]: the value of class c in every accepted leaf below, once known
     learn = [next(iter(s)) if s is not None and len(s) == 1 else None for s in allowed or (None,) * 3]
     ahead_on = lookahead and allowed is not None
@@ -290,8 +316,6 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     # host, and doubling leaves the quotient and the remainder test alone
     coef, tie_sum = _eq3_terms(n, r, r - 2 * k)
     tie_classes = [c for c in range(3) if coef[c]]
-    # ahead[u]: built at the first forward check after block u
-    ahead: list[list[tuple] | None] = [None] * n
 
     def ahead_pairs(u):
         """The pairs (t, v), t <= u < v, whose reachable entries may change
@@ -348,40 +372,67 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
         return True
 
     def reachable(u):
-        """Whether every pair of ahead[u] whose class is learned can still
-        reach its value e.  Of the open common neighbours w, where sigma(tw)
-        is known, pos are positive and nw negative.  If v takes x negative
-        edges to the former and y to the latter, the entry is e exactly when
-        y - x = (e - |C|)/2 + (decided w with sigma(tw) != sigma(vw)) + nw;
-        x <= pos, y <= nw, and x + y + z = k - negc[v], with z <= q the
-        negatives v takes on its other open edges."""
+        """Whether every pair of ahead[u] can still reach the value of its
+        class, and whether the identity can still be met.  Of the open common
+        neighbours w, where sigma(tw) is known, pos are positive and nw
+        negative.  If v takes x negative edges to the former and y to the
+        latter, the entry is |C| + 2(y - x - d), with d the decided w where
+        sigma(tw) != sigma(vw), plus nw; x <= pos, y <= nw, and x + y + z =
+        k - negc[v], with z <= q the negatives v takes on its other open
+        edges.  A learned class's value must lie in that span, with |C|'s
+        parity; the spans of an unlearned class's pairs must meet, all with
+        one parity."""
         rows = ahead[u]
         if rows is None:
             rows = ahead[u] = ahead_pairs(u)
+        lo = [None] * 3
+        hi = [0] * 3
         for t, v, cd, co, lam, lam_o, q, adj in rows:
             nt = negm[t]
-            e = learn[(nt >> v) & 1 if adj else 2]
-            if e is None:
-                continue
-            gap = e - lam
-            if gap & 1:
-                return False
+            c = (nt >> v) & 1 if adj else 2
             nw = (nt & co).bit_count()
-            j = (gap >> 1) + ((nt ^ negm[v]) & cd).bit_count() + nw
+            d = ((nt ^ negm[v]) & cd).bit_count() + nw
             m = k - negc[v]
             # the largest y - x: y = min(nw, m), x = max(0, m - q - y)
             y = nw if nw < m else m
             x = m - q - y
-            if j > (y - x if x > 0 else y):
-                return False
+            top = y - x if x > 0 else y
             # the least: x = min(pos, m), y = max(0, m - q - x)
             x = lam_o - nw
             if x > m:
                 x = m
             y = m - q - x
-            if j < (y - x if y > 0 else -x):
+            bottom = y - x if y > 0 else -x
+            low = lam + 2 * (bottom - d)
+            high = lam + 2 * (top - d)
+            e = learn[c]
+            if e is not None:
+                if (e ^ lam) & 1 or not low <= e <= high:
+                    return False
+                continue
+            if lo[c] is not None:
+                if (low ^ lo[c]) & 1:
+                    return False
+                if low < lo[c]:
+                    low = lo[c]
+                if high > hi[c]:
+                    high = hi[c]
+            if low > high:
                 return False
-        return True
+            lo[c], hi[c] = low, high
+        if not tie_on:
+            return True
+        # the identity with each unlearned class anywhere in its span
+        rest = least = most = 0
+        for c in tie_classes:
+            if learn[c] is not None:
+                rest += coef[c] * learn[c]
+            elif lo[c] is None:
+                return True
+            else:
+                least += coef[c] * lo[c]
+                most += coef[c] * hi[c]
+        return least <= tie_sum - rest <= most
 
     def block_ok(u, trail):
         """The pair checks of a closed block u: its completed pairs, then the
@@ -413,7 +464,7 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
         floor_u = floors[u]
         ub = 1 << u
         choices = combinations(av, need)
-        mates = cell_mates(u) if twin_block[u] else None
+        mates = cell_mates(u) if twins and twin_block[u] else None
         if mates:
             choices = (S for S in choices if not any(w in S and v not in S for v, w in mates))
         for S in choices:
@@ -493,13 +544,16 @@ def _pool_map(fn, items, jobs):
 
 def enumerate_negative_subgraphs(g: UGraph, k: int):
     """Yield the k-regular spanning subgraphs of g, each once, as sorted
-    (u, v) edge tuples, in the fixed lexicographic search order."""
+    (u, v) edge tuples, in the fixed lexicographic search order.  An odd
+    n * k yields none without a DFS, as search_srsg answers it."""
     if not g.is_regular():
         raise DegreeMismatch("underlying graph is not regular")
     r = g.degree(0)
     if negative_degree(r, r - 2 * k) is None:  # k is the negative degree at net degree r - 2k
         raise DegreeMismatch(f"k={k} out of range 0..{r}")
     n = g.n
+    if _no_dfs_note(n, k):
+        return
     for _, neg in _search_raw(g.nbr, k):
         yield tuple((u, w) for u in range(n) for w in range(u + 1, n) if (neg[u] >> w) & 1)
 

@@ -234,11 +234,11 @@ def test_cli_rejects_out_of_range_counts(capsys, fixtures_dir, argv):
 
 
 def test_search_cli_budget_same_output_any_jobs(tmp_path, capsys, fixtures_dir):
-    # order-10 host #5 has a 130-node twin-reduced tree at rho=0 (220
-    # nodes under --dedupe none): one node short of it, and all of it
+    # order-10 host #5 has a 14-node twin-reduced tree at rho=0 (20 nodes
+    # under --dedupe none): one node short of it, all of it, and far above it
     host = str(tmp_path / "host5.g6")
     write_graph6_file(host, [read_graph6_file(os.path.join(fixtures_dir, "6reg_order10.g6"))[5]])
-    for budget, exhaustive in (("129", False), ("130", True), ("855", True), ("856", True)):
+    for budget, exhaustive in (("13", False), ("14", True), ("855", True), ("856", True)):
         outs = []
         for jobs in ("1", "2"):
             rc, out, _ = run(capsys, ["search", "--underlying", host, "--rho", "0",

@@ -392,12 +392,12 @@ def test_dfs_trees_match_pins():
 
 # (nodes, leaves, pruned_degree, pruned_pair, raw_hits) of each SWEEP search
 SWEEP_COUNTERS = (
-    (7017, 0, 0, 5947, 0),
-    (4262, 12, 54, 3439, 12),
-    (717, 0, 80, 484, 0),
+    (1683, 0, 0, 1437, 0),
+    (968, 12, 16, 755, 12),
+    (134, 0, 2, 124, 0),
     (0, 0, 0, 0, 0),
-    (701, 2, 26, 526, 2),
-    (4, 0, 0, 2, 0),
+    (376, 2, 4, 299, 2),
+    (2, 0, 0, 1, 0),
 )
 
 

@@ -128,8 +128,8 @@ def test_bench_refuses_a_duration_of_zero(tmp_path, flag):
 def test_bench_writes_spread_counters_and_deltas(tmp_path):
     """scripts/bench.py at a tiny size, run in a copy of the checkout, since
     perfbench writes its results beside itself: the keys of the bench file,
-    its counters against search_catalog's, and its deltas against the newest
-    earlier bench file."""
+    its counters against search_catalog's, the traced run's other per-layer
+    metrics, and its deltas against the newest earlier bench file."""
     for name in ("src", "fixtures", "perfbench"):
         shutil.copytree(os.path.join(ROOT, name), tmp_path / name,
                         ignore=shutil.ignore_patterns("results", "__pycache__"))
@@ -158,6 +158,7 @@ def test_bench_writes_spread_counters_and_deltas(tmp_path):
     assert wl["counters"]["search.nodes"] == nodes
     assert wl["counters"]["search.leaves"] == sum(s.leaves for s in stats)
     assert wl["counters"]["search.pruned_pair"] == sum(s.pruned_pair for s in stats)
+    assert "search.nodes" not in wl["layers"] and wl["layers"]["search.parallel_speedup"] > 0
     assert bench["baseline"] == "BENCH_1.json"
     assert set(bench["deltas"]["sweep-d6-j2"]) == {"wall_s", "search.nodes"}
     assert bench["deltas"]["sweep-d6-j2"]["search.nodes"] == {"before": 1, "after": nodes, "change": nodes - 1}

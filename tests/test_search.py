@@ -32,6 +32,7 @@ from srsg.search import (
 )
 from srsg.sgio import read_graph6_file
 from srsg.verify import run_verification
+from test_dfs_pins import FILTER
 
 # _search_raw's per-class sets with no filter: learn every class's entry
 LEARN = (None, None, None)
@@ -74,6 +75,25 @@ def test_kfactor_requires_regular_host():
         list(enumerate_negative_subgraphs(path, 1))
     with pytest.raises(DegreeMismatch):
         list(enumerate_negative_subgraphs(complete_ugraph(4), 9))
+
+
+def test_kfactor_parity_answers_without_dfs(monkeypatch):
+    """n * k odd has no k-regular subgraph: an order-9 host at every odd k
+    yields none without entering the DFS (graph 1 at k = 3 walked 88,426
+    nodes for nothing), and an even k still searches."""
+    entered = []
+
+    def spy(nbr, k, *args, **kw):
+        entered.append(k)
+        return iter(())
+
+    g = read_graph6_file(os.path.join(FIXTURES, "6reg_order9.g6"))[1]
+    monkeypatch.setattr(srsg.search, "_search_raw", spy)
+    for k in (1, 3, 5):
+        assert list(enumerate_negative_subgraphs(g, k)) == [], k
+    assert entered == []
+    list(enumerate_negative_subgraphs(g, 2))
+    assert entered == [2]
 
 
 def brute_scan(g, rho):
@@ -285,13 +305,43 @@ def _outcome(rep):
 
 # (nodes, leaves) of the trees search_srsg walks, pinned so that a change of
 # search order or pruning that moves the budget edges below fails here
-FULL_TREES = {(5, 0, "iso"): (130, 0), (5, 0, "none"): (220, 0), (16, 2, "none"): (869, 12)}
+FULL_TREES = {
+    (0, 0, "iso"): (100, 0),
+    (0, 0, "none"): (220, 0),
+    (5, 0, "iso"): (14, 0),
+    (5, 0, "none"): (20, 0),
+    (16, 2, "none"): (587, 12),
+}
+# the leaves host #16 (T(5)) finds at rho=2 under dedupe "none" by each cut
+T5_LEAVES_BY_BUDGET = {300: 6, 400: 8, 586: 12}
 
 
 @pytest.mark.parametrize(
     "host, rho, budget, dedupe",
     [
-        # order-10 host #5 at rho=0: mid-tree, and the edges of both trees
+        # order-10 hosts #5 and #0 at rho=0: mid-tree, and the edges of both trees
+        (5, 0, 7, "iso"),
+        (5, 0, 13, "iso"),
+        (5, 0, 14, "iso"),
+        (5, 0, 19, "iso"),
+        (5, 0, 19, "none"),
+        (5, 0, 20, "none"),
+        (5, 0, 25, "none"),
+        (0, 0, 50, "iso"),
+        (0, 0, 99, "iso"),
+        (0, 0, 100, "iso"),
+        (0, 0, 105, "iso"),
+        (0, 0, 219, "none"),
+        (0, 0, 220, "none"),
+        (0, 0, 225, "none"),
+        # host #16 is T(5): the cuts fall after 6 and 8 of its 12 leaves, and
+        # one node short of its tree, after the last leaf
+        (16, 2, 300, "none"),
+        (16, 2, 400, "none"),
+        (16, 2, 586, "none"),
+        (16, 2, 587, "none"),
+        # far above the trees (at the edges of the larger trees of earlier
+        # search orders and prunes): exhaustive, as with no budget
         (5, 0, 90, "iso"),
         (5, 0, 129, "iso"),
         (5, 0, 130, "iso"),
@@ -299,9 +349,6 @@ FULL_TREES = {(5, 0, "iso"): (130, 0), (5, 0, "none"): (220, 0), (16, 2, "none")
         (5, 0, 219, "none"),
         (5, 0, 220, "none"),
         (5, 0, 225, "none"),
-        # host #16 is T(5): the cut falls after 6 of its 12 leaves
-        (16, 2, 400, "none"),
-        # far above the tree: exhaustive, as with no budget
         (5, 0, 600, "iso"),
         (5, 0, 855, "iso"),
         (5, 0, 856, "iso"),
@@ -330,7 +377,7 @@ def test_budget_report_independent_of_jobs(host, rho, budget, dedupe):
     assert one.exhaustive == (budget >= full.nodes)
     assert one.stats.nodes == min(budget + 1, full.nodes)
     if host == 16 and not one.exhaustive:
-        assert one.stats.leaves == 6
+        assert one.stats.leaves == T5_LEAVES_BY_BUDGET[budget]
 
 
 def test_budgeted_catalog_independent_of_jobs():
@@ -461,7 +508,7 @@ def test_search_catalog_takes_a_generator():
     graphs = _catalog("6reg_order9.g6")
     want = _outcome(search_catalog(graphs, SearchConfig(rho=2)))
     rep = search_catalog((entry for entry in graphs), SearchConfig(rho=2))
-    assert (len(rep.hits), rep.stats.nodes, len(rep.per_graph)) == (2, 701, 4)
+    assert (len(rep.hits), rep.stats.nodes, len(rep.per_graph)) == (2, 376, 4)
     assert _outcome(rep) == want
 
 
@@ -691,20 +738,21 @@ def test_search_reports_the_record_its_dfs_wrote(monkeypatch):
             assert stats.raw_hits == len(rep.hits), cfg
 
 
-def _leaves_and_nodes(g, k, twins, lookahead):
+def _leaves_and_nodes(g, k, twins, lookahead, allowed=LEARN):
     stats = SearchStats()
-    leaves = list(_search_raw(g.nbr, k, LEARN, None, stats, twins=twins, lookahead=lookahead))
+    leaves = list(_search_raw(g.nbr, k, allowed, None, stats, twins=twins, lookahead=lookahead))
     return leaves, stats.nodes
 
 
-def _assert_lookahead_keeps_leaves(g, rhos, label):
+def _assert_lookahead_keeps_leaves(g, rhos, label, allowed=LEARN):
     for rho in rhos:
         k = negative_degree(g.degree(0), rho)
         for twins in (True, False):
-            if not twins and g.n > 12 and abs(rho) <= 2:
+            # the full learning trees of the larger hosts near rho = 0 take too long
+            if allowed is LEARN and not twins and g.n > 12 and abs(rho) <= 2:
                 continue
-            plain, plain_nodes = _leaves_and_nodes(g, k, twins, False)
-            ahead, ahead_nodes = _leaves_and_nodes(g, k, twins, True)
+            plain, plain_nodes = _leaves_and_nodes(g, k, twins, False, allowed)
+            ahead, ahead_nodes = _leaves_and_nodes(g, k, twins, True, allowed)
             assert ahead == plain, (label, rho, twins)
             assert ahead_nodes <= plain_nodes, (label, rho, twins)
 
@@ -715,6 +763,13 @@ def test_lookahead_keeps_the_leaf_sequence(label):
     leaf: with twin cells on and off, the look-ahead DFS yields the leaves
     of the DFS without it, in the same order, and walks none of its own."""
     _assert_lookahead_keeps_leaves(HOSTS[label], (0, 2, 4), label)
+
+
+@pytest.mark.parametrize("label", HOSTS)
+def test_lookahead_keeps_the_leaf_sequence_under_a_filter(label):
+    """The same under the per-class sets of the DFS pins' filter, which
+    narrow what a class may learn, on every host with twin cells on and off."""
+    _assert_lookahead_keeps_leaves(HOSTS[label], (0, 2, 4), label, FILTER)
 
 
 def test_lookahead_keeps_the_leaf_sequence_on_small_hosts():
@@ -938,10 +993,10 @@ def _alive(pid):
 def test_single_host_starts_no_pool(monkeypatch):
     """A host's tree is walked in the calling process: neither search_srsg
     nor a one-host catalog at jobs=2 starts a pool, and both report as at
-    jobs=1, here with a budget that cuts the tree."""
+    jobs=1, here with a budget that cuts the tree (of 14 nodes)."""
     monkeypatch.setattr(srsg.search, "_pool", None)
     g = _order10()[5]
-    cfg = SearchConfig(rho=0, node_budget=90)
+    cfg = SearchConfig(rho=0, node_budget=7)
     try:
         want = _outcome(search_srsg(g, cfg))
         assert _outcome(search_srsg(g, replace(cfg, jobs=2))) == want
