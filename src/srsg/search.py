@@ -20,39 +20,39 @@ row minus its negative row, and a completed pair t < u has the entry
 |C| - 2 * popcount((neg[t] ^ neg[u]) & C) over its common neighbours C, by
 the rule that core._pair_walks derives.
 
-search_srsg's DFS, filtered or not, also looks ahead, with two prunes that
-each cut only subtrees holding no accepted leaf, so the leaves and their
-order are those of the DFS without them:
+search_srsg's DFS, filtered or not, also looks ahead, by a forward check
+that cuts only subtrees holding no accepted leaf, so the leaves and their
+order are those of the DFS without it.  Each entry class has one span,
+which holds the class's entry in every accepted leaf below the state.  A
+learned class's span is its value.  On an r-regular host every vertex of a
+leaf has r - k positive and k negative neighbours and n - 1 - r
+non-neighbours, so every accepted leaf's entries a, b, c satisfy a(r - k) +
+bk + c(n - 1 - r) = rho^2 - r, the row sum of the off-diagonal entries of
+A^2 (eq. (3), halved).  So once every class with a nonzero coefficient but
+one is learned, the value the identity derives for the last one is the
+value every accepted leaf below has: that value is its span, and a subtree
+where it is not an integer, or not admitted, holds no accepted leaf.  A
+host that is not regular has no such identity.  Every other class starts
+with no span.
 
-- the identity tie: on an r-regular host every vertex of a leaf has r - k
-  positive and k negative neighbours and n - 1 - r non-neighbours, so an
-  accepted leaf's entries a, b, c satisfy a(r - k) + bk + c(n - 1 - r) =
-  rho^2 - r, the row sum of the off-diagonal entries of A^2 (eq. (3),
-  halved).  Once every class with a nonzero coefficient but one is
-  known, the last one is derived (a subtree where it is not an integer, or
-  not admitted, holds no accepted leaf), and later pairs of its class are
-  checked against it.  A host that is not regular has no such identity,
-  and the tie is off there;
-- the forward check: after block u, take a pair (t, v) with t <= u < v.
-  Its class is known, as sigma(tv) is decided.  Its entry sums
-  sigma(tw)sigma(vw) over the common neighbours w; the terms of w <= u are
-  decided, and for w > u sigma(tw) is known and sigma(vw) open.  Vertex v
-  takes exactly k - negc[v] more negative edges among its open edges, and
-  that bounds the entry to a span |C| + 2[lo - d, hi - d], whose values
-  all have the parity of |C|.  Every completion of the state has the
-  pair's entry in its span.  When the class value e is learned and not in the
-  span, no leaf below is accepted.  When it is not learned, every accepted
-  leaf below gives all pairs of the class one entry, which lies in each of
-  their spans: so when the spans of the class's pairs do not meet, or two
-  of them differ in parity, none is accepted.  On a regular host an
-  accepted leaf also meets the identity below, with each learned class at
-  its value and each unlearned one somewhere in its span; when the least
-  and largest sums over the spans miss the identity's right side, no leaf
-  is accepted.  A class none of whose pairs is checked bounds nothing, and
-  that test is skipped.  Only the pairs whose span block u can move are
-  checked: (u, v) for every v > u, and (t, v) for t < u and v a later
-  neighbour of u.  A pair whose class value is learned after its last
-  check waits for the next block that moves it, which only delays a cut.
+After block u, take a pair (t, v) with t <= u < v.  Its class is known, as
+sigma(tv) is decided.  Its entry sums sigma(tw)sigma(vw) over the common
+neighbours w; the terms of w <= u are decided, and for w > u sigma(tw) is
+known and sigma(vw) open.  Vertex v takes exactly k - negc[v] more negative
+edges among its open edges, and that bounds the entry to a span |C| +
+2[lo - d, hi - d], whose values all have the parity of |C|.  Every
+completion of the state has the pair's entry in its span, and every
+accepted leaf below gives all pairs of a class one entry, in the class's
+span: so when a pair's span misses the class's span or differs from it in
+parity, none is accepted, and otherwise the class's span narrows to their
+meet.  On a regular host an accepted leaf also meets the identity with each
+class somewhere in its span; when the least and largest sums over the spans
+miss the identity's right side, none is accepted, a test skipped while a
+class with a nonzero coefficient has no span.  Only the pairs whose span
+block u can move are checked: (u, v) for every v > u, and (t, v) for t < u
+and v a later neighbour of u.  A pair whose class value is learned after
+its last check waits for the next block that moves it, which only delays a
+cut.
 
 search_srsg does not search the host in the labelling it is given.  It
 relabels the host into a greedy order computed from its canonical form (see
@@ -98,8 +98,8 @@ problems").  This is exact for a search that keeps one signing per class:
   state whose negative subgraph is k-regular and whose squared-matrix
   entries are constant on each entry class, equal to the values known so
   far and admitted by the filter's sets; the look-ahead changes none
-  of that, as a value the tie derives is the one every such leaf has and
-  a cut subtree holds none of them; under the degree-only DFS (allowed
+  of that, as a derived span holds the value every such leaf has and a
+  cut subtree holds none of them; under the degree-only DFS (allowed
   None, as scripts/make_fixtures.py walks K_n for its k-factors) they are
   exactly the completions whose negative subgraph is k-regular; an
   automorphism that fixes the state keeps all of that, so the swap maps
@@ -126,7 +126,7 @@ import threading
 import time
 from collections.abc import Iterable
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 
 from .core import SignedGraph, UGraph, _relabel, _twin_classes, all_positive, negation
@@ -150,11 +150,10 @@ class SearchStats:
     wall_time: float = 0.0
 
     def add(self, other: "SearchStats") -> None:
-        self.nodes += other.nodes
-        self.leaves += other.leaves
-        self.raw_hits += other.raw_hits
-        self.pruned_degree += other.pruned_degree
-        self.pruned_pair += other.pruned_pair
+        """Add each counter of other, every field but wall_time, to this one."""
+        for f in fields(self):
+            if f.name != "wall_time":
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass(frozen=True)
@@ -281,10 +280,10 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     the reduced tree still yields a k-factor of every isomorphism class.
     Off, the full tree is walked and every signing is yielded.
 
-    lookahead: with allowed not None, add the identity tie (on a regular
-    host) and the forward check of the module docstring, with its class
-    spans.  Both prunes count in pruned_pair.  A value the tie derives goes
-    on the trail of its node, so backtracking forgets it.  The leaves are those of lookahead=False, in
+    lookahead: with allowed not None, add the forward check of the module
+    docstring, with one span per class; its cuts count in pruned_pair.  A
+    class value is learned only in pairs_ok, on the trail, and derived only
+    in reachable, for the call.  The leaves are those of lookahead=False, in
     the same order; only the tree shrinks.  search_srsg always looks ahead;
     False keeps the tree the DFS pins pin.
 
@@ -311,7 +310,7 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     ahead_on = lookahead and allowed is not None
     r = nbr[0].bit_count() if n else 0
     tie_on = ahead_on and all(row.bit_count() == r for row in nbr)
-    # the identity tie: eq. (3) at net degree r - 2k, doubled; coef[c] is
+    # the identity: eq. (3) at net degree r - 2k, doubled; coef[c] is
     # twice the number of pairs of class c at each vertex of an r-regular
     # host, and doubling leaves the quotient and the remainder test alone
     coef, tie_sum = _eq3_terms(n, r, r - 2 * k)
@@ -350,43 +349,37 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
                 return False
         return True
 
-    def tie(trail):
-        """Derive the one class the identity leaves unlearned, or check the
-        identity when every class is learned."""
-        rest, missing = tie_sum, None
-        for c in tie_classes:
-            value = learn[c]
-            if value is not None:
-                rest -= coef[c] * value
-            elif missing is None:
-                missing = c
-            else:
-                return True
-        if missing is None:
-            return rest == 0
-        value, odd = divmod(rest, coef[missing])
-        if odd or (allowed[missing] is not None and value not in allowed[missing]):
-            return False
-        learn[missing] = value
-        trail.append(missing)
-        return True
-
     def reachable(u):
-        """Whether every pair of ahead[u] can still reach the value of its
-        class, and whether the identity can still be met.  Of the open common
-        neighbours w, where sigma(tw) is known, pos are positive and nw
-        negative.  If v takes x negative edges to the former and y to the
-        latter, the entry is |C| + 2(y - x - d), with d the decided w where
-        sigma(tw) != sigma(vw), plus nw; x <= pos, y <= nw, and x + y + z =
-        k - negc[v], with z <= q the negatives v takes on its other open
-        edges.  A learned class's value must lie in that span, with |C|'s
-        parity; the spans of an unlearned class's pairs must meet, all with
-        one parity."""
+        """Whether every pair of ahead[u] can still reach its class's span,
+        and the identity its spans (see the module docstring).  Of a pair's
+        open common neighbours w, where sigma(tw) is known, pos are positive
+        and nw negative.  If v takes x negative edges to the former and y to
+        the latter, the entry is |C| + 2(y - x - d), with d the decided w
+        where sigma(tw) != sigma(vw), plus nw; x <= pos, y <= nw, and x + y +
+        z = k - negc[v], with z <= q the negatives v takes on its other open
+        edges."""
         rows = ahead[u]
         if rows is None:
             rows = ahead[u] = ahead_pairs(u)
-        lo = [None] * 3
-        hi = [0] * 3
+        # a learned class's span is its value, and the one identity class
+        # left unlearned starts at the value the identity derives
+        lo = learn[:]
+        hi = learn[:]
+        if tie_on:
+            rest, missing = tie_sum, None
+            for c in tie_classes:
+                if learn[c] is not None:
+                    rest -= coef[c] * learn[c]
+                elif missing is None:
+                    missing = c
+                else:
+                    break
+            else:
+                if missing is not None:
+                    value, odd = divmod(rest, coef[missing])
+                    if odd or (allowed[missing] is not None and value not in allowed[missing]):
+                        return False
+                    lo[missing] = hi[missing] = value
         for t, v, cd, co, lam, lam_o, q, adj in rows:
             nt = negm[t]
             c = (nt >> v) & 1 if adj else 2
@@ -405,11 +398,6 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
             bottom = y - x if y > 0 else -x
             low = lam + 2 * (bottom - d)
             high = lam + 2 * (top - d)
-            e = learn[c]
-            if e is not None:
-                if (e ^ lam) & 1 or not low <= e <= high:
-                    return False
-                continue
             if lo[c] is not None:
                 if (low ^ lo[c]) & 1:
                     return False
@@ -422,22 +410,19 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
             lo[c], hi[c] = low, high
         if not tie_on:
             return True
-        # the identity with each unlearned class anywhere in its span
-        rest = least = most = 0
+        # the identity with each class anywhere in its span
+        least = most = 0
         for c in tie_classes:
-            if learn[c] is not None:
-                rest += coef[c] * learn[c]
-            elif lo[c] is None:
+            if lo[c] is None:
                 return True
-            else:
-                least += coef[c] * lo[c]
-                most += coef[c] * hi[c]
-        return least <= tie_sum - rest <= most
+            least += coef[c] * lo[c]
+            most += coef[c] * hi[c]
+        return least <= tie_sum <= most
 
     def block_ok(u, trail):
         """The pair checks of a closed block u: its completed pairs, then the
-        tie and the forward check when they are on."""
-        return pairs_ok(u, trail) and (not (tie_on and trail) or tie(trail)) and (not ahead_on or reachable(u))
+        forward check when it is on."""
+        return pairs_ok(u, trail) and (not ahead_on or reachable(u))
 
     def cell_mates(u):
         """(v, w) for each two vertices of avail[u] that are next to each

@@ -9,8 +9,9 @@ learned entries, twins=True) on the hosts that have two vertices with equal
 host rows once each ignores the other.  Every pin runs the DFS on the host
 as given and without the look-ahead; the iso modes of `search_srsg` walk
 it in the host's search order and with the look-ahead, and
-`test_sweep_counters_are_pinned` pins the counters of that tree on the six
-sweep searches.  To regenerate the table from a trusted checkout, run
+`test_sweep_counters_are_pinned` and `test_target_counters_are_pinned` pin
+the counters of that tree on the six sweep searches and on the target
+hosts.  To regenerate the table from a trusted checkout, run
 `pin_digests()` with that checkout's `src` on the path.
 """
 
@@ -21,7 +22,7 @@ import pytest
 
 from conftest import FIXTURES, SWEEP, brute_square, kmm, sweep_stats
 from srsg.core import SignedGraph
-from srsg.search import SearchStats, _search_raw
+from srsg.search import SearchConfig, SearchStats, _search_raw, search_srsg
 from srsg.sgio import read_graph6_file
 
 TARGETS = (
@@ -408,6 +409,36 @@ def test_sweep_counters_are_pinned(jobs):
     rho=0 needs no DFS, as n * k is odd."""
     got = [(s.nodes, s.leaves, s.pruned_degree, s.pruned_pair, s.raw_hits) for s in sweep_stats(jobs)]
     assert dict(zip(SWEEP, got)) == dict(zip(SWEEP, SWEEP_COUNTERS))
+
+
+# (nodes, leaves, pruned_degree, pruned_pair, raw_hits) of search_srsg under
+# dedupe "iso" on each TARGETS host at rho 0, 2 and 4
+TARGET_COUNTERS = {
+    "g8": ((225, 2, 0, 169, 2), (155, 7, 11, 81, 7), (3, 0, 0, 3, 0)),
+    "g9": ((0, 0, 0, 0, 0), (36, 1, 0, 27, 1), (0, 0, 0, 0, 0)),
+    "gq22": ((0, 0, 0, 0, 0), (2571, 6, 6, 2104, 6), (0, 0, 0, 0, 0)),
+    "k333": ((0, 0, 0, 0, 0), (29, 1, 0, 15, 1), (0, 0, 0, 0, 0)),
+    "k66": ((5, 0, 0, 3, 0), (2, 0, 0, 1, 0), (12, 1, 0, 0, 1)),
+    "paley13": ((0, 0, 0, 0, 0), (664, 0, 0, 531, 0), (0, 0, 0, 0, 0)),
+    "s16u": ((586, 2, 0, 488, 2), (209, 0, 3, 178, 0), (32, 0, 2, 24, 0)),
+    "s1_15u": ((0, 0, 0, 0, 0), (372, 1, 10, 287, 1), (0, 0, 0, 0, 0)),
+    "s2_12u": ((748, 0, 0, 620, 0), (174, 0, 9, 139, 0), (84, 1, 16, 33, 1)),
+    "s3_12u": ((972, 0, 0, 814, 0), (364, 0, 0, 297, 0), (32, 1, 5, 15, 1)),
+}
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_target_counters_are_pinned(name):
+    """The tree search_srsg walks on each target host, in its search order
+    and with the look-ahead.  Unlike the sweep's trees, these depend on the
+    span the identity derives for the last unlearned class: without it GQ22
+    at rho=2 walks 3,371 nodes, not 2,571."""
+    (u,) = read_graph6_file(os.path.join(FIXTURES, "targets", name + ".g6"))
+    got = []
+    for rho in (0, 2, 4):
+        s = search_srsg(u, SearchConfig(rho=rho)).stats
+        got.append((s.nodes, s.leaves, s.pruned_degree, s.pruned_pair, s.raw_hits))
+    assert tuple(got) == TARGET_COUNTERS[name]
 
 
 def _entries_by_class(n, pm, nm):

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import signal
@@ -6,7 +7,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 
 import pytest
@@ -710,6 +711,19 @@ def test_dfs_adds_to_the_record_it_is_given():
     assert list(_search_raw(g.nbr, k, LEARN)) == leaves
 
 
+def test_stats_add_sums_every_counter_but_wall_time():
+    """SearchStats.add sums each counter field, each given a distinct value
+    here, into its own field, and leaves both records' wall_time alone."""
+    names = [f.name for f in fields(SearchStats) if f.name != "wall_time"]
+    assert {"nodes", "leaves", "raw_hits", "pruned_degree", "pruned_pair"} <= set(names)
+    total = SearchStats(**{name: i + 1 for i, name in enumerate(names)}, wall_time=0.5)
+    other = SearchStats(**{name: 100 * (i + 1) for i, name in enumerate(names)}, wall_time=7.0)
+    total.add(other)
+    assert [getattr(total, name) for name in names] == [101 * (i + 1) for i in range(len(names))]
+    assert (total.wall_time, other.wall_time) == (0.5, 7.0)
+    assert [getattr(other, name) for name in names] == [100 * (i + 1) for i in range(len(names))]
+
+
 def test_search_reports_the_record_its_dfs_wrote(monkeypatch):
     """search_srsg passes its report's SearchStats to the DFS and copies no
     counter: the record the DFS wrote, captured through the module's
@@ -745,6 +759,10 @@ def _leaves_and_nodes(g, k, twins, lookahead, allowed=LEARN):
 
 
 def _assert_lookahead_keeps_leaves(g, rhos, label, allowed=LEARN):
+    """Check the look-ahead leaves and nodes against the DFS without it, at
+    each rho with twin cells on and off; return the look-ahead nodes, keyed
+    by (rho, twins) in that order."""
+    nodes = {}
     for rho in rhos:
         k = negative_degree(g.degree(0), rho)
         for twins in (True, False):
@@ -755,13 +773,16 @@ def _assert_lookahead_keeps_leaves(g, rhos, label, allowed=LEARN):
             ahead, ahead_nodes = _leaves_and_nodes(g, k, twins, True, allowed)
             assert ahead == plain, (label, rho, twins)
             assert ahead_nodes <= plain_nodes, (label, rho, twins)
+            nodes[rho, twins] = ahead_nodes
+    return nodes
 
 
 @pytest.mark.parametrize("label", HOSTS)
 def test_lookahead_keeps_the_leaf_sequence(label):
-    """The identity tie and the forward check cut only subtrees that hold no
-    leaf: with twin cells on and off, the look-ahead DFS yields the leaves
-    of the DFS without it, in the same order, and walks none of its own."""
+    """The forward check, with its spans learned and derived, cuts only
+    subtrees that hold no leaf: with twin cells on and off, the look-ahead
+    DFS yields the leaves of the DFS without it, in the same order, and
+    walks none of its own."""
     _assert_lookahead_keeps_leaves(HOSTS[label], (0, 2, 4), label)
 
 
@@ -775,7 +796,7 @@ def test_lookahead_keeps_the_leaf_sequence_under_a_filter(label):
 def test_lookahead_keeps_the_leaf_sequence_on_small_hosts():
     """The same at every net degree of the brute-scan hosts, where K6 at
     rho = +-5 has a single entry class, and on a host that is not regular,
-    where the tie is off."""
+    where no span is derived from the identity."""
     for name, g in SMALL_HOSTS.items():
         r = g.degree(0)
         _assert_lookahead_keeps_leaves(g, range(-r, r + 1, 2), name)
@@ -784,6 +805,92 @@ def test_lookahead_keeps_the_leaf_sequence_on_small_hosts():
     for k in range(4):
         for twins in (True, False):
             assert _leaves_and_nodes(g, k, twins, True)[0] == _leaves_and_nodes(g, k, twins, False)[0], k
+
+
+def _two_fixed_sets():
+    """(free, a, b, sets): per-class sets that fix two classes at a and b
+    before the first block and leave the free one open."""
+    for free in range(3):
+        for a in (-2, 0, 2):
+            for b in (-2, 0, 2):
+                sets = [frozenset({a}), frozenset({b})]
+                sets.insert(free, None)
+                yield free, a, b, tuple(sets)
+
+
+# Sets that fix two classes before the first block are the one case where
+# the look-ahead's tree changed when its identity tie became a derived
+# span.  The tie ran only at a block that learned a value, so here it first
+# checked the identity once a completed pair learned the free class; the
+# span derives that class at block 0.  TIE_TREE_DIGESTS holds, per host,
+# the sha256 of the repr of the tie's look-ahead node counts in the order
+# the test walks them; TIE_CUTS holds the tie's count for each
+# (free, a, b, rho, twins) where the span walks fewer nodes.
+TIE_TREE_DIGESTS = {
+    "6reg_order8.g6#0": "2791fe6205a2e7aed34defd3e51cfaf07796a4bb6cf40944f8d70f0ca874008b",
+    "6reg_order9.g6#0": "ffda0785ccb9a842e8f24a56f63b11ae060ef827623d05cec11905b0800c9ac9",
+    "6reg_order9.g6#1": "f51c244050ccfa4ac380ffa5f7b0b7a7989ba2781d1ccdb226fc5b7cba85766b",
+    "6reg_order9.g6#2": "f51c244050ccfa4ac380ffa5f7b0b7a7989ba2781d1ccdb226fc5b7cba85766b",
+    "6reg_order9.g6#3": "f51c244050ccfa4ac380ffa5f7b0b7a7989ba2781d1ccdb226fc5b7cba85766b",
+    "g8.g6": "96ca2496050c0f6e68d135da04ea44030775e051e8654bfc0abee7aa34543e50",
+    "g9.g6": "f51c244050ccfa4ac380ffa5f7b0b7a7989ba2781d1ccdb226fc5b7cba85766b",
+    "k333.g6": "ffda0785ccb9a842e8f24a56f63b11ae060ef827623d05cec11905b0800c9ac9",
+}
+TIE_CUTS = {
+    "6reg_order8.g6#0": {
+        (0, -2, -2, 0, True): 123, (0, -2, -2, 0, False): 612, (0, -2, 0, -2, True): 57,
+        (0, -2, 0, -2, False): 240, (0, -2, 2, 0, True): 101, (0, -2, 2, 0, False): 532,
+        (0, 0, -2, 0, True): 123, (0, 0, -2, 0, False): 612, (0, 0, 0, 2, True): 39,
+        (0, 0, 0, 2, False): 195, (0, 0, 2, 0, True): 27, (0, 0, 2, 0, False): 180,
+        (0, 0, 2, 2, True): 39, (0, 0, 2, 2, False): 195, (0, 2, -2, 0, True): 27,
+        (0, 2, -2, 0, False): 180, (0, 2, -2, 2, True): 91, (0, 2, -2, 2, False): 380,
+        (0, 2, 0, 2, True): 57, (0, 2, 0, 2, False): 240, (1, -2, -2, 0, True): 123,
+        (1, -2, -2, 0, False): 612, (1, -2, 0, 2, True): 57, (1, -2, 0, 2, False): 240,
+        (1, -2, 2, 0, True): 101, (1, -2, 2, 0, False): 532, (1, 0, -2, 0, True): 123,
+        (1, 0, -2, 0, False): 612, (1, 0, 0, -2, True): 39, (1, 0, 0, -2, False): 195,
+        (1, 0, 2, -2, True): 39, (1, 0, 2, -2, False): 195, (1, 0, 2, 0, True): 27,
+        (1, 0, 2, 0, False): 180, (1, 2, -2, -2, True): 95, (1, 2, -2, -2, False): 380,
+        (1, 2, -2, 0, True): 27, (1, 2, -2, 0, False): 180, (1, 2, 0, -2, True): 57,
+        (1, 2, 0, -2, False): 240,
+    },
+    "g8.g6": {
+        (0, -2, -2, 0, True): 55, (0, -2, -2, 0, False): 220, (0, -2, 0, -2, True): 79,
+        (0, -2, 0, -2, False): 248, (0, -2, 2, 0, True): 99, (0, -2, 2, 0, False): 352,
+        (0, 0, -2, 0, True): 85, (0, 0, -2, 0, False): 320, (0, 0, 0, 2, True): 24,
+        (0, 0, 0, 2, False): 115, (0, 0, 2, 0, True): 17, (0, 0, 2, 0, False): 100,
+        (0, 0, 2, 2, True): 24, (0, 0, 2, 2, False): 115, (0, 2, -2, 0, True): 17,
+        (0, 2, -2, 0, False): 100, (0, 2, -2, 2, True): 37, (0, 2, -2, 2, False): 140,
+        (0, 2, 0, 2, True): 37, (0, 2, 0, 2, False): 140, (1, -2, -2, 0, True): 55,
+        (1, -2, -2, 0, False): 220, (1, -2, 0, 2, True): 52, (1, -2, 0, 2, False): 248,
+        (1, -2, 2, 0, True): 74, (1, -2, 2, 0, False): 352, (1, 0, -2, 0, True): 71,
+        (1, 0, -2, 0, False): 320, (1, 0, 0, -2, True): 30, (1, 0, 0, -2, False): 115,
+        (1, 0, 2, -2, True): 30, (1, 0, 2, -2, False): 115, (1, 0, 2, 0, True): 17,
+        (1, 0, 2, 0, False): 100, (1, 2, -2, -2, True): 43, (1, 2, -2, -2, False): 140,
+        (1, 2, -2, 0, True): 17, (1, 2, -2, 0, False): 100, (1, 2, 0, -2, True): 43,
+        (1, 2, 0, -2, False): 140,
+    },
+}
+
+
+@pytest.mark.parametrize("label", [label for label, g in HOSTS.items() if g.n <= 9])
+def test_lookahead_keeps_the_leaf_sequence_with_two_classes_fixed(label):
+    """The same under sets that fix two classes at a, b in {-2, 0, 2} and
+    leave the third open, at every net degree, where the identity derives
+    the third class before the first block: the leaves are unchanged, and
+    the look-ahead walks the tie's tree, or fewer nodes where TIE_CUTS says
+    so, never more."""
+    g = HOSTS[label]
+    r = g.degree(0)
+    cuts = TIE_CUTS.get(label, {})
+    was = []
+    for free, a, b, sets in _two_fixed_sets():
+        for (rho, twins), nodes in _assert_lookahead_keeps_leaves(g, range(-r, r + 1, 2), label, sets).items():
+            case = (free, a, b, rho, twins)
+            if case in cuts:
+                assert nodes < cuts[case], case
+                nodes = cuts[case]
+            was.append(nodes)
+    assert hashlib.sha256(repr(was).encode()).hexdigest() == TIE_TREE_DIGESTS[label]
 
 
 def test_lookahead_walks_a_small_kmm_tree_without_dedupe():
