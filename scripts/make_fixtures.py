@@ -17,7 +17,8 @@ target names against the catalog's, are checked before any file is
 written, by explicit checks that python -O keeps; a failed one exits 1
 naming the file.  Each file holds canonical representatives sorted by
 their graph6 line; fixtures/targets/ holds the catalog's targeted
-underlying graphs, which verify-classification reads.
+underlying graphs, which CI, perfbench and the tests read;
+verify-classification builds its targets with catalog.build_underlying.
 """
 
 from __future__ import annotations

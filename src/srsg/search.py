@@ -47,12 +47,16 @@ span: so when a pair's span misses the class's span or differs from it in
 parity, none is accepted, and otherwise the class's span narrows to their
 meet.  On a regular host an accepted leaf also meets the identity with each
 class somewhere in its span; when the least and largest sums over the spans
-miss the identity's right side, none is accepted, a test skipped while a
-class with a nonzero coefficient has no span.  Only the pairs whose span
-block u can move are checked: (u, v) for every v > u, and (t, v) for t < u
-and v a later neighbour of u.  A pair whose class value is learned after
-its last check waits for the next block that moves it, which only delays a
-cut.
+miss the identity's right side, none is accepted.  Each class with a
+nonzero coefficient has a span by then: once block u passes the degree
+check, u has exactly k negative, r - k positive and n - 1 - r non-adjacent
+pairs, each either closed, so that its class is learned, or a pair (u, v)
+with v > u, checked after block u, so that its class has a span; and a
+class's coefficient is nonzero exactly when u has a pair of it.  Only the
+pairs whose span block u can move are checked: (u, v) for every v > u, and
+(t, v) for t < u and v a later neighbour of u.  A pair whose class value is
+learned after its last check waits for the next block that moves it, which
+only delays a cut.
 
 search_srsg does not search the host in the labelling it is given.  It
 relabels the host into a greedy order computed from its canonical form (see
@@ -220,10 +224,9 @@ class _BudgetStop(Exception):
 
 @functools.lru_cache
 def _dfs_tables(nbr: tuple[int, ...]):
-    """The tables of _search_raw that k does not change, built once per host
-    rows per process (cached as _search_order is): (avail, pairs, tid,
-    twin_block, ahead).  Only ahead is mutable; each of its rows is filled
-    in at most once, by the first forward check after its block."""
+    """The tables of _search_raw that k does not change, built whole once
+    per host rows per process (cached as _search_order is), all tuples:
+    (avail, pairs, tid, twin_block, ahead)."""
     n = len(nbr)
     # avail[u]: the later neighbours of u, whose edges block u decides
     avail = tuple(tuple(w for w in range(u + 1, n) if (nbr[u] >> w) & 1) for u in range(n))
@@ -241,9 +244,24 @@ def _dfs_tables(nbr: tuple[int, ...]):
             tid[w] = cls[0]
     # twin_block[u]: whether avail[u] holds two vertices of one twin class
     twin_block = tuple(len({tid[w] for w in av}) < len(av) for av in avail)
-    # ahead[u]: the forward check's pairs after block u, once built
-    ahead: list[list[tuple] | None] = [None] * n
-    return avail, pairs, tuple(tid), twin_block, ahead
+    # ahead[u]: the pairs (t, v), t <= u < v, whose reachable entries may
+    # change when block u closes: (t, v, decided and open common neighbours,
+    # the number of all and of the open ones, v's other open edges, whether
+    # tv is an edge)
+    ahead = []
+    for u in range(n):
+        high = ~((1 << (u + 1)) - 1)
+        rows = []
+        for t, vs in [(u, range(u + 1, n))] + [(t, avail[u]) for t in range(u)]:
+            nt = nbr[t]
+            for v in vs:
+                common = nt & nbr[v]
+                co = common & high
+                lam_o = co.bit_count()
+                q = (nbr[v] & high).bit_count() - lam_o
+                rows.append((t, v, common & ~high, co, common.bit_count(), lam_o, q, (nt >> v) & 1))
+        ahead.append(tuple(rows))
+    return avail, pairs, tuple(tid), twin_block, tuple(ahead)
 
 
 def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, lookahead=False):
@@ -316,23 +334,6 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     coef, tie_sum = _eq3_terms(n, r, r - 2 * k)
     tie_classes = [c for c in range(3) if coef[c]]
 
-    def ahead_pairs(u):
-        """The pairs (t, v), t <= u < v, whose reachable entries may change
-        when block u closes: (t, v, decided and open common neighbours, the
-        number of all and of the open ones, v's other open edges, whether tv
-        is an edge)."""
-        high = ~((1 << (u + 1)) - 1)
-        out = []
-        for t, vs in [(u, range(u + 1, n))] + [(t, avail[u]) for t in range(u)]:
-            nt = nbr[t]
-            for v in vs:
-                common = nt & nbr[v]
-                co = common & high
-                lam_o = co.bit_count()
-                q = (nbr[v] & high).bit_count() - lam_o
-                out.append((t, v, common & ~high, co, common.bit_count(), lam_o, q, (nt >> v) & 1))
-        return out
-
     def pairs_ok(u, trail):
         nu = negm[u]
         for t, common, lam, c in pairs[u]:
@@ -358,9 +359,6 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
         where sigma(tw) != sigma(vw), plus nw; x <= pos, y <= nw, and x + y +
         z = k - negc[v], with z <= q the negatives v takes on its other open
         edges."""
-        rows = ahead[u]
-        if rows is None:
-            rows = ahead[u] = ahead_pairs(u)
         # a learned class's span is its value, and the one identity class
         # left unlearned starts at the value the identity derives
         lo = learn[:]
@@ -380,7 +378,7 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
                     if odd or (allowed[missing] is not None and value not in allowed[missing]):
                         return False
                     lo[missing] = hi[missing] = value
-        for t, v, cd, co, lam, lam_o, q, adj in rows:
+        for t, v, cd, co, lam, lam_o, q, adj in ahead[u]:
             nt = negm[t]
             c = (nt >> v) & 1 if adj else 2
             nw = (nt & co).bit_count()
@@ -413,16 +411,9 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
         # the identity with each class anywhere in its span
         least = most = 0
         for c in tie_classes:
-            if lo[c] is None:
-                return True
             least += coef[c] * lo[c]
             most += coef[c] * hi[c]
         return least <= tie_sum <= most
-
-    def block_ok(u, trail):
-        """The pair checks of a closed block u: its completed pairs, then the
-        forward check when it is on."""
-        return pairs_ok(u, trail) and (not ahead_on or reachable(u))
 
     def cell_mates(u):
         """(v, w) for each two vertices of avail[u] that are next to each
@@ -470,7 +461,7 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
             trail: list[int] = []
             if not ok:
                 stats.pruned_degree += 1
-            elif allowed is not None and not block_ok(u, trail):
+            elif allowed is not None and not (pairs_ok(u, trail) and (not ahead_on or reachable(u))):
                 ok = False
                 stats.pruned_pair += 1
             if ok:

@@ -182,6 +182,9 @@ def test_check_cli_non_ascii_sg(tmp_path, capsys):
         ("sg 3 1\n0 5 +\n", "VertexOutOfRange", 2),
         ("sg 3 1\n1 1 +\n", "SelfLoop", 2),
         ("sg 100 0\n", "SizeExceeded", 1),
+        ("sg x 1\n", "BadHeader", 1),
+        ("sg 0 0\n", "BadHeader", 1),
+        ("sg 2 1\n0 1\n", "BadEdgeLine", 2),
     ],
 )
 def test_check_cli_sg_data_errors_name_file_and_line(tmp_path, capsys, text, error, line):
@@ -200,6 +203,28 @@ def test_search_cli_malformed_params(capsys, fixtures_dir):
     assert rc == 1
     obj = json.loads(err.splitlines()[-1])["error"]
     assert obj["type"] == "ParseError" and "8,6,x,1,2" in obj["message"]
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ("1,2,3", "--params expects 'n,r,a,b,c', got '1,2,3'"),
+        ("?,6,0,0,0", "--params requires concrete n and r"),
+    ],
+)
+def test_search_cli_params_rows_need_five_entries_and_concrete_n_r(capsys, fixtures_dir, params, message):
+    g8 = os.path.join(fixtures_dir, "targets", "g8.g6")
+    rc, out, err = run(capsys, ["search", "--underlying", g8, "--rho", "0", "--params", params])
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert json.loads(err.splitlines()[-1])["error"] == {"message": message, "type": "SignedGraphError"}
+
+
+def test_search_cli_non_integer_jobs_is_usage_error(capsys, fixtures_dir):
+    g8 = os.path.join(fixtures_dir, "targets", "g8.g6")
+    with pytest.raises(SystemExit) as ei:
+        main(["search", "--underlying", g8, "--rho", "0", "--jobs", "x"])
+    assert ei.value.code == 2
+    assert "argument --jobs: expected an integer, got 'x'" in capsys.readouterr().err
 
 
 def test_search_cli_empty_params_is_usage_error(capsys, fixtures_dir):

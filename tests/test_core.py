@@ -16,6 +16,7 @@ from srsg.core import (
     negative_subgraph,
     net_degree,
     positive_subgraph,
+    sign_with,
     square_entries,
     triangle_census,
     two_walk_counts,
@@ -50,6 +51,16 @@ def test_self_loop_and_range_rejected():
         from_signed_edges(3, [(0, 3, 1)])
     with pytest.raises(VertexOutOfRange):
         net_degree(from_signed_edges(2, [(0, 1, 1)]), 5)
+
+
+def test_invalid_arguments_are_typed_errors():
+    g = from_signed_edges(3, [(0, 1, 1), (1, 2, -1)])
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        two_walk_counts(g, 1, 1)
+    with pytest.raises(ValueError, match="has sign 0"):
+        from_signed_edges(2, [(0, 1, 0)])
+    with pytest.raises(VertexOutOfRange, match=r"\(0, 2\) is not an edge"):
+        sign_with(ugraph_from_edges(3, [(0, 1), (1, 2)]), [(0, 2)])
 
 
 def test_direct_construction_checks_rows():
@@ -255,8 +266,7 @@ def test_triangle_census_total_is_trace_oracle(g):
 @given(signed_graphs())
 def test_balanced_has_no_unbalanced_triangles(g):
     if is_balanced(g):
-        c = triangle_census(g)
-        assert c.counts[1] == 0 and c.counts[3] == 0
+        assert triangle_census(g).unbalanced == 0
 
 
 def blown_up_signings():

@@ -64,6 +64,8 @@ def test_graph6_errors():
         parse_graph6("")
     with pytest.raises(MalformedHeader):
         parse_graph6("~??")  # multi-byte size header out of scope
+    with pytest.raises(MalformedHeader, match="size byte '\\?' is not a valid vertex count"):
+        parse_graph6("?")  # n = 0; a size byte must give 1..62 vertices
     with pytest.raises(TruncatedPayload):
         parse_graph6("C")
     with pytest.raises(TrailingBits):
@@ -72,6 +74,8 @@ def test_graph6_errors():
         parse_graph6("Bz")  # nonzero padding bits for n=3
     with pytest.raises(BadCharacter):
         parse_graph6("C!")  # '!' is below the graph6 alphabet
+    with pytest.raises(SizeExceeded, match="n <= 62, got 63"):
+        emit_graph6(ugraph_from_edges(63, []))
 
 
 def test_fixture_ingestion_counts():

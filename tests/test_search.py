@@ -24,6 +24,7 @@ from srsg.search import (
     DEDUPE_MODES,
     SearchConfig,
     SearchStats,
+    _dfs_tables,
     _pool_map,
     _search_order,
     _search_raw,
@@ -795,16 +796,43 @@ def test_lookahead_keeps_the_leaf_sequence_under_a_filter(label):
 
 def test_lookahead_keeps_the_leaf_sequence_on_small_hosts():
     """The same at every net degree of the brute-scan hosts, where K6 at
-    rho = +-5 has a single entry class, and on a host that is not regular,
-    where no span is derived from the identity."""
+    rho = +-5 has a single entry class, and on hosts that are not regular,
+    where no span is derived from the identity.  On the path 0-1-2 at k = 2,
+    block 0 cannot take two negative edges: the degree guard counts one
+    prune and no node, with and without per-class sets."""
     for name, g in SMALL_HOSTS.items():
         r = g.degree(0)
         _assert_lookahead_keeps_leaves(g, range(-r, r + 1, 2), name)
-    # Q3 plus the long diagonals 0-7 and 1-6: degrees 3 and 4
-    g = ugraph_from_edges(8, sorted(cube(3).edges()) + [(0, 7), (1, 6)])
-    for k in range(4):
-        for twins in (True, False):
-            assert _leaves_and_nodes(g, k, twins, True)[0] == _leaves_and_nodes(g, k, twins, False)[0], k
+    # Q3 plus the long diagonals 0-7 and 1-6: degrees 3 and 4; every node
+    # is cut at block 0
+    q3 = ugraph_from_edges(8, sorted(cube(3).edges()) + [(0, 7), (1, 6)])
+    # K6 minus the triangle 3-4-5: degrees 5, 5, 5, 3, 3, 3; the forward
+    # check passes blocks here with no identity to check
+    k6 = ugraph_from_edges(6, [(u, v) for u, v in combinations(range(6), 2) if u < 3])
+    for g in (q3, k6):
+        for k in range(4):
+            for twins in (True, False):
+                ahead, ahead_nodes = _leaves_and_nodes(g, k, twins, True)
+                plain, plain_nodes = _leaves_and_nodes(g, k, twins, False)
+                assert ahead == plain, (g.n, k, twins)
+                if g is k6 and k in (1, 2):
+                    assert ahead_nodes < plain_nodes, (k, twins)
+    p3 = ugraph_from_edges(3, [(0, 1), (1, 2)])
+    for allowed in (None, LEARN):
+        stats = SearchStats()
+        assert list(_search_raw(p3.nbr, 2, allowed, None, stats)) == []
+        assert stats == SearchStats(pruned_degree=1), allowed
+
+
+def test_dfs_tables_are_built_whole_and_never_change():
+    """_dfs_tables caches tables that no search can change: every table is
+    a tuple, so the result hashes; it equals a fresh build; and a second call
+    returns the same object."""
+    rows = build_underlying("G8").nbr
+    tables = _dfs_tables(rows)
+    hash(tables)
+    assert tables == _dfs_tables.__wrapped__(rows)
+    assert _dfs_tables(rows) is tables
 
 
 def _two_fixed_sets():
