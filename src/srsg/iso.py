@@ -217,13 +217,11 @@ def _code_rows(g: SignedGraph) -> list[bytes]:
     return rows
 
 
-def _encode(g: SignedGraph, order: list[int], codes: list[bytes] | None = None) -> bytes:
+def _encode(g: SignedGraph, order: list[int], codes: list[bytes]) -> bytes:
     """The encoding of g under order; codes are g's `_code_rows`."""
     n = g.n
     out = bytearray([n])
     if n > 1:
-        if codes is None:
-            codes = _code_rows(g)
         gather = itemgetter(*order)
         for i in range(n - 1):
             out.extend(gather(codes[order[i]])[i + 1 :])

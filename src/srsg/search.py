@@ -131,7 +131,7 @@ import time
 from collections.abc import Iterable
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .core import SignedGraph, UGraph, _relabel, _twin_classes, all_positive, negation
 from .errors import DegreeMismatch, DisconnectedInput
@@ -151,13 +151,11 @@ class SearchStats:
     raw_hits: int = 0
     pruned_degree: int = 0
     pruned_pair: int = 0
-    wall_time: float = 0.0
 
     def add(self, other: "SearchStats") -> None:
-        """Add each counter of other, every field but wall_time, to this one."""
+        """Add each counter of other to this one."""
         for f in fields(self):
-            if f.name != "wall_time":
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass(frozen=True)
@@ -209,6 +207,8 @@ class SearchReport:
     per_graph holds one row per host, in input order: raw_hits, nodes,
     leaves, exhaustive, and a note that says why a host needed no search
     (empty otherwise).  Rows of a catalog search also carry the host's name.
+    stats holds the deterministic counters; wall_time is the elapsed time of
+    the call that made the report.
     """
 
     rho: int
@@ -216,6 +216,7 @@ class SearchReport:
     stats: SearchStats
     exhaustive: bool
     per_graph: list[dict]
+    wall_time: float
 
 
 class _BudgetStop(Exception):
@@ -496,23 +497,23 @@ def _exit_with_parent() -> None:
 _pool = None  # ((pid, jobs), the ProcessPoolExecutor that process made)
 
 
-def _pool_map(fn, items, jobs):
-    """[fn(x) for x in items]: in this process at jobs <= 1 or with at most
-    one item, otherwise in the process's pool of jobs workers (see the module
-    docstring).  The items go out in chunks of ceil(len(items) / (2 * jobs)),
-    so each worker takes about two chunks rather than one round trip per
-    item.  Results keep the order of items, and the first error a task
+def _pool_map(fn, items, jobs, *more):
+    """list(map(fn, items, *more)): in this process at jobs <= 1 or with at
+    most one item, otherwise in the process's pool of jobs workers (see the
+    module docstring).  The items go out in chunks of ceil(len(items) / (2 *
+    jobs)), so each worker takes about two chunks rather than one round trip
+    per item.  Results keep the order of items, and the first error a task
     raises is raised here.  A broken pool is dropped and its error raised."""
     global _pool
     if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+        return list(map(fn, items, *more))
     pid = os.getpid()
     if _pool is None or _pool[0] != (pid, jobs):
         if _pool is not None and _pool[0][0] == pid:
             _pool[1].shutdown()
         _pool = (pid, jobs), ProcessPoolExecutor(jobs, initializer=_exit_with_parent)
     try:
-        return list(_pool[1].map(fn, items, chunksize=max(1, math.ceil(len(items) / (2 * jobs)))))
+        return list(_pool[1].map(fn, items, *more, chunksize=max(1, math.ceil(len(items) / (2 * jobs)))))
     except BrokenProcessPool:
         _pool = None
         raise
@@ -633,7 +634,6 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
     stats = SearchStats()
 
     def report(hits: list[Hit], exhaustive: bool, note: str = "") -> SearchReport:
-        stats.wall_time = time.perf_counter() - t0
         row = {
             "raw_hits": stats.raw_hits,
             "nodes": stats.nodes,
@@ -641,7 +641,7 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
             "exhaustive": exhaustive,
             "note": note,
         }
-        return SearchReport(cfg.rho, hits, stats, exhaustive, [row])
+        return SearchReport(cfg.rho, hits, stats, exhaustive, [row], time.perf_counter() - t0)
 
     k = negative_degree(r, cfg.rho)
     note = _no_dfs_note(g.n, k)
@@ -682,12 +682,12 @@ def search_catalog(graphs: Iterable[tuple[str, UGraph]], cfg: SearchConfig) -> S
 
     The hosts are spread over cfg.jobs worker processes (see _pool_map), each
     host searched whole by one of them, and merged in input order; one host,
-    or jobs = 1, is searched in this process.  stats.wall_time is the elapsed
-    time of the whole call.
+    or jobs = 1, is searched in this process.  wall_time is the elapsed time
+    of the whole call.
     """
     t0 = time.perf_counter()
     graphs = list(graphs)
-    reports = _pool_map(_host_worker, [(g, cfg) for _, g in graphs], cfg.jobs)
+    reports = _pool_map(search_srsg, [g for _, g in graphs], cfg.jobs, repeat(cfg))
 
     stats = SearchStats()
     per_graph: list[dict] = []
@@ -697,11 +697,7 @@ def search_catalog(graphs: Iterable[tuple[str, UGraph]], cfg: SearchConfig) -> S
         per_graph.append({"name": name, **rep.per_graph[0]})
         hits.extend(rep.hits)
 
-    stats.wall_time = time.perf_counter() - t0
     exhaustive = all(rep.exhaustive for rep in reports)
-    return SearchReport(cfg.rho, _report_order(hits, cfg.dedupe), stats, exhaustive, per_graph)
-
-
-def _host_worker(payload):
-    g, cfg = payload
-    return search_srsg(g, cfg)
+    return SearchReport(
+        cfg.rho, _report_order(hits, cfg.dedupe), stats, exhaustive, per_graph, time.perf_counter() - t0
+    )

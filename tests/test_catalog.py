@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from srsg import catalog
 from srsg.catalog import CatalogEntry, build, build_underlying, list_names, underlying_names
 from srsg.core import components, negation, negative_subgraph, positive_subgraph
 from srsg.errors import ConstructionInvalid, UnknownName
-from srsg.iso import _encode, are_isomorphic, canonical_form
+from srsg.iso import _code_rows, _encode, are_isomorphic, canonical_form
 from srsg.params import negation_dual
 from srsg.regularity import (
     SrsgClass,
@@ -69,13 +70,35 @@ def test_search_entry_pin_must_be_a_fixed_point(monkeypatch):
     # S1_9 encoded with vertices 0 and 1 swapped decodes to an isomorphic
     # graph, but that encoding is not its own canonical form
     g = build("S1_9").graph
-    pin = _encode(g, [1, 0] + list(range(2, g.n))).hex()
+    pin = _encode(g, [1, 0] + list(range(2, g.n)), _code_rows(g)).hex()
     assert pin != canonical_form(g).hex()
     builder, tup, rho, provenance, _ = catalog._ENTRIES["S1_9"]
     monkeypatch.setitem(catalog._ENTRIES, "S1_9", (builder, tup, rho, provenance, pin))
     monkeypatch.setattr(catalog, "_cache", {})
     with pytest.raises(ConstructionInvalid):
         build("S1_9")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (1, (8, 6, -4, 4, 4), "built parameters"),
+    (2, 4, "net-degrees"),
+], ids=["params", "rho"])
+def test_build_rejects_an_entry_that_misses_its_record(monkeypatch, field, value, message):
+    # S2_8 recorded with a wrong c, or a wrong net degree
+    entry = list(catalog._ENTRIES["S2_8"])
+    entry[field] = value
+    monkeypatch.setitem(catalog._ENTRIES, "S2_8", tuple(entry))
+    monkeypatch.setattr(catalog, "_cache", {})
+    with pytest.raises(ConstructionInvalid, match=message):
+        build("S2_8")
+
+
+@pytest.mark.parametrize("name, message", [("GQ22", "SRG(15,6,1,3)"), ("Paley13", "SRG(13,6,2,3)")])
+def test_srg_builders_check_their_parameters(monkeypatch, name, message):
+    monkeypatch.setattr(catalog, "_validate_srg", lambda *args: False)
+    monkeypatch.setattr(catalog, "_cache", {})
+    with pytest.raises(ConstructionInvalid, match=re.escape(message)):
+        build_underlying(name)
 
 
 def test_unknown_name():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -353,6 +354,17 @@ def test_verify_rejects_other_degrees(capsys, fixtures_dir):
                               "--fixtures", fixtures_dir])
     assert rc == 1
     assert "degree 6" in json.loads(err.splitlines()[-1])["error"]["message"]
+
+
+def test_verify_rejects_fixture_catalogs_of_the_wrong_sizes(tmp_path, capsys, fixtures_dir):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(fixtures_dir, fixtures)
+    order9 = fixtures / "6reg_order9.g6"
+    order9.write_text("".join(order9.read_text().splitlines(keepends=True)[:3]))
+    rc, out, err = run(capsys, ["verify-classification", "--degree", "6", "--fixtures", str(fixtures)])
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"error": {"message": "fixture catalogs must hold 1/4/21 graphs, got 1/3/21",
+                                         "type": "SignedGraphError"}}
 
 
 def test_verify_classification_cli(capsys, fixtures_dir):

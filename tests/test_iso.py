@@ -83,6 +83,8 @@ def test_witness_is_verified_mapping(g):
 
 def test_param_invariant_fast_path():
     assert are_isomorphic(build("S2_8").graph, build("S4_8").graph) == (False, None)
+    # graphs of different orders are decided before any invariant
+    assert are_isomorphic(build("S2_8").graph, build("S_9").graph) == (False, None)
 
 
 def test_fingerprint_short_circuit():

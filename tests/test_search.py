@@ -8,7 +8,7 @@ import time
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
-from itertools import combinations
+from itertools import combinations, repeat
 
 import pytest
 
@@ -425,7 +425,7 @@ def test_catalog_wall_time_is_elapsed(monkeypatch):
     rep = search_catalog(graphs, SearchConfig(rho=2))
     elapsed = time.perf_counter() - before
     assert len(inner) == len(graphs) == 4
-    assert sum(inner) <= rep.stats.wall_time <= elapsed
+    assert sum(inner) <= rep.wall_time <= elapsed
 
 
 def test_degree_only_leaves_match_pruned_search():
@@ -712,17 +712,16 @@ def test_dfs_adds_to_the_record_it_is_given():
     assert list(_search_raw(g.nbr, k, LEARN)) == leaves
 
 
-def test_stats_add_sums_every_counter_but_wall_time():
-    """SearchStats.add sums each counter field, each given a distinct value
-    here, into its own field, and leaves both records' wall_time alone."""
-    names = [f.name for f in fields(SearchStats) if f.name != "wall_time"]
-    assert {"nodes", "leaves", "raw_hits", "pruned_degree", "pruned_pair"} <= set(names)
-    total = SearchStats(**{name: i + 1 for i, name in enumerate(names)}, wall_time=0.5)
-    other = SearchStats(**{name: 100 * (i + 1) for i, name in enumerate(names)}, wall_time=7.0)
+def test_stats_add_sums_every_counter():
+    """SearchStats holds the five counters only, and add sums each of them,
+    each given a distinct value here, into its own field."""
+    names = [f.name for f in fields(SearchStats)]
+    assert names == ["nodes", "leaves", "raw_hits", "pruned_degree", "pruned_pair"]
+    total = SearchStats(*(i + 1 for i in range(5)))
+    other = SearchStats(*(100 * (i + 1) for i in range(5)))
     total.add(other)
-    assert [getattr(total, name) for name in names] == [101 * (i + 1) for i in range(len(names))]
-    assert (total.wall_time, other.wall_time) == (0.5, 7.0)
-    assert [getattr(other, name) for name in names] == [100 * (i + 1) for i in range(len(names))]
+    assert total == SearchStats(*(101 * (i + 1) for i in range(5)))
+    assert other == SearchStats(*(100 * (i + 1) for i in range(5)))
 
 
 def test_search_reports_the_record_its_dfs_wrote(monkeypatch):
@@ -747,7 +746,7 @@ def test_search_reports_the_record_its_dfs_wrote(monkeypatch):
         assert rep.stats is stats
         fresh = SearchStats()
         list(dfs(*args, fresh, **kw))
-        assert stats == replace(fresh, raw_hits=stats.raw_hits, wall_time=stats.wall_time), cfg
+        assert stats == replace(fresh, raw_hits=stats.raw_hits), cfg
         assert stats.raw_hits > 0, cfg
         if cfg.dedupe == "none":
             assert stats.raw_hits == len(rep.hits), cfg
@@ -1187,10 +1186,12 @@ def test_pool_with_a_killed_worker_fails_one_call():
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_pool_map_keeps_order_in_chunks(jobs):
     """Items go out in chunks of ceil(len / (2 * jobs)); every length,
-    with a ragged last chunk or none at all, comes back in order."""
+    with a ragged last chunk or none at all, comes back in order, also with
+    a trailing iterable mapped alongside the items."""
     for size in range(14):
         items = [-x for x in range(size)]
         assert _pool_map(abs, items, jobs) == [abs(x) for x in items], size
+        assert _pool_map(pow, items, jobs, repeat(2)) == [x * x for x in items], size
 
 
 def test_pool_survives_an_error_in_a_task():
