@@ -418,7 +418,8 @@ def are_isomorphic(g: SignedGraph, h: SignedGraph):
     return (True, w)
 
 
-def automorphism_count(g: UGraph) -> int:
-    """Order of the automorphism group of an unsigned graph, read off one
-    canonical search of its all-positive signing."""
-    return _canonical_search(all_positive(g))[3]
+def automorphism_count(g: SignedGraph | UGraph) -> int:
+    """Order of the automorphism group of g, read off one canonical search:
+    the sign-preserving group of a signed graph, and of an unsigned graph
+    the group of its all-positive signing."""
+    return _canonical_search(g if isinstance(g, SignedGraph) else all_positive(g))[3]

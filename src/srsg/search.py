@@ -24,16 +24,15 @@ search_srsg's DFS, filtered or not, also looks ahead, by a forward check
 that cuts only subtrees holding no accepted leaf, so the leaves and their
 order are those of the DFS without it.  Each entry class has one span,
 which holds the class's entry in every accepted leaf below the state.  A
-learned class's span is its value.  On an r-regular host every vertex of a
-leaf has r - k positive and k negative neighbours and n - 1 - r
-non-neighbours, so every accepted leaf's entries a, b, c satisfy a(r - k) +
+learned class's span is its value.  The host is r-regular, so every vertex
+of a leaf has r - k positive and k negative neighbours and n - 1 - r
+non-neighbours, and every accepted leaf's entries a, b, c satisfy a(r - k) +
 bk + c(n - 1 - r) = rho^2 - r, the row sum of the off-diagonal entries of
 A^2 (eq. (3), halved).  So once every class with a nonzero coefficient but
 one is learned, the value the identity derives for the last one is the
 value every accepted leaf below has: that value is its span, and a subtree
-where it is not an integer, or not admitted, holds no accepted leaf.  A
-host that is not regular has no such identity.  Every other class starts
-with no span.
+where it is not an integer, or not admitted, holds no accepted leaf.  Every
+other class starts with no span.
 
 After block u, take a pair (t, v) with t <= u < v.  Its class is known, as
 sigma(tv) is decided.  Its entry sums sigma(tw)sigma(vw) over the common
@@ -45,10 +44,10 @@ completion of the state has the pair's entry in its span, and every
 accepted leaf below gives all pairs of a class one entry, in the class's
 span: so when a pair's span misses the class's span or differs from it in
 parity, none is accepted, and otherwise the class's span narrows to their
-meet.  On a regular host an accepted leaf also meets the identity with each
-class somewhere in its span; when the least and largest sums over the spans
-miss the identity's right side, none is accepted.  Each class with a
-nonzero coefficient has a span by then: once block u passes the degree
+meet.  An accepted leaf also meets the identity with each class somewhere
+in its span; when the least and largest sums over the spans miss the
+identity's right side, none is accepted.  Each class with a nonzero
+coefficient has a span by then: once block u passes the degree
 check, u has exactly k negative, r - k positive and n - 1 - r non-adjacent
 pairs, each either closed, so that its class is learned, or a pair (u, v)
 with v > u, checked after block u, so that its class has a span; and a
@@ -269,7 +268,15 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     """Block DFS over signings whose negative subgraph is k-regular.
 
     A generator: yields each leaf lazily, in DFS order, as (pos_rows,
-    neg_rows) mask tuples.  The host need not be regular.
+    neg_rows) mask tuples.
+
+    nbr is the tuple of rows of an r-regular host on n >= 1 vertices, and 0 <=
+    k <= r: every caller ensures it, and nothing here checks it.  So at block
+    u, 0 <= k - negc[u] <= |avail[u]| with no guard: if u has an earlier
+    neighbour, the last one t checked k - |avail[u]| <= negc[u] <= k when its
+    block passed, as u is in avail[t] and u's neighbours above t are exactly
+    avail[u], and no block between t and u touches u; if none, negc[u] = 0
+    and |avail[u]| = r >= k.
 
     allowed: None (degree pruning only), or a triple of the admissible
     squared-matrix entries of (positive, negative, non-adjacent) pairs, a
@@ -315,7 +322,6 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     """
     if stats is None:
         stats = SearchStats()
-    nbr = tuple(nbr)
     n = len(nbr)
     avail, pairs, tid, twin_block, ahead = _dfs_tables(nbr)
     negm = [0] * n
@@ -327,11 +333,10 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     # learn[c]: the value of class c in every accepted leaf below, once known
     learn = [next(iter(s)) if s is not None and len(s) == 1 else None for s in allowed or (None,) * 3]
     ahead_on = lookahead and allowed is not None
-    r = nbr[0].bit_count() if n else 0
-    tie_on = ahead_on and all(row.bit_count() == r for row in nbr)
+    r = nbr[0].bit_count()
     # the identity: eq. (3) at net degree r - 2k, doubled; coef[c] is
-    # twice the number of pairs of class c at each vertex of an r-regular
-    # host, and doubling leaves the quotient and the remainder test alone
+    # twice the number of pairs of class c at each vertex, and doubling
+    # leaves the quotient and the remainder test alone
     coef, tie_sum = _eq3_terms(n, r, r - 2 * k)
     tie_classes = [c for c in range(3) if coef[c]]
 
@@ -364,21 +369,20 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
         # left unlearned starts at the value the identity derives
         lo = learn[:]
         hi = learn[:]
-        if tie_on:
-            rest, missing = tie_sum, None
-            for c in tie_classes:
-                if learn[c] is not None:
-                    rest -= coef[c] * learn[c]
-                elif missing is None:
-                    missing = c
-                else:
-                    break
+        rest, missing = tie_sum, None
+        for c in tie_classes:
+            if learn[c] is not None:
+                rest -= coef[c] * learn[c]
+            elif missing is None:
+                missing = c
             else:
-                if missing is not None:
-                    value, odd = divmod(rest, coef[missing])
-                    if odd or (allowed[missing] is not None and value not in allowed[missing]):
-                        return False
-                    lo[missing] = hi[missing] = value
+                break
+        else:
+            if missing is not None:
+                value, odd = divmod(rest, coef[missing])
+                if odd or (allowed[missing] is not None and value not in allowed[missing]):
+                    return False
+                lo[missing] = hi[missing] = value
         for t, v, cd, co, lam, lam_o, q, adj in ahead[u]:
             nt = negm[t]
             c = (nt >> v) & 1 if adj else 2
@@ -407,8 +411,6 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
             if low > high:
                 return False
             lo[c], hi[c] = low, high
-        if not tie_on:
-            return True
         # the identity with each class anywhere in its span
         least = most = 0
         for c in tie_classes:
@@ -433,14 +435,9 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
             stats.leaves += 1
             yield tuple(nbr[i] & ~negm[i] for i in range(n)), tuple(negm)
             return
-        av = avail[u]
-        need = k - negc[u]
-        if need < 0 or need > len(av):
-            stats.pruned_degree += 1
-            return
         floor_u = floors[u]
         ub = 1 << u
-        choices = combinations(av, need)
+        choices = combinations(avail[u], k - negc[u])
         mates = cell_mates(u) if twins and twin_block[u] else None
         if mates:
             choices = (S for S in choices if not any(w in S and v not in S for v, w in mates))
@@ -526,7 +523,7 @@ def enumerate_negative_subgraphs(g: UGraph, k: int):
     if not g.is_regular():
         raise DegreeMismatch("underlying graph is not regular")
     r = g.degree(0)
-    if negative_degree(r, r - 2 * k) is None:  # k is the negative degree at net degree r - 2k
+    if not 0 <= k <= r:
         raise DegreeMismatch(f"k={k} out of range 0..{r}")
     n = g.n
     if _no_dfs_note(n, k):

@@ -141,6 +141,20 @@ def test_automorphism_count_matches_brute_force_small():
         assert automorphism_count(u) == brute_automorphism_count(u)
 
 
+@given(signed_graphs(max_n=6))
+def test_automorphism_count_of_a_signed_graph_matches_brute_force(g):
+    """A signed graph's count is the order of its sign-preserving group, by
+    brute force over every permutation; an unsigned graph's is that of its
+    all-positive signing."""
+    brute = sum(
+        all(g.sign(a, b) == g.sign(p[a], p[b]) for a in range(g.n) for b in range(a + 1, g.n))
+        for p in permutations(range(g.n))
+    )
+    assert automorphism_count(g) == brute
+    u = g.underlying()
+    assert automorphism_count(u) == automorphism_count(all_positive(u))
+
+
 def cycles(*lengths):
     """Disjoint union of cycles: regular and triangle-free, so refinement
     alone leaves cycles of different lengths in one cell."""

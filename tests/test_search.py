@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import multiprocessing
 import os
 import signal
@@ -16,7 +17,7 @@ from conftest import FIXTURES, brute_extract, brute_square, cube, kmm, petersen,
 from srsg.catalog import build, build_underlying
 from srsg.core import SignedGraph, UGraph, all_positive, negation, sign_with, ugraph_from_edges
 from srsg.errors import DegreeMismatch, DisconnectedInput
-from srsg.iso import canonical_form, decode_canonical
+from srsg.iso import automorphism_count, canonical_form, decode_canonical
 from srsg.regularity import SrsgClass, SrsgParams, extract_params
 import srsg.search
 from srsg.regularity import negative_degree
@@ -77,6 +78,8 @@ def test_kfactor_requires_regular_host():
         list(enumerate_negative_subgraphs(path, 1))
     with pytest.raises(DegreeMismatch):
         list(enumerate_negative_subgraphs(complete_ugraph(4), 9))
+    with pytest.raises(DegreeMismatch):
+        list(enumerate_negative_subgraphs(complete_ugraph(4), -1))
 
 
 def test_kfactor_parity_answers_without_dfs(monkeypatch):
@@ -795,32 +798,57 @@ def test_lookahead_keeps_the_leaf_sequence_under_a_filter(label):
 
 def test_lookahead_keeps_the_leaf_sequence_on_small_hosts():
     """The same at every net degree of the brute-scan hosts, where K6 at
-    rho = +-5 has a single entry class, and on hosts that are not regular,
-    where no span is derived from the identity.  On the path 0-1-2 at k = 2,
-    block 0 cannot take two negative edges: the degree guard counts one
-    prune and no node, with and without per-class sets."""
+    rho = +-5 has a single entry class."""
     for name, g in SMALL_HOSTS.items():
         r = g.degree(0)
         _assert_lookahead_keeps_leaves(g, range(-r, r + 1, 2), name)
-    # Q3 plus the long diagonals 0-7 and 1-6: degrees 3 and 4; every node
-    # is cut at block 0
-    q3 = ugraph_from_edges(8, sorted(cube(3).edges()) + [(0, 7), (1, 6)])
-    # K6 minus the triangle 3-4-5: degrees 5, 5, 5, 3, 3, 3; the forward
-    # check passes blocks here with no identity to check
-    k6 = ugraph_from_edges(6, [(u, v) for u, v in combinations(range(6), 2) if u < 3])
-    for g in (q3, k6):
-        for k in range(4):
-            for twins in (True, False):
-                ahead, ahead_nodes = _leaves_and_nodes(g, k, twins, True)
-                plain, plain_nodes = _leaves_and_nodes(g, k, twins, False)
-                assert ahead == plain, (g.n, k, twins)
-                if g is k6 and k in (1, 2):
-                    assert ahead_nodes < plain_nodes, (k, twins)
-    p3 = ugraph_from_edges(3, [(0, 1), (1, 2)])
-    for allowed in (None, LEARN):
-        stats = SearchStats()
-        assert list(_search_raw(p3.nbr, 2, allowed, None, stats)) == []
-        assert stats == SearchStats(pruned_degree=1), allowed
+
+
+def test_block_entry_needs_stay_in_range(monkeypatch):
+    """_search_raw has no degree guard at block entry: on an r-regular host
+    at 0 <= k <= r, the degree check of u's last earlier neighbour keeps the
+    negative edges block u needs in 0..len(avail[u]) (its docstring).  Every
+    block entry asks for that, in the fixture and target searches at every
+    rho, with and without twin cells (under a node budget), and in the K_n
+    walks that make the fixture hosts."""
+    needs = []
+
+    def spy(avail, need):
+        assert 0 <= need <= len(avail), (avail, need)
+        needs.append(need)
+        return combinations(avail, need)
+
+    monkeypatch.setattr(srsg.search, "combinations", spy)
+    for g in HOSTS.values():
+        for rho in range(-6, 7, 2):
+            for dedupe in ("iso", "none"):
+                search_srsg(g, SearchConfig(rho=rho, dedupe=dedupe, node_budget=20000))
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    for n in (8, 9, 10):
+        make_fixtures.six_regular(n)
+    assert needs
+
+
+@pytest.mark.parametrize("label", HOSTS)
+def test_hit_count_is_the_orbit_sum_over_the_classes(label):
+    """Double counting (orbit-stabiliser): two signings of a host H that are
+    isomorphic differ by an automorphism of H, so the signings of H in a
+    class X form one orbit of Aut(H), of |Aut(H)| / |Aut(X)| signings.  So
+    the hits of dedupe "none", which walks the full tree, number the sum of
+    that over the classes dedupe "iso" finds, each an exact division."""
+    g = HOSTS[label]
+    aut_h = automorphism_count(g)
+    for rho in (0, 2, 4):
+        raw_hits = search_srsg(g, SearchConfig(rho=rho, dedupe="none")).stats.raw_hits
+        total = 0
+        for hit in search_srsg(g, SearchConfig(rho=rho)).hits:
+            orbit, rest = divmod(aut_h, automorphism_count(hit.graph))
+            assert rest == 0, (rho, hit.params)
+            total += orbit
+        assert raw_hits == total, rho
 
 
 def test_dfs_tables_are_built_whole_and_never_change():
