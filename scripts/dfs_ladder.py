@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Time the signing DFS on the fixed degree-6 sweep hosts.
+"""Time the signing DFS on the fixed degree-6 sweep hosts and one large tree.
 
 The sweep is the six host-set searches the benchmark's sweep workloads
 run: the 21 order-10 fixture hosts at rho = 0, 2, 4, the 4 order-9 hosts at
-rho = 0, 2, and K8,8 at rho = 4.  Each search is the product's own,
-`search_catalog(hosts, SearchConfig(rho=rho))` in one process (jobs = 1),
+rho = 0, 2, and K8,8 at rho = 4.  Their 3,163 nodes are too few to show a
+change to the DFS node step, so a seventh search follows: K8,8 at rho = 2
+with dedupe "none", 37,247 nodes and no leaf, where the forward check
+dominates.  Each search is the product's own,
+`search_catalog(hosts, SearchConfig(...))` in one process (jobs = 1),
 run once untimed so that the host orders are cached, then --repeat times.
 The DFS is timed from outside the package by wrapping
 `srsg.search._search_raw` on the module, so the tree timed is the one
 `search_srsg` walks.  For each search one JSON line is printed with the
-host set, rho, the report's DFS counters (nodes, leaves, pruned_degree,
-pruned_pair), the median DFS seconds over the repeats, summed over the
-hosts, and the nodes per second at that median (0 for a search that
-`search_srsg` answers without a DFS).
+host set, rho, dedupe, the report's DFS counters (nodes, leaves,
+pruned_degree, pruned_pair), the median DFS seconds over the repeats,
+summed over the hosts, and the nodes per second at that median (0 for a
+search that `search_srsg` answers without a DFS).
 
     python3 scripts/dfs_ladder.py [--repeat N]
 """
@@ -34,6 +37,7 @@ from canon_ladder import kmm
 from srsg.sgio import read_graph6_file
 
 SWEEP = (("order10", 0), ("order10", 2), ("order10", 4), ("order9", 0), ("order9", 2), ("K8,8", 4))
+LARGE = ("K8,8", 2, "none")
 
 
 def main() -> int:
@@ -60,9 +64,9 @@ def main() -> int:
         "order9": read_graph6_file(os.path.join(fixtures, "6reg_order9.g6")),
         "K8,8": [kmm(8)],
     }
-    for name, rho in SWEEP:
+    for name, rho, dedupe in [(name, rho, "iso") for name, rho in SWEEP] + [LARGE]:
         catalog = [(f"{name}[{i}]", u) for i, u in enumerate(hosts[name])]
-        cfg = search.SearchConfig(rho=rho)
+        cfg = search.SearchConfig(rho=rho, dedupe=dedupe)
         search.search_catalog(catalog, cfg)
         times = []
         for _ in range(args.repeat):
@@ -72,7 +76,7 @@ def main() -> int:
         seconds = statistics.median(times)
         s = rep.stats
         row = {
-            "hosts": name, "rho": rho, "nodes": s.nodes, "leaves": s.leaves,
+            "hosts": name, "rho": rho, "dedupe": dedupe, "nodes": s.nodes, "leaves": s.leaves,
             "pruned_degree": s.pruned_degree, "pruned_pair": s.pruned_pair,
             "seconds": round(seconds, 3), "nodes_per_s": round(s.nodes / seconds) if s.nodes else 0,
         }

@@ -192,9 +192,6 @@ class SignedGraph(_Rows):
             return -1
         return 0
 
-    def adj_row(self, v: int) -> int:
-        return self.adj[v]
-
     def pos_degree(self, v: int) -> int:
         return self.pos[v].bit_count()
 

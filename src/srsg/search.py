@@ -332,7 +332,6 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
     floors = [[(w, k - (nbr[w] >> (u + 1)).bit_count()) for w in avail[u]] for u in range(n)]
     # learn[c]: the value of class c in every accepted leaf below, once known
     learn = [next(iter(s)) if s is not None and len(s) == 1 else None for s in allowed or (None,) * 3]
-    ahead_on = lookahead and allowed is not None
     r = nbr[0].bit_count()
     # the identity: eq. (3) at net degree r - 2k, doubled; coef[c] is
     # twice the number of pairs of class c at each vertex, and doubling
@@ -451,21 +450,18 @@ def _search_raw(nbr, k, allowed=None, budget=None, stats=None, twins=False, look
                 negm[w] |= ub
                 negc[w] += 1
             negm[u] |= sm
-            ok = True
             for w, floor in floor_u:
                 if not floor <= negc[w] <= k:
-                    ok = False
+                    stats.pruned_degree += 1
                     break
-            trail: list[int] = []
-            if not ok:
-                stats.pruned_degree += 1
-            elif allowed is not None and not (pairs_ok(u, trail) and (not ahead_on or reachable(u))):
-                ok = False
-                stats.pruned_pair += 1
-            if ok:
-                yield from rec(u + 1)
-            for c in trail:
-                learn[c] = None
+            else:
+                trail: list[int] = []
+                if allowed is None or pairs_ok(u, trail) and (not lookahead or reachable(u)):
+                    yield from rec(u + 1)
+                else:
+                    stats.pruned_pair += 1
+                for c in trail:
+                    learn[c] = None
             for w in S:
                 negm[w] ^= ub
                 negc[w] -= 1
@@ -658,12 +654,11 @@ def search_srsg(g: UGraph, cfg: SearchConfig) -> SearchReport:
     order, nbr = _search_order(g)
     # one signing per class suffices under the iso modes: walk the twin-reduced tree
     twins = cfg.dedupe != "none"
-    raw = list(_search_raw(nbr, k, allowed, budget, stats, twins=twins, lookahead=True))
-
-    # leaf verification: recompute parameters exactly and apply the filter,
-    # whether or not pair pruning already enforced them
+    # leaf verification, each leaf as the DFS yields it: recompute parameters
+    # exactly and apply the filter, whether or not pair pruning already
+    # enforced them
     found: list[Hit] = []
-    for pm, nm in raw:
+    for pm, nm in _search_raw(nbr, k, allowed, budget, stats, twins=twins, lookahead=True):
         sg = SignedGraph(n, _relabel(pm, order), _relabel(nm, order))
         p = extract_params(sg)
         if p is None or (filter_set is not None and p not in filter_set):

@@ -201,7 +201,7 @@ def test_two_walks_agree_with_square(g):
         for v in range(u + 1, g.n):
             p, q = two_walk_counts(g, u, v)
             assert p - q == sq[u][v]
-            assert p + q == (g.adj_row(u) & g.adj_row(v)).bit_count()
+            assert p + q == (g.adj[u] & g.adj[v]).bit_count()
             oracle = brute_two_walks(g, u, v)
             assert (p, q) == oracle
             assert sq[u][v] == sq[v][u] == oracle[0] - oracle[1]

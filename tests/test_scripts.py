@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from conftest import SWEEP, sweep_stats
+from conftest import SWEEP, kmm, sweep_stats
+from srsg.search import SearchConfig, search_srsg
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -63,19 +64,27 @@ def test_make_fixtures_checks_every_batch_under_python_o_before_writing(tmp_path
 
 
 def test_dfs_ladder_counts_the_tree_search_walks():
-    """Each line of scripts/dfs_ladder.py has the nodes and leaves that
-    search_catalog reports for the same sweep, and a positive rate exactly
-    when the search walked nodes (order9 at rho=0 needs no DFS)."""
+    """The first six lines of scripts/dfs_ladder.py have the nodes and leaves
+    that search_catalog reports for the same sweep, and a positive rate
+    exactly when the search walked nodes (order9 at rho=0 needs no DFS).  The
+    seventh is K8,8 at rho=2 with dedupe "none", with the counters that
+    search_srsg reports for it: 37,247 nodes, no leaf."""
     out = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, "dfs_ladder.py"), "--repeat", "1"],
         capture_output=True, text=True, check=True,
     ).stdout
     rows = [json.loads(line) for line in out.splitlines()]
-    assert [(row["hosts"], row["rho"]) for row in rows] == list(SWEEP)
+    assert [(row["hosts"], row["rho"]) for row in rows[:6]] == list(SWEEP)
     for row, stats in zip(rows, sweep_stats()):
         assert (row["nodes"], row["leaves"]) == (stats.nodes, stats.leaves), row
+    for row in rows:
         assert (row["nodes_per_s"] > 0) == (row["nodes"] > 0), row
     assert rows[3]["nodes"] == 0
+    assert len(rows) == 7 and (rows[6]["hosts"], rows[6]["rho"], rows[6]["dedupe"]) == ("K8,8", 2, "none")
+    stats = search_srsg(kmm(8), SearchConfig(rho=2, dedupe="none")).stats
+    counters = ("nodes", "leaves", "pruned_degree", "pruned_pair")
+    assert [rows[6][name] for name in counters] == [getattr(stats, name) for name in counters]
+    assert (stats.nodes, stats.leaves, stats.pruned_pair) == (37247, 0, 35966)
 
 
 def test_canon_ladder_repeats_and_counts():

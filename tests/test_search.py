@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import math
 import multiprocessing
 import os
 import signal
@@ -700,6 +701,46 @@ def test_cubic_classes_of_order_10_are_pairwise_non_isomorphic():
     assert not any(nx.is_isomorphic(a, b) for a, b in combinations(reps, 2))
 
 
+def _labelled_count(n, graphs):
+    """The sum of n! / |Aut(X)| over graphs X of order n: the number of
+    labelled graphs isomorphic to one of them, if no two are isomorphic.
+    Each quotient is checked to be an exact division."""
+    total = 0
+    for x in graphs:
+        count, rest = divmod(math.factorial(n), automorphism_count(x))
+        assert rest == 0, (n, x)
+        total += count
+    return total
+
+
+def test_kn_factor_classes_sum_to_the_labelled_counts():
+    """Double counting on K_n: the k-factors of K_n isomorphic to a class X
+    number n! / |Aut(X)|, so over the classes the twin-reduced DFS finds the
+    sum is the number of labelled k-regular graphs on n vertices.  Three
+    checks of it, none sharing the twin cells: for n <= 8, the count of
+    k-factors the full tree yields; complementation, a bijection between the
+    k-factors and the (n - 1 - k)-factors of K_n; and published terms, 30,016
+    at (9, 2) (OEIS A001205), 11,180,820 at (10, 3) (A002829) and 1,024,380
+    at (9, 4) (A005815).  The A001205 and A005815 terms are the ROADMAP's
+    values from memory and were not looked up; each equals the sum here."""
+    labelled = {(n, k): _labelled_count(n, _kn_factor_classes(n, k).values()) for n, k in KN_FACTOR_CLASSES}
+    for (n, k), count in labelled.items():
+        if n <= 8:
+            assert count == sum(1 for _ in enumerate_negative_subgraphs(complete_ugraph(n), k)), (n, k)
+    assert labelled[6, 2] == labelled[6, 3] == 70
+    assert labelled[7, 2] == labelled[7, 4] == 465
+    assert labelled[8, 3] == labelled[8, 4] == 19355
+    assert (labelled[9, 2], labelled[10, 3], labelled[9, 4]) == (30016, 11180820, 1024380)
+
+
+def test_fixture_hosts_sum_to_the_labelled_counts_of_their_complements():
+    """The 6-regular fixture hosts of orders 8, 9 and 10 are the complements
+    of the 1-, 2- and 3-regular graphs of those orders, so their sums of
+    n! / |Aut(H)| are the labelled counts 105 = 7!!, 30,016 and 11,180,820."""
+    for n, count in ((8, 105), (9, 30016), (10, 11180820)):
+        assert _labelled_count(n, read_graph6_file(os.path.join(FIXTURES, f"6reg_order{n}.g6"))) == count, n
+
+
 def test_dfs_adds_to_the_record_it_is_given():
     """_search_raw adds its counters to the SearchStats it is passed and
     resets none: two runs into one record count twice what one run counts.
@@ -753,6 +794,30 @@ def test_search_reports_the_record_its_dfs_wrote(monkeypatch):
         assert stats.raw_hits > 0, cfg
         if cfg.dedupe == "none":
             assert stats.raw_hits == len(rep.hits), cfg
+
+
+def test_search_verifies_each_leaf_as_the_dfs_yields_it(monkeypatch):
+    """search_srsg consumes the DFS lazily: on G8 at rho=0 with dedupe
+    "none" (16 leaves) the first extract_params call comes before the DFS
+    yields its last leaf, and every leaf is verified once."""
+    dfs, extract = srsg.search._search_raw, srsg.search.extract_params
+    events = []
+
+    def spy_dfs(*args, **kw):
+        for leaf in dfs(*args, **kw):
+            events.append("leaf")
+            yield leaf
+
+    def spy_extract(sg):
+        events.append("verify")
+        return extract(sg)
+
+    monkeypatch.setattr(srsg.search, "_search_raw", spy_dfs)
+    monkeypatch.setattr(srsg.search, "extract_params", spy_extract)
+    rep = search_srsg(build_underlying("G8"), SearchConfig(rho=0, dedupe="none"))
+    last_leaf = len(events) - 1 - events[::-1].index("leaf")
+    assert events.count("leaf") == events.count("verify") == rep.stats.leaves >= 2
+    assert events.index("verify") < last_leaf
 
 
 def _leaves_and_nodes(g, k, twins, lookahead, allowed=LEARN):
