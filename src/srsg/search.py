@@ -80,10 +80,13 @@ nodes, at any jobs.
 The worker pool is started at the first catalog call with jobs > 1 and at
 least two hosts, and serves every later call of the process with the same
 jobs; another jobs value or a forked child gets a new pool, and no worker
-sees a later change to this module.  A call sends its hosts in about two
-chunks per worker, not one round trip each (see _pool_map).  At a normal
-exit concurrent.futures joins the workers; a worker whose parent is gone
-exits by itself, whatever the start method.
+sees a later change to this module.  The pool's modules (concurrent.futures,
+multiprocessing, threading) are imported when the first pool starts, so
+importing srsg and every jobs=1 run never load them.  A call sends its hosts
+in about two chunks per worker, not one round trip each (see _pool_map).  At
+a normal exit concurrent.futures joins the workers and an exit hook shuts
+the pool down (see _shutdown_pool); a worker whose parent is gone exits by
+itself, whatever the start method.
 
 Under the iso modes the DFS walks a smaller tree, one block choice per set
 of choices that a swap of interchangeable vertices maps onto each other.
@@ -121,14 +124,12 @@ tree that was walked.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import math
-import multiprocessing.connection
 import os
-import threading
 import time
 from collections.abc import Iterable
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import combinations, repeat
 
@@ -478,7 +479,11 @@ def _exit_with_parent() -> None:
     is gone, also when it was killed and never ran the exit hook that joins
     its workers.  The parent sentinel reads end of file then (under fork, once
     the workers forked after this one are gone too); os.getppid() would not
-    change under forkserver, where it is the fork server."""
+    change under forkserver, where it is the fork server.  The watch's
+    modules are imported here, in the worker, like the pool's in _pool_map."""
+    import multiprocessing.connection
+    import threading
+
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch():
@@ -490,16 +495,30 @@ def _exit_with_parent() -> None:
 _pool = None  # ((pid, jobs), the ProcessPoolExecutor that process made)
 
 
+@atexit.register
+def _shutdown_pool() -> None:
+    """Exit hook: shut down the pool this process made; a forked child leaves
+    its parent's alone.  A pool left to interpreter teardown may be collected
+    after concurrent.futures.process's globals are cleared; the executor's
+    weakref callback then raises, and Python prints "Exception ignored"."""
+    if _pool is not None and _pool[0][0] == os.getpid():
+        _pool[1].shutdown()
+
+
 def _pool_map(fn, items, jobs, *more):
     """list(map(fn, items, *more)): in this process at jobs <= 1 or with at
     most one item, otherwise in the process's pool of jobs workers (see the
     module docstring).  The items go out in chunks of ceil(len(items) / (2 *
     jobs)), so each worker takes about two chunks rather than one round trip
     per item.  Results keep the order of items, and the first error a task
-    raises is raised here.  A broken pool is dropped and its error raised."""
+    raises is raised here.  A broken pool is dropped and its error raised.
+    concurrent.futures.process is imported only past the in-process return,
+    so the first pool start pays for it and a jobs=1 run never does."""
     global _pool
     if jobs <= 1 or len(items) <= 1:
         return list(map(fn, items, *more))
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     pid = os.getpid()
     if _pool is None or _pool[0] != (pid, jobs):
         if _pool is not None and _pool[0][0] == pid:

@@ -1304,10 +1304,11 @@ def test_pool_survives_an_error_in_a_task():
     assert set(_pool_map(_worker_pid, [0.05] * 4, 2)) <= before
 
 
-def _python(code, *args):
-    """A Python subprocess running code with srsg importable."""
+def _python(code, *args, flags=()):
+    """A Python subprocess, started with the interpreter flags given, running
+    code with srsg importable."""
     path = os.pathsep.join(p for p in (os.path.abspath(SRC), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.Popen([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.Popen([sys.executable, *flags, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -1332,6 +1333,86 @@ def test_cli_exit_leaves_no_worker():
     pids = [int(pid) for pid in err.splitlines()[-1].split()]
     assert len(pids) == 2
     assert not any(_alive(pid) for pid in pids)
+
+
+IMPORT_THEN_POOL = """
+import sys
+import srsg, srsg.catalog, srsg.cli, srsg.sgio, srsg.verify
+from srsg.search import SearchConfig, search_catalog
+from srsg.sgio import read_graph6_file
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent.futures")))
+
+def outcome(rep):
+    s = rep.stats
+    counters = (s.nodes, s.leaves, s.raw_hits, s.pruned_degree, s.pruned_pair)
+    return [(h.canonical, h.graph.neg) for h in rep.hits], rep.exhaustive, counters, rep.per_graph
+
+print(pool_modules())
+graphs = [(str(i), g) for i, g in enumerate(read_graph6_file(sys.argv[1]))]
+want = outcome(search_catalog(graphs, SearchConfig(rho=2)))
+print(pool_modules())
+print(outcome(search_catalog(graphs, SearchConfig(rho=2, jobs=2))) == want, "concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_import_loads_no_pool_module():
+    """Importing srsg's modules and a jobs=1 catalog search load no module of
+    the pool (under -S, so that no site module loads one first); the first
+    jobs=2 catalog search imports them and reports as jobs=1, and the process
+    exits without printing an error from the pool's teardown."""
+    proc = _python(IMPORT_THEN_POOL, os.path.join(FIXTURES, "6reg_order9.g6"), flags=["-S"])
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["[]", "[]", "True True"]
+    assert err == ""
+
+
+FORK_THEN_SEARCH = """
+import os, sys
+import srsg.search
+from srsg.search import SearchConfig, search_catalog
+from srsg.sgio import read_graph6_file
+
+graphs = [(str(i), g) for i, g in enumerate(read_graph6_file(sys.argv[1]))]
+
+def hits():
+    return [(h.canonical, h.graph.neg) for h in search_catalog(graphs, SearchConfig(rho=2, jobs=2)).hits]
+
+want = hits()
+pool = srsg.search._pool
+pid = os.fork()
+if pid == 0:
+    same = hits() == want
+    mine = srsg.search._pool
+    print("child", same, mine is not pool, mine[0] == (os.getpid(), 2), flush=True)
+    mine[1].shutdown()
+    # a normal exit would run multiprocessing's exit function on the
+    # parent's workers, which this process cannot join
+    os._exit(0)
+_, status = os.waitpid(pid, 0)
+print("parent", os.waitstatus_to_exitcode(status), hits() == want, srsg.search._pool is pool, flush=True)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_a_new_pool():
+    """A child forked after a jobs=2 search makes its own pool, whose search
+    finds the same hits; the parent keeps its pool, which serves its next
+    call."""
+    proc = _python(FORK_THEN_SEARCH, os.path.join(FIXTURES, "6reg_order9.g6"))
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["child True True True", "parent 0 True True"]
 
 
 WARM_POOL_THEN_WAIT = """
